@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .dynkin import DiagramError, enumerate_roots
@@ -23,9 +24,12 @@ from .linalg import (
     invert_unimodular,
     is_colinear,
     primitive,
+    solve,
+    vec_gcd,
 )
 from .restriction import (
     DynkinType,
+    embed_finite,
     finite_companion_data,
     imaginary_restriction,
     is_restricted_root,
@@ -56,13 +60,7 @@ class Hyperplane:
     offset: int = 0
 
     def __post_init__(self):
-        from math import gcd
-
-        g = 0
-        for c in self.normal:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(self.offset))
-        if g != 1:
+        if vec_gcd((*self.normal, self.offset)) != 1:
             raise ValueError("hyperplane data must be jointly primitive")
         lead = next((c for c in self.normal if c != 0), None)
         if lead is None or lead < 0:
@@ -74,12 +72,7 @@ class Hyperplane:
 
 def wall_through(normal: Vec, offset: int = 0) -> Hyperplane:
     """Normalise (normal, offset) jointly and build the wall."""
-    from math import gcd
-
-    g = 0
-    for c in normal:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(offset))
+    g = vec_gcd((*normal, offset))
     if g == 0:
         raise ValueError("zero wall data")
     normal = tuple(c // g for c in normal)
@@ -283,6 +276,8 @@ class ChamberGraph:
 
     def bfs(self, max_len: int) -> tuple[list, list]:
         """Chambers within max_len crossings of the base, plus labelled edges."""
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
         dist = {self.base_key: 0}
         order = [self.base_key]
         edges = []
@@ -361,11 +356,6 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
     rim_bar = imaginary_restriction(dtype)
     fin_kept, fin_values = finite_companion_data(dtype)
     kept = dtype.kept
-
-    def embed(rbar_fin: Vec) -> Vec:
-        vals = dict(zip(fin_kept, rbar_fin))
-        return tuple(vals.get(n, 0) for n in kept)
-
     separating = set()
 
     def check(normal: Vec):
@@ -378,7 +368,7 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
     check(rim_bar)
     p_rim, q_rim = dot(p, rim_bar), dot(q, rim_bar)
     for rbar_fin in fin_values:
-        base = embed(rbar_fin)
+        base = embed_finite(kept, fin_kept, rbar_fin)
         if is_colinear(base, rim_bar):
             continue
         pb, qb = dot(p, base), dot(q, base)
@@ -502,19 +492,12 @@ def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
 
 def _in_nonneg_cone(target: Vec, u: Vec, v: Vec) -> bool:
     """Whether target = a*u + b*v with rational a, b >= 0 (u, v independent)."""
-    rows = [(u[i], v[i], target[i]) for i in range(len(u))]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a1, b1, t1 = rows[i]
-            a2, b2, t2 = rows[j]
-            d = a1 * b2 - a2 * b1
-            if d == 0:
-                continue
-            a = Fraction(t1 * b2 - t2 * b1, d)
-            b = Fraction(a1 * t2 - a2 * t1, d)
-            if any(a * u[k] + b * v[k] != target[k] for k in range(len(u))):
-                return False
-            return a >= 0 and b >= 0
+    for i, j in combinations(range(len(u)), 2):
+        ab = solve(((u[i], v[i]), (u[j], v[j])), (target[i], target[j]))
+        if ab is not None:
+            a, b = ab
+            return (a >= 0 and b >= 0
+                    and all(a * x + b * y == t for x, y, t in zip(u, v, target)))
     return False
 
 

@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -75,6 +73,14 @@ class JobConfig:
     out: Optional[str] = None
     n: int = 2
 
+    def __post_init__(self):
+        for name, label, low in (("kmax", "kmax", 0), ("maxlen", "maxlen", 0),
+                                 ("chi_max", "window chi", 0), ("beta_max", "window beta", 0),
+                                 ("n", "n", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise UsageError(f"{label} must be an integer >= {low}, got {value!r}")
+
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -111,22 +117,6 @@ class JobConfig:
             out=data.get("out"),
             n=data.get("n", 2),
         )
-
-
-def worker_count() -> int:
-    raw = os.environ.get("CDVWALL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = worker_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -185,8 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> JobConfig:
     cfg = JobConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = JobConfig.from_json(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as err:
+            raise UsageError(f"cannot read --config: {err}") from None
+        cfg = JobConfig.from_json(data)
     updates = {}
     if args.family is not None:
         updates["family"] = args.family
@@ -224,8 +218,11 @@ def _dtype(cfg: JobConfig) -> DynkinType:
 
 def _emit(cfg: JobConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write --out: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -283,11 +280,8 @@ def cmd_check_gcd(cfg: JobConfig) -> int:
     else:
         subsets = list(proper_subsets(diagram))
 
-    def one(subset):
-        return check_gcd_closure(DynkinType(diagram, subset),
-                                 cfg.kmax if cfg.affine else None)
-
-    reports = _pmap(one, subsets)
+    k_max = cfg.kmax if cfg.affine else None
+    reports = [check_gcd_closure(DynkinType(diagram, s), k_max) for s in subsets]
     total = sum(len(r.violations) for r in reports)
     if cfg.fmt == "json":
         results = {
@@ -325,6 +319,8 @@ def cmd_chambers(cfg: JobConfig) -> int:
 
 def cmd_gallery(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
+    if not dtype.affine:
+        raise UsageError("gallery takes an affine type; add --affine")
     positives = sorted(
         e.coeffs for e in restricted_roots(dtype, min(cfg.kmax, 1)).elements
         if all(c >= 0 for c in e.coeffs)
@@ -429,6 +425,8 @@ def cmd_gv_map(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
     if dtype.affine:
         raise UsageError("gv-map takes a finite type; drop --affine")
+    if not set(cfg.non_flop) <= set(dtype.kept):
+        raise UsageError("--non-flop nodes must be kept finite nodes")
     import itertools
 
     rows = []
@@ -480,7 +478,7 @@ def cmd_selftest(cfg: JobConfig) -> int:
             agree = oracle_restricted_roots(dtype) == engine
             return agree, oracle_gcd_check(dtype)
 
-        results = _pmap(one, list(subsets))
+        results = [one(s) for s in subsets]
         return (sum(1 for a, _ in results if not a),
                 sum(1 for _, g in results if not g))
 

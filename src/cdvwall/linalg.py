@@ -1,14 +1,15 @@
 """Exact linear algebra on small integer and rational matrices.
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Everything is
-arbitrary precision: plain ints wherever possible, Fractions only where a
-division is genuinely required.  No floats anywhere.
+arbitrary precision and there are no floats.  All elimination runs over the
+integers in one fraction-free routine; the only Fraction is the final
+division in `solve`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple
@@ -35,77 +36,59 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
+def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
+    """Fraction-free Gauss-Jordan elimination of the integer matrix [m | rhs].
+
+    Each step replaces a row r by (pivot * r - r[k] * pivot_row) // prev,
+    where prev is the previous pivot.  The division is exact (Bareiss,
+    Math. Comp. 1968), so every entry stays an integer.  Returns det(m) and
+    adj(m) . rhs, or (0, None) when m is singular.  Without rhs columns only
+    the rows below each pivot are cleared, which is Bareiss's determinant.
+    """
+    n = len(m)
+    a = [list(row) + list(extra) for row, extra in zip(m, rhs or [()] * n)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(0 if rhs else k + 1, n):
+            if i == k:
+                continue
+            row, f = a[i], a[i][k]
+            row[k + 1:] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    # the left block is now prev * I, the right one prev * m^-1 . rhs
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
 def det(m: Mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def invert_rational(m: Mat) -> Mat:
-    """Exact inverse with Fraction entries; raises on singular input."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    """Determinant; 0 for a singular matrix."""
+    return _eliminate(m)[0]
 
 
 def invert_unimodular(m: Mat) -> Mat:
     """Inverse of an integer matrix with determinant +-1, as an integer matrix."""
-    inv = invert_rational(m)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return tuple(out)
+    d, adj = _eliminate(m, identity_matrix(len(m)))
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def solve(m: Mat, v: Sequence) -> Optional[Vec]:
-    """Solve m x = v exactly; None if the system is singular."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(v[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    """Solve m x = v exactly for an integer matrix m and a vector v of ints
+    or Fractions; None if m is singular."""
+    scale = lcm(*(x.denominator for x in v))
+    d, adj = _eliminate(m, tuple((x.numerator * (scale // x.denominator),) for x in v))
+    if d == 0:
+        return None
+    return tuple(Fraction(row[0], d * scale) for row in adj)
 
 
 def dot(u: Sequence, v: Sequence):

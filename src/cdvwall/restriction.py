@@ -206,6 +206,13 @@ def finite_companion_data(dtype: DynkinType) -> tuple[tuple[int, ...], frozenset
     return fin.kept, finite_restricted_values(fin)
 
 
+def embed_finite(kept: tuple[int, ...], fin_kept: tuple[int, ...], rbar_fin: Vec) -> Vec:
+    """Place finite kept-node coordinates into the affine type's kept
+    coordinates, with 0 at every node outside fin_kept."""
+    vals = dict(zip(fin_kept, rbar_fin))
+    return tuple(vals.get(n, 0) for n in kept)
+
+
 def classify_value(dtype: DynkinType, v: Vec):
     """Exact membership of a vector in the affine restricted-root set.
 
@@ -344,15 +351,11 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
         hbar = tuple(high[fin_diagram.index[n]] for n in fin_kept)
         excluded = {hbar, vec_neg(hbar)}
 
-    def embed(rbar_fin: Vec) -> Vec:
-        vals = dict(zip(fin_kept, rbar_fin))
-        return tuple(vals.get(n, 0) for n in kept)
-
     translated = set()
     for rbar_fin in fin_values:
         if rbar_fin in excluded:
             continue
-        base = embed(rbar_fin)
+        base = embed_finite(kept, fin_kept, rbar_fin)
         for k in range(-k_max, k_max + 1):
             v = tuple(b + k * c for b, c in zip(base, rim_bar))
             if integer_multiple_of(v, rim_bar) is None:

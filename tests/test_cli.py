@@ -73,15 +73,6 @@ def test_output_is_deterministic(args, capsys):
     assert first == second
 
 
-def test_thread_pool_does_not_change_output(capsys, monkeypatch):
-    args = ["check-gcd", "--family", "D", "--rank", "4", "--format", "text"]
-    monkeypatch.setenv("CDVWALL_THREADS", "1")
-    _, serial, _ = run_cli(args, capsys)
-    monkeypatch.setenv("CDVWALL_THREADS", "4")
-    _, pooled, _ = run_cli(args, capsys)
-    assert serial == pooled
-
-
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps(
@@ -174,6 +165,27 @@ def test_gv_map_marks_vacuous_rows(capsys):
     rows = json.loads(out)["results"]
     assert any("image_beta" in r for r in rows)
     assert all("skipped" in r or "image_beta" in r for r in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["chambers", "--family", "A", "--rank", "2", "--affine", "--maxlen", "-1"],
+    ["check-gcd", "--family", "E", "--rank", "6", "--affine", "--kmax", "-1"],
+    ["vanishing-table", "--family", "D", "--rank", "4", "--window", "chi=-1,beta=2"],
+    ["gallery", "--family", "A", "--rank", "2"],
+    ["dihedral-check", "--n", "1"],
+    ["gv-map", "--family", "D", "--rank", "4", "--non-flop", "7"],
+    ["roots", "--config", "{tmp}/missing.json"],
+    ["roots", "--family", "A", "--rank", "2", "--out", "{tmp}/no-such-dir/roots.json"],
+], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
+        "missing-config", "unwritable-out"])
+def test_invalid_input_is_a_usage_error(args, tmp_path):
+    args = [a.format(tmp=tmp_path) for a in args]
+    proc = subprocess.run([sys.executable, "-m", "cdvwall", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_console_entry_point_runs():

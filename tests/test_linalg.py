@@ -1,37 +1,94 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdvwall.dynkin import build_diagram
 from cdvwall.linalg import (
     det,
+    identity_matrix,
     integer_multiple_of,
-    invert_rational,
     invert_unimodular,
     is_colinear,
     mat_mul,
+    mat_vec,
     primitive,
     solve,
     vec_gcd,
 )
+from cdvwall.weyl import from_word
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def int_matrices(draw, max_n=5):
+    """Square integer matrices up to max_n; about half are made singular
+    by replacing the last row with a combination of earlier ones."""
+    n = draw(st.integers(1, max_n))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[min(1, n - 2)])]
+    return tuple(tuple(row) for row in rows)
+
+
+def leibniz_det(m):
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
 
 
 def test_det_and_unimodular_inverse():
-    m = ((1, 2, 0), (0, 1, 0), (3, 5, 1))
-    assert det(m) == 1
-    inv = invert_unimodular(m)
-    n = len(m)
-    assert mat_mul(m, inv) == tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    for m in (((1, 2, 0), (0, 1, 0), (3, 5, 1)), ((2, 1), (1, 1))):
+        assert det(m) == 1
+        assert mat_mul(m, invert_unimodular(m)) == identity_matrix(len(m))
+    assert invert_unimodular(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
 
 
 def test_invert_unimodular_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        invert_unimodular(((2, 0), (0, 1)))
+    for m in (((2, 0), (0, 1)), ((1, 2), (2, 4))):  # det 2, then singular
+        with pytest.raises(ValueError):
+            invert_unimodular(m)
 
 
-def test_invert_rational():
-    inv = invert_rational(((2, 1), (1, 1)))
-    assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
+@PROPERTY
+@given(int_matrices())
+def test_det_matches_leibniz_expansion(m):
+    assert det(m) == leibniz_det(m)
+
+
+@PROPERTY
+@given(int_matrices(), st.data())
+def test_solve_is_none_exactly_when_singular(m, data):
+    entry = st.one_of(st.integers(-9, 9), st.integers(-500, 500).map(lambda k: Fraction(k, 97)))
+    v = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+    x = solve(m, v)
+    if det(m) == 0:
+        assert x is None
+    else:
+        assert x is not None and all(isinstance(c, Fraction) for c in x)
+        assert mat_vec(m, x) == tuple(v)
+
+
+@pytest.mark.parametrize("family, rank", [("E", 8), ("D", 6)])
+def test_unimodular_inverse_reverses_reduced_words(family, rank):
+    diagram = build_diagram(family, rank, affine=True)
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from(diagram.nodes), max_size=12))
+    def check(word):
+        w = from_word(diagram, word)
+        reduced = w.word
+        assert invert_unimodular(w.matrix) == from_word(diagram, reversed(reduced)).matrix
+
+    check()
 
 
 def test_solve_singular_returns_none():
