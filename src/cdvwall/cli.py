@@ -74,11 +74,27 @@ class JobConfig:
     n: int = 2
 
     def __post_init__(self):
+        for name, label in (("family", "family"), ("fmt", "format")):
+            if not isinstance(getattr(self, name), str):
+                raise UsageError(f"{label} must be a string, got {getattr(self, name)!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise UsageError(f"out must be a path string, got {self.out!r}")
+        for name in ("affine", "rigidified", "weighted_homogeneous"):
+            if not isinstance(getattr(self, name), bool):
+                raise UsageError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not _is_int(self.rank):
+            raise UsageError(f"rank must be an integer, got {self.rank!r}")
+        for name, label in (("contracted", "contracted"), ("non_flop", "non-flop")):
+            nodes = getattr(self, name)
+            if not (isinstance(nodes, tuple) and all(_is_int(n) for n in nodes)):
+                raise UsageError(f"{label} must be a list of integer nodes, got {nodes!r}")
+            if len(set(nodes)) != len(nodes):
+                raise UsageError(f"{label} lists a node more than once: {list(nodes)}")
         for name, label, low in (("kmax", "kmax", 0), ("maxlen", "maxlen", 0),
                                  ("chi_max", "window chi", 0), ("beta_max", "window beta", 0),
                                  ("n", "n", 2)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if not _is_int(value) or value < low:
                 raise UsageError(f"{label} must be an integer >= {low}, got {value!r}")
 
     def to_json(self) -> dict:
@@ -100,23 +116,36 @@ class JobConfig:
 
     @staticmethod
     def from_json(data: dict) -> "JobConfig":
+        if not isinstance(data, dict):
+            raise UsageError(f"a config must be a JSON object, got {type(data).__name__}")
         window = data.get("window", {})
+        if not isinstance(window, dict):
+            raise UsageError(f"window must be an object with chi and beta, got {window!r}")
+
+        def nodes(key: str):
+            value = data.get(key, [])
+            return tuple(value) if isinstance(value, list) else value
+
         return JobConfig(
             family=data.get("family", "A"),
             rank=data.get("rank", 2),
             affine=data.get("affine", False),
-            contracted=tuple(data.get("contracted", ())),
+            contracted=nodes("contracted"),
             kmax=data.get("kmax", 3),
             maxlen=data.get("maxlen", 6),
             rigidified=data.get("rigidified", False),
             weighted_homogeneous=data.get("weighted_homogeneous", False),
-            non_flop=tuple(data.get("non_flop", ())),
+            non_flop=nodes("non_flop"),
             chi_max=window.get("chi", 4),
             beta_max=window.get("beta", 2),
             fmt=data.get("format", "json"),
             out=data.get("out"),
             n=data.get("n", 2),
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -180,6 +209,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
                 data = json.load(fh)
         except OSError as err:
             raise UsageError(f"cannot read --config: {err}") from None
+        except ValueError as err:
+            raise UsageError(f"--config is not valid JSON: {err}") from None
         cfg = JobConfig.from_json(data)
     updates = {}
     if args.family is not None:

@@ -89,6 +89,10 @@ class Diagram:
     def finite_part(self) -> "Diagram":
         if not self.affine:
             raise DiagramError("finite_part is only defined for affine diagrams")
+        return self._finite_part
+
+    @cached_property
+    def _finite_part(self) -> "Diagram":
         nodes = tuple(n for n in self.nodes if n != 0)
         edges = tuple(e for e in self.edges if 0 not in e)
         return Diagram(self.family, self.rank, False, nodes, edges)
@@ -138,6 +142,7 @@ def _chain_edges(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(lo, hi)]
 
 
+@lru_cache(maxsize=None)
 def build_diagram(family: str, rank: int, affine: bool = False) -> Diagram:
     """Construct the unique diagram of the given type.
 
@@ -233,6 +238,19 @@ def real_roots_window(diagram: Diagram, k_max: int) -> tuple[AffineRealRoot, ...
     for k in range(-k_max, k_max + 1):
         for r in rts.all_roots:
             out.append(AffineRealRoot(r, k))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def expanded_window(diagram: Diagram, k_max: int) -> tuple[tuple[Vec, int], ...]:
+    """The roots of real_roots_window(diagram, k_max), in the same order, as
+    (full node coordinates, sign) pairs; the sign is +1 for positive roots
+    and -1 for negative ones.  Cached, so every contraction subset of one
+    diagram scans the same window."""
+    out = []
+    for root in real_roots_window(diagram, k_max):
+        full = root.expand(diagram)
+        out.append((full, 1 if all(c >= 0 for c in full) else -1))
     return tuple(out)
 
 

@@ -17,6 +17,7 @@ from math import gcd
 
 from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
+from .linalg import solve
 from .restriction import DynkinType
 
 
@@ -59,6 +60,52 @@ def oracle_restricted_roots(dtype: DynkinType) -> frozenset:
             image = tuple(signed[i] for i in keep)
             if any(c != 0 for c in image):
                 out.add(image)
+    return frozenset(out)
+
+
+def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:
+    """Affine restricted roots over the levels |k| <= k_max, from the
+    definition: real roots r + k*delta, with r a root of the finite part and
+    delta the positive kernel vector of the affine Cartan matrix with
+    delta_0 = 1, each asserted to have norm two; then the imaginary roots
+    k*delta, 1 <= |k| <= k_max; all projected onto the kept nodes, zeros
+    dropped."""
+    if not dtype.affine:
+        raise ValueError("the affine oracle handles affine types")
+    diagram = dtype.diagram
+    cartan = diagram.cartan
+    rest = [i for i, n in enumerate(diagram.nodes) if n != 0]
+    zero = diagram.index[0]
+    # fix delta_0 = 1 and solve the remaining rows of cartan * delta = 0
+    tail = solve(tuple(tuple(cartan[i][j] for j in rest) for i in rest),
+                 tuple(-cartan[i][zero] for i in rest))
+    delta = [0] * len(diagram.nodes)
+    delta[zero] = 1
+    for i, c in zip(rest, tail):
+        if c.denominator != 1 or c <= 0:
+            raise AssertionError(f"kernel vector is not a positive integer vector: {tail}")
+        delta[i] = int(c)
+    if any(sum(a * d for a, d in zip(row, delta)) != 0 for row in cartan):
+        raise AssertionError("delta is not in the kernel of the affine Cartan matrix")
+    fin = diagram.finite_part()
+    keep = [diagram.index[n] for n in dtype.kept]
+    roots = set()
+    for r in oracle_positive_roots(fin):
+        for signed in (r, tuple(-c for c in r)):
+            lifted = dict(zip(fin.nodes, signed))
+            for k in range(-k_max, k_max + 1):
+                v = tuple(lifted.get(n, 0) + k * delta[i] for i, n in enumerate(diagram.nodes))
+                if _form(cartan, v) != 2:
+                    raise AssertionError(f"{v} is not a real root: norm {_form(cartan, v)}")
+                roots.add(v)
+    for k in range(1, k_max + 1):
+        for sign in (1, -1):
+            roots.add(tuple(sign * k * d for d in delta))
+    out = set()
+    for root in roots:
+        image = tuple(root[i] for i in keep)
+        if any(c != 0 for c in image):
+            out.add(image)
     return frozenset(out)
 
 
@@ -116,8 +163,6 @@ def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
 def _contains_by_solve(chamber, point) -> bool:
     """Strict cone membership by solving for the ray coefficients, an
     independent route from the engine's dual-pairing test."""
-    from .linalg import solve
-
     rays = chamber.rays
     m = len(rays)
     matrix = tuple(tuple(chamber.sign * rays[j][i] for j in range(m)) for i in range(m))

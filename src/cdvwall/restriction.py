@@ -12,15 +12,15 @@ of the real restricted roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .dynkin import (
     Diagram,
     DiagramError,
     enumerate_roots,
+    expanded_window,
     imaginary_root,
-    real_roots_window,
 )
 from .linalg import (
     Vec,
@@ -47,9 +47,14 @@ class DynkinType:
         if self.contracted == set(self.diagram.nodes):
             raise DiagramError("contracted set must be a proper subset")
 
-    @property
+    @cached_property
     def kept(self) -> tuple[int, ...]:
         return tuple(n for n in self.diagram.nodes if n not in self.contracted)
+
+    @cached_property
+    def kept_index(self) -> tuple[int, ...]:
+        """Positions of the kept nodes in the diagram's node order."""
+        return tuple(self.diagram.index[n] for n in self.kept)
 
     @property
     def affine(self) -> bool:
@@ -82,8 +87,7 @@ def restrict(dtype: DynkinType, root: Vec) -> Vec:
     """Drop the contracted coordinates, keeping the rest in node order."""
     if len(root) != len(dtype.diagram.nodes):
         raise ValueError("root length does not match the diagram")
-    idx = dtype.diagram.index
-    return tuple(root[idx[n]] for n in dtype.kept)
+    return tuple(root[i] for i in dtype.kept_index)
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +144,24 @@ def _collect(entries: dict, coeffs: Vec, sign: int, reality: Optional[str], witn
         entries[coeffs] = (frozenset({sign}), reality, witness)
 
 
+def _real_window_entries(dtype: DynkinType, k_max: int) -> dict:
+    """Restrictions of the real roots at levels |k| <= k_max, collected as by
+    _collect, zeros dropped.  Reality depends only on the restricted vector,
+    so the imaginary line is tested once per distinct vector."""
+    rim_bar = imaginary_restriction(dtype)
+    entries: dict[Vec, tuple] = {}
+    for full, sign in expanded_window(dtype.diagram, k_max):
+        rbar = restrict(dtype, full)
+        if rbar in entries:
+            signs, reality, witness = entries[rbar]
+            if sign not in signs:
+                entries[rbar] = (signs | {sign}, reality, witness)
+        elif any(rbar):
+            reality = "imaginary" if integer_multiple_of(rbar, rim_bar) is not None else "real"
+            entries[rbar] = (frozenset({sign}), reality, full)
+    return entries
+
+
 def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> RestrictedRootSet:
     """All nonzero restrictions of roots, annotated and deduplicated.
 
@@ -162,15 +184,8 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
         window = DEFAULT_WINDOW if k_max is None else k_max
         if window < 0:
             raise ValueError("k_max must be >= 0")
+        entries = _real_window_entries(dtype, window)
         rim_bar = imaginary_restriction(dtype)
-        for aroot in real_roots_window(dtype.diagram, window):
-            full = aroot.expand(dtype.diagram)
-            rbar = restrict(dtype, full)
-            if all(c == 0 for c in rbar):
-                continue
-            sign = 1 if all(c >= 0 for c in full) else -1
-            reality = "imaginary" if integer_multiple_of(rbar, rim_bar) is not None else "real"
-            _collect(entries, rbar, sign, reality, full)
         rim = imaginary_root(dtype.diagram)
         for k in range(1, window + 1):
             for sign in (1, -1):
@@ -330,16 +345,8 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     if not dtype.affine:
         raise DiagramError("real_restricted_two_ways requires an affine type")
     rim_bar = imaginary_restriction(dtype)
-
-    direct = set()
-    for aroot in real_roots_window(dtype.diagram, k_max):
-        full = aroot.expand(dtype.diagram)
-        rbar = restrict(dtype, full)
-        if all(c == 0 for c in rbar):
-            continue
-        if integer_multiple_of(rbar, rim_bar) is not None:
-            continue
-        direct.add(rbar)
+    direct = {rbar for rbar, (_, reality, _) in _real_window_entries(dtype, k_max).items()
+              if reality == "real"}
 
     kept = dtype.kept
     fin_kept, fin_values = finite_companion_data(dtype)

@@ -176,9 +176,18 @@ def test_gv_map_marks_vacuous_rows(capsys):
     ["gv-map", "--family", "D", "--rank", "4", "--non-flop", "7"],
     ["roots", "--config", "{tmp}/missing.json"],
     ["roots", "--family", "A", "--rank", "2", "--out", "{tmp}/no-such-dir/roots.json"],
+    ["roots", "--config", "{tmp}/not-json.json"],
+    ["roots", "--config", "{tmp}/list.json"],
+    ["roots", "--config", "{tmp}/rank-string.json"],
+    ["restricted-roots", "--family", "A", "--rank", "2", "--contracted", "1,1"],
+    ["gv-map", "--family", "D", "--rank", "4", "--non-flop", "1,1"],
 ], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
-        "missing-config", "unwritable-out"])
+        "missing-config", "unwritable-out", "config-not-json", "config-list",
+        "config-rank-string", "duplicate-contracted", "duplicate-non-flop"])
 def test_invalid_input_is_a_usage_error(args, tmp_path):
+    for name, text in (("not-json.json", '{"family": "A",'), ("list.json", "[1, 2]"),
+                       ("rank-string.json", '{"family": "A", "rank": "3"}')):
+        (tmp_path / name).write_text(text, encoding="utf-8")
     args = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run([sys.executable, "-m", "cdvwall", *args],
                           capture_output=True, text=True, timeout=60)

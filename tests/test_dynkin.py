@@ -4,6 +4,7 @@ from cdvwall.dynkin import (
     DiagramError,
     build_diagram,
     enumerate_roots,
+    expanded_window,
     imaginary_root,
     real_roots_window,
     reflect,
@@ -125,6 +126,21 @@ def test_affine_expansion_round_trip():
         assert full[0] == aroot.level * rim[0]
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("D", 5), ("E", 7)])
+def test_expanded_window_matches_expand(family, rank):
+    d = build_diagram(family, rank, affine=True)
+    for k_max in (0, 2):
+        roots = real_roots_window(d, k_max)
+        window = expanded_window(d, k_max)
+        assert [full for full, _ in window] == [r.expand(d) for r in roots]
+        for r, (full, sign) in zip(roots, window):
+            positive = r.level > 0 or (r.level == 0 and all(c >= 0 for c in r.finite_part))
+            assert sign == (1 if positive else -1)
+            assert all(sign * c >= 0 for c in full)
+    with pytest.raises(ValueError):
+        expanded_window(d, -1)
+
+
 def test_window_zero_is_the_finite_slice():
     d4 = build_diagram("D", 4, affine=True)
     fin = enumerate_roots(d4.finite_part())
@@ -147,3 +163,6 @@ def test_affine_restriction_equals_finite_diagram():
     for family, rank in [("A", 4), ("D", 6), ("E", 7)]:
         da = build_diagram(family, rank, affine=True)
         assert da.finite_part() == build_diagram(family, rank)
+        assert da.finite_part() is da.finite_part()
+    with pytest.raises(DiagramError):
+        build_diagram("A", 4).finite_part()

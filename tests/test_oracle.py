@@ -2,6 +2,7 @@ import pytest
 
 from cdvwall.dynkin import build_diagram, enumerate_roots
 from cdvwall.oracle import (
+    oracle_affine_restricted_roots,
     oracle_chamber_probe,
     oracle_gcd_check,
     oracle_positive_roots,
@@ -30,6 +31,15 @@ def test_restricted_roots_agree_on_e6_sample():
     for J in subsets[::7]:
         dt = DynkinType(d, J)
         assert oracle_restricted_roots(dt) == restricted_roots(dt).values()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_affine_restricted_roots_agree_on_all_subsets(family, rank):
+    d = build_diagram(family, rank, affine=True)
+    for J in proper_subsets(d):
+        dt = DynkinType(d, J)
+        assert oracle_affine_restricted_roots(dt, 2) == restricted_roots(dt, 2).values(), \
+            sorted(J)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 6), ("D", 5), ("E", 6)])
