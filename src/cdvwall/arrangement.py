@@ -13,12 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
 from .dynkin import DiagramError, enumerate_roots
 from .linalg import (
     Vec,
+    clear_denominators,
     det,
     dot,
     invert_unimodular,
@@ -101,15 +103,21 @@ class Chamber:
     def interior_point(self) -> Vec:
         return tuple(self.sign * sum(r[j] for r in self.rays) for j in range(len(self.rays[0])))
 
+    @cached_property
+    def _facet_normals(self) -> tuple[Vec, ...]:
+        """Inner normal data of every facet, in facet order, built once."""
+        diagram = self.dtype.diagram
+        return tuple(restrict(self.dtype, self.weyl.apply(diagram.simple_root(node)))
+                     for node in self.kept_of_subset)
+
     def facet_normal_raw(self, k: int) -> Vec:
         """Unnormalised inner normal data of facet k: the restriction of
         w . alpha_{i_k}; pairs to +1 with ray k and 0 with every other ray."""
-        node = self.kept_of_subset[k]
-        return restrict(self.dtype, self.weyl.apply(self.dtype.diagram.simple_root(node)))
+        return self._facet_normals[k]
 
     def coords_in(self, point: Vec) -> tuple:
         """Coefficients of a point over the signed rays (dual-basis pairing)."""
-        return tuple(self.sign * dot(point, self.facet_normal_raw(k)) for k in range(len(self.rays)))
+        return tuple(self.sign * dot(point, n) for n in self._facet_normals)
 
     def contains(self, point: Vec, strict: bool = True) -> bool:
         coords = self.coords_in(point)
@@ -182,11 +190,7 @@ def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
     s2 = dot(c2.interior_point(), normal)
     if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
         raise GeometryError("chambers do not sit on opposite sides of the wall")
-    k2 = None
-    for j in range(len(c2.rays)):
-        if is_colinear(c2.facet_normal_raw(j), normal):
-            k2 = j
-            break
+    k2 = next((j for j, n2 in enumerate(c2._facet_normals) if is_colinear(n2, normal)), None)
     if k2 is None:
         raise GeometryError("second chamber has no facet in the crossed wall")
     for j, ray in enumerate(c1.rays):
@@ -447,42 +451,49 @@ def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False)
 
 def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
     """Walk the straight segment from the base chamber's interior point to
-    `point`, crossing walls in order; exact rational arithmetic throughout.
+    `point`, crossing walls in order; exact integer arithmetic throughout.
+
+    Both ends are scaled by positive integers onto one level, which moves
+    no wall crossing along the segment, so only the crossing parameters
+    are rational, and those are compared by cross-multiplication.
 
     Raises GeometryError on degenerate segments (hitting a wall crossing
     tie or a point on a hyperplane); callers should skip such samples.
     """
     chamber = graph.chambers[graph.base_key]
     rim_bar = imaginary_restriction(graph.dtype)
+    point, _ = clear_denominators(point)
     target_level = dot(point, rim_bar)
     if target_level == 0 or (target_level > 0) != (graph.sign > 0):
         raise GeometryError("point is not on the graph's side of the imaginary wall")
     start = chamber.interior_point()
-    # scale the base interior point onto the point's level; the ratio is
-    # positive on either side, so the start stays inside the base chamber
-    start = tuple(Fraction(c * target_level, dot(start, rim_bar)) for c in start)
-    t_cur = Fraction(0)
+    # the base interior point lies on the graph's side too, so both levels
+    # share a sign and the two positive scalings meet on one level
+    start_level = dot(start, rim_bar)
+    start = tuple(c * abs(target_level) for c in start)
+    point = tuple(c * abs(start_level) for c in point)
+    t_num, t_den = 0, 1          # the current crossing parameter t_num / t_den
     for _ in range(10_000):
         coords_target = chamber.coords_in(point)
         if all(c > 0 for c in coords_target):
             return chamber
         best = None
-        for k in range(len(chamber.rays)):
-            n = chamber.facet_normal_raw(k)
+        for k, n in enumerate(chamber._facet_normals):
             v0 = chamber.sign * dot(start, n)
-            v1 = chamber.sign * dot(point, n)
+            v1 = coords_target[k]
             if v1 >= v0:
                 continue
-            t_k = Fraction(v0, v0 - v1)
-            if t_k <= t_cur or t_k > 1:
+            # the segment meets facet k at t_k = v0 / (v0 - v1), denominator > 0
+            den = v0 - v1
+            if v0 * t_den <= t_num * den or v0 > den:
                 continue
-            if best is None or t_k < best[0]:
-                best = (t_k, k)
-            elif t_k == best[0]:
+            if best is None or v0 * best[1] < best[0] * den:
+                best = (v0, den, k)
+            elif v0 * best[1] == best[0] * den:
                 raise GeometryError("degenerate segment: simultaneous wall crossings")
         if best is None:
             raise GeometryError("point lies on a wall of the current chamber")
-        t_cur, k = best
+        t_num, t_den, k = best
         edge = graph.neighbors(chamber).get(k)
         if edge is None:
             raise GeometryError("walk attempted to leave the sign class")

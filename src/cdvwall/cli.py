@@ -50,6 +50,7 @@ COMMANDS = (
     "roots", "restricted-roots", "check-gcd", "chambers", "gallery", "mutate",
     "vanishing-table", "orbits", "gv-map", "dihedral-check", "selftest", "export",
 )
+FORMATS = ("json", "csv", "dot", "svg", "text")
 
 
 class UsageError(ValueError):
@@ -77,6 +78,8 @@ class JobConfig:
         for name, label in (("family", "family"), ("fmt", "format")):
             if not isinstance(getattr(self, name), str):
                 raise UsageError(f"{label} must be a string, got {getattr(self, name)!r}")
+        if self.fmt not in FORMATS:
+            raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
         if not (self.out is None or isinstance(self.out, str)):
             raise UsageError(f"out must be a path string, got {self.out!r}")
         for name in ("affine", "rigidified", "weighted_homogeneous"):
@@ -121,6 +124,12 @@ class JobConfig:
         window = data.get("window", {})
         if not isinstance(window, dict):
             raise UsageError(f"window must be an object with chi and beta, got {window!r}")
+        schema = JobConfig().to_json()
+        for keys, known, where in ((data, schema, "config"),
+                                   (window, schema["window"], "config window")):
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise UsageError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
         def nodes(key: str):
             value = data.get(key, [])
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--non-flop", dest="non_flop",
                         help="comma-separated nodes whose contraction does not flop")
     parser.add_argument("--window", help="class window as chi=C,beta=B")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv", "dot", "svg", "text"))
+    parser.add_argument("--format", dest="fmt", choices=FORMATS)
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--n", type=int, help="dihedral family parameter")
     return parser

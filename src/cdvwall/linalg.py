@@ -81,11 +81,18 @@ def invert_unimodular(m: Mat) -> Mat:
     return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
+def clear_denominators(v: Sequence) -> tuple[Vec, int]:
+    """The integer vector scale * v and the least positive integer scale
+    that makes it one, for a vector of ints or Fractions."""
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
+
+
 def solve(m: Mat, v: Sequence) -> Optional[Vec]:
     """Solve m x = v exactly for an integer matrix m and a vector v of ints
     or Fractions; None if m is singular."""
-    scale = lcm(*(x.denominator for x in v))
-    d, adj = _eliminate(m, tuple((x.numerator * (scale // x.denominator),) for x in v))
+    iv, scale = clear_denominators(v)
+    d, adj = _eliminate(m, tuple((x,) for x in iv))
     if d == 0:
         return None
     return tuple(Fraction(row[0], d * scale) for row in adj)

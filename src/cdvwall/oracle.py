@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
@@ -200,7 +200,11 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
     signatures: dict = {}
     mismatches = []
     located = skipped = 0
-    for point in _sample_points(dtype, sample_count, box, sign):
+    for sample in _sample_points(dtype, sample_count, box, sign):
+        # a positive multiple of the sample lies in the same chambers and on
+        # the same sides of every linear wall, so work with integers
+        scale = lcm(*(c.denominator for c in sample))
+        point = tuple(c.numerator * (scale // c.denominator) for c in sample)
         try:
             chamber = locate_by_walk(graph, point)
         except GeometryError:
@@ -212,7 +216,7 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
             continue
         located += 1
         if not _contains_by_solve(chamber, point):
-            mismatches.append((point, "walk chamber does not contain the point"))
+            mismatches.append((sample, "walk chamber does not contain the point"))
             continue
         key = chamber.key()
         ref = signatures.get(sig)
@@ -220,9 +224,9 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
             # the sign vector must match the chamber's own interior point
             interior_sig = sign_vector(chamber.interior_point(), normals)
             if interior_sig != sig:
-                mismatches.append((point, "sign vector differs from the chamber's"))
+                mismatches.append((sample, "sign vector differs from the chamber's"))
                 continue
             signatures[sig] = key
         elif ref != key:
-            mismatches.append((point, "two chambers share a windowed sign vector"))
+            mismatches.append((sample, "two chambers share a windowed sign vector"))
     return ProbeReport(sample_count, located, skipped, tuple(mismatches))

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from .dynkin import (
     Diagram,
@@ -56,6 +57,14 @@ class DynkinType:
         """Positions of the kept nodes in the diagram's node order."""
         return tuple(self.diagram.index[n] for n in self.kept)
 
+    @cached_property
+    def _take_kept(self) -> Callable[[Vec], Vec]:
+        """Picks the kept coordinates out of a full vector, as a tuple."""
+        if len(self.kept_index) == 1:
+            (i,) = self.kept_index
+            return lambda v: (v[i],)   # itemgetter of one index returns a bare item
+        return itemgetter(*self.kept_index)
+
     @property
     def affine(self) -> bool:
         return self.diagram.affine
@@ -87,7 +96,7 @@ def restrict(dtype: DynkinType, root: Vec) -> Vec:
     """Drop the contracted coordinates, keeping the rest in node order."""
     if len(root) != len(dtype.diagram.nodes):
         raise ValueError("root length does not match the diagram")
-    return tuple(root[i] for i in dtype.kept_index)
+    return dtype._take_kept(root)
 
 
 @lru_cache(maxsize=None)

@@ -231,5 +231,5 @@ def test_criterion_8_selftest(capsys):
     assert code == 0, out
     assert "selftest PASS: 0 failures" in out
     assert "0 mismatches" in out
-    assert elapsed < 120, f"selftest took {elapsed:.1f}s"
+    assert elapsed < 30, f"selftest took {elapsed:.1f}s"
     print(f"criterion 8 PASS: oracle selftest clean [{elapsed:.1f}s]")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,6 +13,7 @@ from cdvwall.arrangement import (
     fundamental_chamber,
     gallery_through_wall,
     level_slice_point,
+    locate_by_walk,
     minimal_gallery,
     separating_hyperplanes,
 )
@@ -118,6 +120,51 @@ def test_chambers_have_disjoint_sign_vectors(dtype):
         assert 0 not in sig, "interior point lies on an arrangement hyperplane"
         assert sig not in seen, "two chambers share every windowed side"
         seen[sig] = c.key()
+
+
+def test_cached_facet_normals_match_a_fresh_restriction():
+    dtype = DynkinType(build_diagram("E", 7, affine=True), frozenset({2, 5}))
+    chambers, _ = enumerate_chambers(dtype, 3)
+    assert len(chambers) > 50
+    for c in chambers:
+        for k, node in enumerate(c.kept_of_subset):
+            fresh = restrict(dtype, c.weyl.apply(dtype.diagram.simple_root(node)))
+            assert c.facet_normal_raw(k) == fresh
+        # facet k pairs to 1 with ray k and to 0 with the others
+        for j, ray in enumerate(c.rays):
+            signed = tuple(c.sign * x for x in ray)
+            assert c.coords_in(signed) == tuple(int(k == j) for k in range(len(c.rays)))
+
+
+def _walk_outcome(graph, point):
+    try:
+        return locate_by_walk(graph, point).key()
+    except GeometryError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("dtype,sign", [(A2_EMPTY, 1), (A2_EMPTY, -1), (D4_PAIR, 1),
+                                        (A3_ONE, 1)])
+def test_walk_is_invariant_under_positive_scaling(dtype, sign):
+    graph = ChamberGraph(dtype, sign)
+    rim = imaginary_restriction(dtype)
+    rng = random.Random(11)
+    located = 0
+    for _ in range(60):
+        coords = [Fraction(rng.randrange(-200, 200), 97) for _ in dtype.kept]
+        coords[0] = (sign - sum(c * r for c, r in zip(coords[1:], rim[1:]))) / rim[0]
+        point = tuple(coords)
+        outcome = _walk_outcome(graph, point)
+        if isinstance(outcome, str):
+            continue
+        located += 1
+        assert graph.chambers[outcome].contains(point)
+        scale = lcm(*(c.denominator for c in point))
+        for m in (3, Fraction(5, 2)):
+            assert _walk_outcome(graph, tuple(m * c for c in point)) == outcome
+        for m in (scale, 7 * scale):
+            assert _walk_outcome(graph, tuple(int(m * c) for c in point)) == outcome
+    assert located > 40
 
 
 def test_minimal_gallery_trivial_cases():

@@ -181,12 +181,20 @@ def test_gv_map_marks_vacuous_rows(capsys):
     ["roots", "--config", "{tmp}/rank-string.json"],
     ["restricted-roots", "--family", "A", "--rank", "2", "--contracted", "1,1"],
     ["gv-map", "--family", "D", "--rank", "4", "--non-flop", "1,1"],
+    ["check-gcd", "--config", "{tmp}/format-xml.json"],
+    ["restricted-roots", "--config", "{tmp}/unknown-key.json"],
+    ["vanishing-table", "--config", "{tmp}/unknown-window-key.json"],
 ], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
         "missing-config", "unwritable-out", "config-not-json", "config-list",
-        "config-rank-string", "duplicate-contracted", "duplicate-non-flop"])
+        "config-rank-string", "duplicate-contracted", "duplicate-non-flop",
+        "config-format-xml", "config-unknown-key", "config-unknown-window-key"])
 def test_invalid_input_is_a_usage_error(args, tmp_path):
     for name, text in (("not-json.json", '{"family": "A",'), ("list.json", "[1, 2]"),
-                       ("rank-string.json", '{"family": "A", "rank": "3"}')):
+                       ("rank-string.json", '{"family": "A", "rank": "3"}'),
+                       ("format-xml.json", '{"family": "E", "rank": 6, "format": "xml"}'),
+                       ("unknown-key.json", '{"family": "A", "rank": 2, "contracted_nodes": [1]}'),
+                       ("unknown-window-key.json",
+                        '{"family": "A", "rank": 2, "window": {"chi": 1, "gamma": 1}}')):
         (tmp_path / name).write_text(text, encoding="utf-8")
     args = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run([sys.executable, "-m", "cdvwall", *args],

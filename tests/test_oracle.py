@@ -77,6 +77,18 @@ def test_chamber_probe_negative_side():
     assert report.located > 200
 
 
+@pytest.mark.parametrize("family,rank,contracted,samples", [
+    ("D", 4, {3, 4}, 1000),
+    ("D", 4, {0, 1}, 1000),       # rim = (2, 1, 1): sample denominators up to 194
+    ("E", 6, {0, 1, 2, 3}, 300),
+])
+def test_chamber_probe_on_wider_types(family, rank, contracted, samples):
+    dt = DynkinType(build_diagram(family, rank, affine=True), frozenset(contracted))
+    report = oracle_chamber_probe(dt, samples, box=1)
+    assert report.ok, report.mismatches[:3]
+    assert report.located >= 0.9 * samples
+
+
 def test_probe_rejects_wide_types():
     dt = DynkinType(build_diagram("D", 4, affine=True), frozenset())
     with pytest.raises(ValueError):

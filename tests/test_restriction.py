@@ -36,6 +36,16 @@ def test_empty_contraction_is_the_identity():
         assert restrict(dt, r) == r
 
 
+def test_restrict_to_one_kept_node_is_a_one_tuple():
+    d = build_diagram("D", 4)
+    dt = DynkinType(d, frozenset({1, 3, 4}))
+    assert dt.kept == (2,)
+    assert restrict(dt, enumerate_roots(d).highest_root) == (2,)
+    assert restrict(dt, [0, 1, 0, 0]) == (1,)
+    affine = DynkinType(build_diagram("A", 2, affine=True), frozenset({1, 2}))
+    assert restrict(affine, (3, 1, 1)) == (3,)
+
+
 def test_restrict_rejects_wrong_length():
     with pytest.raises(ValueError):
         restrict(d5_type(), (1, 0, 0))
