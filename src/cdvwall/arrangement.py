@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .dynkin import DiagramError, enumerate_roots
+from .groupoid import GroupoidArrow, Label, mutate
 from .linalg import (
     Vec,
     clear_denominators,
@@ -38,7 +39,7 @@ from .restriction import (
     restrict,
     restricted_roots,
 )
-from .weyl import WeylElement, identity
+from .weyl import WeylElement, coset_minimal, identity
 
 
 class SignCrossing(Exception):
@@ -207,25 +208,22 @@ def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
             raise GeometryError("facet of the second chamber is not a face of the first")
 
 
-def cross_wall(chamber: Chamber, k: int, verify: bool = True) -> tuple[Chamber, Hyperplane]:
+def cross_wall(chamber: Chamber, k: int) -> tuple[Chamber, Hyperplane]:
     """Cross facet k; returns the unique chamber sharing it and the wall.
 
     The new label comes from the groupoid mutation and is verified
     geometrically.  A facet lying in the hyperplane of the restricted
     imaginary root signals a sign-crossing instead of returning a chamber.
     """
-    from .groupoid import Label, mutate
-
     dtype = chamber.dtype
     raw = chamber.facet_normal_raw(k)
     rim_bar = imaginary_restriction(dtype) if dtype.affine else None
     if rim_bar is not None and is_colinear(raw, rim_bar):
         raise SignCrossing("facet lies in the imaginary-root hyperplane")
     node = chamber.kept_of_subset[k]
-    new_label = mutate(Label(dtype, chamber.weyl, chamber.subset), node, verify_geometry=False)
+    new_label = mutate(Label(dtype, chamber.weyl, chamber.subset), node)
     c2 = chamber_from_label(dtype, new_label.weyl, new_label.subset, chamber.sign)
-    if verify:
-        shares_facet(chamber, k, c2)
+    shares_facet(chamber, k, c2)
     return c2, Hyperplane(primitive(raw))
 
 
@@ -250,6 +248,27 @@ class Gallery:
             "chambers": [c.to_json() for c in self.chambers],
             "walls": [w.to_json() for w in self.walls],
         }
+
+
+def path_to_gallery(arrow: GroupoidArrow) -> Gallery:
+    """The wall-crossing gallery traced by a mutation path.
+
+    The k-th wall is the restriction of (product of the first k-1 omegas)
+    applied to alpha_{i_k}.  Every crossing is facet-checked by
+    `cross_wall`, and a final chamber other than the arrow's labelled one
+    raises GeometryError.
+    """
+    chambers = [fundamental_chamber(arrow.source)]
+    walls = []
+    for _, node in arrow.word:
+        chamber, wall = cross_wall(chambers[-1], facet_index_of_node(chambers[-1], node))
+        chambers.append(chamber)
+        walls.append(wall)
+    final = chambers[-1]
+    target = coset_minimal(arrow.weyl, arrow.target_subset)
+    if (final.subset, final.weyl.matrix) != (arrow.target_subset, target.matrix):
+        raise GeometryError("gallery endpoint disagrees with the composed arrow")
+    return Gallery(tuple(chambers), tuple(walls))
 
 
 class ChamberGraph:

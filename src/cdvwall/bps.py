@@ -385,10 +385,6 @@ class OrbitPartition:
     orbits: tuple[tuple[tuple, ...], ...]          # sorted members per orbit
     edges: tuple[tuple[tuple, tuple, Certificate], ...]
 
-    @property
-    def representatives(self) -> tuple:
-        return tuple(orbit[0] for orbit in self.orbits)
-
     def to_json(self) -> dict:
         return {
             "type": self.dtype.to_json(),

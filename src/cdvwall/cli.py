@@ -6,6 +6,7 @@ oracle mismatch."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -16,6 +17,7 @@ from .arrangement import (
     GeometryError,
     enumerate_chambers,
     gallery_through_wall,
+    path_to_gallery,
 )
 from .bps import (
     ClassError,
@@ -46,10 +48,21 @@ from .restriction import (
     restricted_roots,
 )
 
-COMMANDS = (
-    "roots", "restricted-roots", "check-gcd", "chambers", "gallery", "mutate",
-    "vanishing-table", "orbits", "gv-map", "dihedral-check", "selftest", "export",
-)
+# the --format values each command writes; selftest prints text for both
+COMMAND_FORMATS = {
+    "roots": ("json",),
+    "restricted-roots": ("json",),
+    "check-gcd": ("json", "text"),
+    "chambers": ("json", "dot"),
+    "gallery": ("json",),
+    "mutate": ("json", "dot"),
+    "vanishing-table": ("json", "csv"),
+    "orbits": ("json", "csv"),
+    "gv-map": ("json",),
+    "dihedral-check": ("json", "text"),
+    "selftest": ("json", "text"),
+    "export": ("dot", "svg"),
+}
 FORMATS = ("json", "csv", "dot", "svg", "text")
 
 
@@ -190,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact ADE wall-crossing combinatorics and vanishing verdicts",
     )
     parser.add_argument("--version", action="version", version=f"cdvwall {__version__}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(COMMAND_FORMATS))
     parser.add_argument("--config", help="JSON file with config defaults")
     parser.add_argument("--family", choices=("A", "D", "E"))
     parser.add_argument("--rank", type=int)
@@ -248,7 +261,11 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         updates["out"] = args.out
     if args.n is not None:
         updates["n"] = args.n
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    writes = COMMAND_FORMATS[args.command]
+    if cfg.fmt not in writes:
+        raise UsageError(f"{args.command} writes --format {' or '.join(writes)}, got {cfg.fmt!r}")
+    return cfg
 
 
 def _dtype(cfg: JobConfig) -> DynkinType:
@@ -400,7 +417,9 @@ def cmd_mutate(cfg: JobConfig) -> int:
     for node in dtype.kept:
         omega, iota_node, target = mutation_data(
             dtype.diagram, dtype.contracted, node)
-        arrow = compose(dtype, (node,), verify_geometry=dtype.affine)
+        arrow = compose(dtype, (node,))
+        if dtype.affine:
+            path_to_gallery(arrow)  # raises unless the label's chamber shares the facet
         rmap = induced_root_map(arrow)
         rows.append({
             "node": node,
@@ -467,8 +486,6 @@ def cmd_gv_map(cfg: JobConfig) -> int:
         raise UsageError("gv-map takes a finite type; drop --affine")
     if not set(cfg.non_flop) <= set(dtype.kept):
         raise UsageError("--non-flop nodes must be kept finite nodes")
-    import itertools
-
     rows = []
     ranges = [range(0, cfg.beta_max + 1)] * len(dtype.kept)
     for node in dtype.kept:
@@ -564,14 +581,12 @@ def cmd_export(cfg: JobConfig) -> int:
                              "and exactly two kept finite nodes")
         _emit(cfg, level_slice_svg(dtype, cfg.kmax))
         return 0
-    if cfg.fmt == "dot":
-        if dtype.affine:
-            chambers, edges = enumerate_chambers(dtype, cfg.maxlen)
-            _emit(cfg, chamber_graph_dot(chambers, edges))
-        else:
-            _emit(cfg, groupoid_dot(dtype, cfg.maxlen))
-        return 0
-    raise UsageError("export supports --format dot or svg")
+    if dtype.affine:
+        chambers, edges = enumerate_chambers(dtype, cfg.maxlen)
+        _emit(cfg, chamber_graph_dot(chambers, edges))
+    else:
+        _emit(cfg, groupoid_dot(dtype, cfg.maxlen))
+    return 0
 
 
 HANDLERS = {

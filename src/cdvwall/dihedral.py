@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bps import vanishing_verdict
 from .dynkin import Diagram, build_diagram, enumerate_roots
 from .linalg import Vec, vec_gcd, vec_neg
-from .restriction import DynkinType, restricted_roots
+from .restriction import DynkinType, imaginary_restriction, restricted_roots
 
 
 def target_diagram(n: int) -> Diagram:
@@ -111,8 +111,6 @@ def _extended_imaginary(n: int) -> Vec:
 def restricted_imaginary_image(n: int) -> Vec:
     """The restriction of the source imaginary root, in extended target
     coordinates; equals alpha_0 + highest root for every n."""
-    from .restriction import imaginary_restriction
-
     case = dihedral_case(n)
     affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
     return imaginary_restriction(affine)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import arrangement_hyperplanes
+from .groupoid import GroupoidError, mutation_data
 from .restriction import DynkinType
 
 
@@ -37,8 +38,6 @@ def chamber_graph_dot(chambers, edges) -> str:
 def groupoid_dot(dtype: DynkinType, max_len: int) -> str:
     """DOT text for the mutation component of the base subset, up to the
     given word length: nodes are subsets, edges are single mutations."""
-    from .groupoid import GroupoidError, mutation_data
-
     diagram = dtype.diagram
     start = tuple(sorted(dtype.contracted))
     layer = {start}

@@ -4,9 +4,9 @@ composition, and the induced maps between restricted-root lattices.
 Objects are contraction subsets with at least two kept nodes.  A mutation
 at a kept node i replaces the label (w, S) by (w * omega, S + i - iota(i)),
 where omega is built from longest elements of the parabolics on S and S+i,
-and iota is the permutation induced by the longest element of S+i.  The
-geometric facet-sharing check in the arrangement module is the arbiter for
-this formula; any disagreement raises.
+and iota is the permutation induced by the longest element of S+i.  This
+module is label algebra only: the arrangement module checks the labels
+against the chamber geometry (`cross_wall`, `path_to_gallery`).
 """
 
 from __future__ import annotations
@@ -69,26 +69,15 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
     return omega, iota[node], new_subset
 
 
-def mutate(label: Label, node: int, verify_geometry: bool = True) -> Label:
-    """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)).
-
-    The result is coset-minimal.  For affine bases the labelled chamber is
-    checked to share a codimension-1 face with the input's chamber; a
-    mismatch raises GeometryError.
-    """
+def mutate(label: Label, node: int) -> Label:
+    """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)); the
+    result is coset-minimal."""
     diagram = label.base.diagram
     if len(label.kept) < 2:
         raise GroupoidError("labels with fewer than two kept nodes are not groupoid objects")
     omega, _, new_subset = mutation_data(diagram, label.subset, node)
     w_new = coset_minimal(label.weyl * omega, new_subset)
-    result = Label(label.base, w_new, new_subset)
-    if verify_geometry and label.base.affine:
-        from .arrangement import chamber_from_label, facet_index_of_node, shares_facet
-
-        c1 = chamber_from_label(label.base, label.weyl, label.subset)
-        c2 = chamber_from_label(label.base, result.weyl, result.subset)
-        shares_facet(c1, facet_index_of_node(c1, node), c2)
-    return result
+    return Label(label.base, w_new, new_subset)
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ def identity_arrow(dtype: DynkinType) -> GroupoidArrow:
     return GroupoidArrow(dtype, dtype.contracted, identity(dtype.diagram), ())
 
 
-def compose(dtype: DynkinType, nodes: tuple[int, ...], verify_geometry: bool = False) -> GroupoidArrow:
+def compose(dtype: DynkinType, nodes: tuple[int, ...]) -> GroupoidArrow:
     """Compose the mutation path that starts at the base subset and mutates
     at the given kept nodes in order."""
     label = fundamental_label(dtype)
@@ -119,35 +108,8 @@ def compose(dtype: DynkinType, nodes: tuple[int, ...], verify_geometry: bool = F
         if node in label.subset:
             raise GroupoidError(f"step at node {node} is not composable: node is contracted")
         word.append((label.subset, node))
-        label = mutate(label, node, verify_geometry=verify_geometry)
+        label = mutate(label, node)
     return GroupoidArrow(dtype, label.subset, label.weyl, tuple(word))
-
-
-def arrow_label(arrow: GroupoidArrow) -> Label:
-    return Label(arrow.source, arrow.weyl, arrow.target_subset)
-
-
-def path_to_gallery(arrow: GroupoidArrow):
-    """The wall-crossing gallery traced by a mutation path.
-
-    The k-th wall is the restriction of (product of the first k-1 omegas)
-    applied to alpha_{i_k}.  Every consecutive pair is checked by the
-    arrangement module's facet test.
-    """
-    from .arrangement import Gallery, chamber_from_label, cross_wall, facet_index_of_node
-
-    dtype = arrow.source
-    label = fundamental_label(dtype)
-    chambers = [chamber_from_label(dtype, label.weyl, label.subset)]
-    walls = []
-    for _, node in arrow.word:
-        chamber, wall = cross_wall(chambers[-1], facet_index_of_node(chambers[-1], node))
-        chambers.append(chamber)
-        walls.append(wall)
-    final = chambers[-1]
-    if (final.subset, final.weyl.matrix) != (arrow.target_subset, coset_minimal(arrow.weyl, arrow.target_subset).matrix):
-        raise GroupoidError("gallery endpoint disagrees with the composed arrow")
-    return Gallery(tuple(chambers), tuple(walls))
 
 
 @dataclass(frozen=True)

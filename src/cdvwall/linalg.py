@@ -32,10 +32,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
 def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
     """Fraction-free Gauss-Jordan elimination of the integer matrix [m | rhs].
 
@@ -114,10 +110,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 def vec_neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def vec_scale(u: Vec, c) -> Vec:
-    return tuple(c * a for a in u)
 
 
 def vec_gcd(u: Sequence) -> int:

@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arrangement import ChamberGraph, GeometryError, locate_by_walk
+from .arrangement import ChamberGraph, GeometryError, arrangement_hyperplanes, locate_by_walk
 from .dynkin import Diagram
 from .linalg import solve
-from .restriction import DynkinType
+from .restriction import DynkinType, imaginary_restriction
 
 
 def _form(cartan, v) -> int:
@@ -140,8 +140,6 @@ class ProbeReport:
 def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
                    denominator: int = 97):
     """Deterministic rational points on the requested unit level, in a box."""
-    from .restriction import imaginary_restriction
-
     rim = imaginary_restriction(dtype)
     m = len(dtype.kept)
     span = 2 * box * denominator
@@ -192,8 +190,6 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
         raise ValueError("the chamber probe runs on affine types")
     if len(dtype.kept) > 3:
         raise ValueError("the probe is limited to at most three kept nodes")
-    from .arrangement import arrangement_hyperplanes
-
     sign = 1 if sign >= 0 else -1
     normals = [h.normal for h in arrangement_hyperplanes(dtype, k_max)]
     graph = ChamberGraph(dtype, sign)

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 from .dynkin import (
     Diagram,
     DiagramError,
+    build_diagram,
     enumerate_roots,
     expanded_window,
     imaginary_root,
@@ -86,8 +87,6 @@ class DynkinType:
 
     @staticmethod
     def from_json(data: dict) -> "DynkinType":
-        from .dynkin import build_diagram
-
         diagram = build_diagram(data["family"], data["rank"], data["affine"])
         return DynkinType(diagram, frozenset(data["contracted"]))
 

@@ -9,7 +9,7 @@ greedy ascent.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .dynkin import Diagram, DiagramError
 from .linalg import Vec, identity_matrix, invert_unimodular, mat_mul, mat_vec
@@ -52,12 +52,6 @@ class WeylElement:
         if len(v) != len(self.matrix):
             raise ValueError("vector length does not match the diagram")
         return mat_vec(self.matrix, v)
-
-    def apply_dual(self, theta: Sequence) -> tuple:
-        """Dual action on functionals: (w . theta)(v) = theta(w^{-1} v)."""
-        minv = invert_unimodular(self.matrix)
-        n = len(minv)
-        return tuple(sum(theta[k] * minv[k][j] for k in range(n)) for j in range(n))
 
     def image_of_simple(self, node: int) -> Vec:
         j = self.diagram.index[node]

@@ -126,7 +126,7 @@ def test_criterion_5_groupoid_geometry_agreement(name, dtype):
             for node in chamber.kept_of_subset:
                 target_key = edge_map[key][node]
                 new_path = path + (node,)
-                arrow = compose(dtype, new_path, verify_geometry=False)
+                arrow = compose(dtype, new_path)
                 label_chamber = chamber_from_label(
                     dtype, arrow.weyl, arrow.target_subset)
                 assert label_chamber.key() == target_key, (name, new_path)
@@ -146,7 +146,7 @@ def test_criterion_5_groupoid_geometry_agreement(name, dtype):
                 parents[target_key] = parents[key] + (node,)
                 order.append(target_key)
     for key in order:
-        arrow = compose(dtype, parents[key], verify_geometry=False)
+        arrow = compose(dtype, parents[key])
         rmap = induced_root_map(arrow)  # raises unless unimodular
         target = DynkinType(dtype.diagram, arrow.target_subset)
         for v in restricted_roots(target, 3).values():

@@ -184,10 +184,14 @@ def test_gv_map_marks_vacuous_rows(capsys):
     ["check-gcd", "--config", "{tmp}/format-xml.json"],
     ["restricted-roots", "--config", "{tmp}/unknown-key.json"],
     ["vanishing-table", "--config", "{tmp}/unknown-window-key.json"],
+    ["chambers", "--family", "A", "--rank", "2", "--affine", "--format", "csv"],
+    ["vanishing-table", "--family", "A", "--rank", "2", "--format", "dot"],
+    ["check-gcd", "--family", "A", "--rank", "2", "--format", "csv"],
 ], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
         "missing-config", "unwritable-out", "config-not-json", "config-list",
         "config-rank-string", "duplicate-contracted", "duplicate-non-flop",
-        "config-format-xml", "config-unknown-key", "config-unknown-window-key"])
+        "config-format-xml", "config-unknown-key", "config-unknown-window-key",
+        "chambers-csv", "vanishing-table-dot", "check-gcd-csv"])
 def test_invalid_input_is_a_usage_error(args, tmp_path):
     for name, text in (("not-json.json", '{"family": "A",'), ("list.json", "[1, 2]"),
                        ("rank-string.json", '{"family": "A", "rank": "3"}'),

@@ -1,7 +1,9 @@
 import pytest
 
+from cdvwall.arrangement import GeometryError, path_to_gallery
 from cdvwall.dynkin import build_diagram
 from cdvwall.groupoid import (
+    GroupoidArrow,
     GroupoidError,
     compose,
     fundamental_label,
@@ -9,7 +11,6 @@ from cdvwall.groupoid import (
     induced_root_map,
     mutate,
     mutation_data,
-    path_to_gallery,
     self_mutation_identification,
     step_relabelling,
 )
@@ -136,6 +137,15 @@ def test_gallery_is_geometrically_accepted():
         arrow = compose(A2_EMPTY, path)
         gallery = path_to_gallery(arrow)  # raises on any facet mismatch
         assert gallery.length == len(path)
+
+
+def test_gallery_rejects_an_arrow_whose_label_disagrees_with_its_word():
+    d = A3_ONE.diagram
+    word = ((frozenset({2}), 1),)
+    arrow = GroupoidArrow(A3_ONE, compose(A3_ONE, (1,)).target_subset,
+                          simple_reflection(d, 0), word)
+    with pytest.raises(GeometryError, match="endpoint"):
+        path_to_gallery(arrow)
 
 
 def test_self_identification_nonadjacent_is_the_restricted_reflection():

@@ -1,0 +1,31 @@
+"""Module structure: every import sits at module level, and the groupoid
+(label algebra) never reaches into the arrangement (geometry)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cdvwall
+
+MODULES = sorted(Path(cdvwall.__file__).parent.glob("*.py"))
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    nested = [node.lineno for node in _imports(tree) if id(node) not in top]
+    assert not nested, f"{path.name}: imports inside a function or block at lines {nested}"
+
+
+def test_groupoid_imports_nothing_from_arrangement():
+    path = Path(cdvwall.__file__).parent / "groupoid.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in _imports(tree):
+        names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        assert not any("arrangement" in name for name in names), ast.unparse(node)
