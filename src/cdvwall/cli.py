@@ -9,8 +9,8 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Optional
 
 from . import __version__
 from .arrangement import (
@@ -48,22 +48,9 @@ from .restriction import (
     restricted_roots,
 )
 
-# the --format values each command writes; selftest prints text for both
-COMMAND_FORMATS = {
-    "roots": ("json",),
-    "restricted-roots": ("json",),
-    "check-gcd": ("json", "text"),
-    "chambers": ("json", "dot"),
-    "gallery": ("json",),
-    "mutate": ("json", "dot"),
-    "vanishing-table": ("json", "csv"),
-    "orbits": ("json", "csv"),
-    "gv-map": ("json",),
-    "dihedral-check": ("json", "text"),
-    "selftest": ("json", "text"),
-    "export": ("dot", "svg"),
-}
 FORMATS = ("json", "csv", "dot", "svg", "text")
+# where a JobConfig field sits in the JSON schema when not under its own name
+JSON_PATHS = {"fmt": ("format",), "chi_max": ("window", "chi"), "beta_max": ("window", "beta")}
 
 
 class UsageError(ValueError):
@@ -114,21 +101,13 @@ class JobConfig:
                 raise UsageError(f"{label} must be an integer >= {low}, got {value!r}")
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "affine": self.affine,
-            "contracted": list(self.contracted),
-            "kmax": self.kmax,
-            "maxlen": self.maxlen,
-            "rigidified": self.rigidified,
-            "weighted_homogeneous": self.weighted_homogeneous,
-            "non_flop": list(self.non_flop),
-            "window": {"chi": self.chi_max, "beta": self.beta_max},
-            "format": self.fmt,
-            "out": self.out,
-            "n": self.n,
-        }
+        data = {}
+        for f in fields(self):
+            *outer, key = JSON_PATHS.get(f.name, (f.name,))
+            value = getattr(self, f.name)
+            node = data.setdefault(outer[0], {}) if outer else data
+            node[key] = list(value) if isinstance(value, tuple) else value
+        return data
 
     @staticmethod
     def from_json(data: dict) -> "JobConfig":
@@ -143,27 +122,16 @@ class JobConfig:
             unknown = sorted(set(keys) - set(known))
             if unknown:
                 raise UsageError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-
-        def nodes(key: str):
-            value = data.get(key, [])
-            return tuple(value) if isinstance(value, list) else value
-
-        return JobConfig(
-            family=data.get("family", "A"),
-            rank=data.get("rank", 2),
-            affine=data.get("affine", False),
-            contracted=nodes("contracted"),
-            kmax=data.get("kmax", 3),
-            maxlen=data.get("maxlen", 6),
-            rigidified=data.get("rigidified", False),
-            weighted_homogeneous=data.get("weighted_homogeneous", False),
-            non_flop=nodes("non_flop"),
-            chi_max=window.get("chi", 4),
-            beta_max=window.get("beta", 2),
-            fmt=data.get("format", "json"),
-            out=data.get("out"),
-            n=data.get("n", 2),
-        )
+        values = {}
+        for f in fields(JobConfig):
+            *outer, key = JSON_PATHS.get(f.name, (f.name,))
+            source = window if outer else data
+            if key in source:
+                value = source[key]
+                # node lists arrive as JSON arrays
+                is_nodes = isinstance(f.default, tuple) and isinstance(value, list)
+                values[f.name] = tuple(value) if is_nodes else value
+        return JobConfig(**values)
 
 
 def _is_int(value) -> bool:
@@ -203,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact ADE wall-crossing combinatorics and vanishing verdicts",
     )
     parser.add_argument("--version", action="version", version=f"cdvwall {__version__}")
-    parser.add_argument("command", choices=tuple(COMMAND_FORMATS))
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--config", help="JSON file with config defaults")
     parser.add_argument("--family", choices=("A", "D", "E"))
     parser.add_argument("--rank", type=int)
@@ -235,36 +203,26 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             raise UsageError(f"--config is not valid JSON: {err}") from None
         cfg = JobConfig.from_json(data)
     updates = {}
-    if args.family is not None:
-        updates["family"] = args.family
-    if args.rank is not None:
-        updates["rank"] = args.rank
-    if args.affine is not None:
-        updates["affine"] = args.affine
-    if args.contracted is not None:
-        updates["contracted"] = _parse_int_list(args.contracted, "contracted")
-    if args.kmax is not None:
-        updates["kmax"] = args.kmax
-    if args.maxlen is not None:
-        updates["maxlen"] = args.maxlen
-    if args.rigidified is not None:
-        updates["rigidified"] = args.rigidified
-    if args.weighted_homogeneous is not None:
-        updates["weighted_homogeneous"] = args.weighted_homogeneous
-    if args.non_flop is not None:
-        updates["non_flop"] = _parse_int_list(args.non_flop, "non-flop")
+    for f in fields(JobConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            if isinstance(f.default, tuple):   # node lists arrive as i,j,... text
+                value = _parse_int_list(value, f.name.replace("_", "-"))
+            updates[f.name] = value
     if args.window is not None:
         updates["chi_max"], updates["beta_max"] = _parse_window(args.window)
-    if args.fmt is not None:
-        updates["fmt"] = args.fmt
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.n is not None:
-        updates["n"] = args.n
     cfg = replace(cfg, **updates)
-    writes = COMMAND_FORMATS[args.command]
-    if cfg.fmt not in writes:
-        raise UsageError(f"{args.command} writes --format {' or '.join(writes)}, got {cfg.fmt!r}")
+    command = COMMANDS[args.command]
+    if cfg.fmt not in command.formats:
+        writes = " or ".join(command.formats)
+        raise UsageError(f"{args.command} writes --format {writes}, got {cfg.fmt!r}")
+    if command.affine and not cfg.affine:
+        raise UsageError(f"{args.command} takes an affine type; add --affine")
+    if command.affine is False:
+        if cfg.affine:
+            raise UsageError(f"{args.command} takes a finite type; drop --affine")
+        if not set(cfg.non_flop) <= set(_dtype(cfg).kept):
+            raise UsageError("--non-flop nodes must be kept finite nodes")
     return cfg
 
 
@@ -376,8 +334,6 @@ def cmd_chambers(cfg: JobConfig) -> int:
 
 def cmd_gallery(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if not dtype.affine:
-        raise UsageError("gallery takes an affine type; add --affine")
     positives = sorted(
         e.coeffs for e in restricted_roots(dtype, min(cfg.kmax, 1)).elements
         if all(c >= 0 for c in e.coeffs)
@@ -434,8 +390,6 @@ def cmd_mutate(cfg: JobConfig) -> int:
 
 def cmd_vanishing_table(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if dtype.affine:
-        raise UsageError("vanishing-table takes a finite type; drop --affine")
     sym = SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
                          frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
     classes = window_classes(dtype, sym)
@@ -461,8 +415,6 @@ def cmd_vanishing_table(cfg: JobConfig) -> int:
 
 def cmd_orbits(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if dtype.affine:
-        raise UsageError("orbits takes a finite type; drop --affine")
     sym = SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
                          frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
     partition = orbit_partition(dtype, sym)
@@ -482,10 +434,6 @@ def cmd_orbits(cfg: JobConfig) -> int:
 
 def cmd_gv_map(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if dtype.affine:
-        raise UsageError("gv-map takes a finite type; drop --affine")
-    if not set(cfg.non_flop) <= set(dtype.kept):
-        raise UsageError("--non-flop nodes must be kept finite nodes")
     rows = []
     ranges = [range(0, cfg.beta_max + 1)] * len(dtype.kept)
     for node in dtype.kept:
@@ -575,8 +523,7 @@ def cmd_selftest(cfg: JobConfig) -> int:
 def cmd_export(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
     if cfg.fmt == "svg":
-        fin_kept = [n for n in dtype.kept if n != 0]
-        if not dtype.affine or 0 in dtype.contracted or len(fin_kept) != 2:
+        if 0 not in dtype.kept or len(dtype.kept) != 3:
             raise UsageError("svg export needs an affine type with node 0 kept "
                              "and exactly two kept finite nodes")
         _emit(cfg, level_slice_svg(dtype, cfg.kmax))
@@ -589,19 +536,29 @@ def cmd_export(cfg: JobConfig) -> int:
     return 0
 
 
-HANDLERS = {
-    "roots": cmd_roots,
-    "restricted-roots": cmd_restricted_roots,
-    "check-gcd": cmd_check_gcd,
-    "chambers": cmd_chambers,
-    "gallery": cmd_gallery,
-    "mutate": cmd_mutate,
-    "vanishing-table": cmd_vanishing_table,
-    "orbits": cmd_orbits,
-    "gv-map": cmd_gv_map,
-    "dihedral-check": cmd_dihedral_check,
-    "selftest": cmd_selftest,
-    "export": cmd_export,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, the --format values it writes (selftest
+    prints text for both), and whether it needs an affine type (True),
+    refuses one (False) or takes either (None)."""
+    handler: Callable[[JobConfig], int]
+    formats: tuple[str, ...]
+    affine: Optional[bool] = None
+
+
+COMMANDS = {
+    "roots": Command(cmd_roots, ("json",)),
+    "restricted-roots": Command(cmd_restricted_roots, ("json",)),
+    "check-gcd": Command(cmd_check_gcd, ("json", "text")),
+    "chambers": Command(cmd_chambers, ("json", "dot")),
+    "gallery": Command(cmd_gallery, ("json",), affine=True),
+    "mutate": Command(cmd_mutate, ("json", "dot")),
+    "vanishing-table": Command(cmd_vanishing_table, ("json", "csv"), affine=False),
+    "orbits": Command(cmd_orbits, ("json", "csv"), affine=False),
+    "gv-map": Command(cmd_gv_map, ("json",), affine=False),
+    "dihedral-check": Command(cmd_dihedral_check, ("json", "text")),
+    "selftest": Command(cmd_selftest, ("json", "text")),
+    "export": Command(cmd_export, ("dot", "svg")),
 }
 
 
@@ -610,7 +567,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        return HANDLERS[args.command](cfg)
+        return COMMANDS[args.command].handler(cfg)
     except (UsageError, DiagramError, ClassError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from typing import Optional
 from .dynkin import Diagram
 from .linalg import Mat, Vec, invert_unimodular, mat_vec
 from .restriction import DynkinType, restrict
-from .weyl import WeylElement, coset_minimal, identity, iota_permutation, longest_element
+from .weyl import WeylElement, identity, iota_permutation, longest_element
 
 
 class GroupoidError(ValueError):
@@ -70,14 +70,13 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
 
 
 def mutate(label: Label, node: int) -> Label:
-    """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)); the
-    result is coset-minimal."""
+    """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)).  The
+    product is already minimal in its coset of W_{S'}, so it is not reduced."""
     diagram = label.base.diagram
     if len(label.kept) < 2:
         raise GroupoidError("labels with fewer than two kept nodes are not groupoid objects")
     omega, _, new_subset = mutation_data(diagram, label.subset, node)
-    w_new = coset_minimal(label.weyl * omega, new_subset)
-    return Label(label.base, w_new, new_subset)
+    return Label(label.base, label.weyl * omega, new_subset)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdvwall.cli import JobConfig, main
+from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main
 
 
 def run_cli(args, capsys):
@@ -13,11 +16,69 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def test_config_round_trip():
-    cfg = JobConfig(family="D", rank=5, affine=True, contracted=(1, 4, 5),
-                    kmax=2, maxlen=4, rigidified=True, weighted_homogeneous=True,
-                    non_flop=(2,), chi_max=5, beta_max=3, fmt="csv", out=None, n=4)
-    assert JobConfig.from_json(cfg.to_json()) == cfg
+def test_config_schema():
+    assert JobConfig().to_json() == {
+        "family": "A", "rank": 2, "affine": False, "contracted": [], "kmax": 3,
+        "maxlen": 6, "rigidified": False, "weighted_homogeneous": False,
+        "non_flop": [], "window": {"chi": 4, "beta": 2}, "format": "json",
+        "out": None, "n": 2,
+    }
+
+
+NODES = st.lists(st.integers(0, 9), unique=True, max_size=4).map(tuple)
+CONFIGS = st.builds(
+    JobConfig, family=st.sampled_from("ADE"), rank=st.integers(1, 9),
+    affine=st.booleans(), contracted=NODES, kmax=st.integers(0, 5),
+    maxlen=st.integers(0, 8), rigidified=st.booleans(),
+    weighted_homogeneous=st.booleans(), non_flop=NODES, chi_max=st.integers(0, 9),
+    beta_max=st.integers(0, 9), fmt=st.sampled_from(FORMATS),
+    out=st.none() | st.text(min_size=1, max_size=8), n=st.integers(2, 9))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(CONFIGS)
+def test_config_round_trip(cfg):
+    data = cfg.to_json()
+    assert JobConfig.from_json(data) == cfg
+    assert JobConfig.from_json(json.loads(json.dumps(data))) == cfg
+
+
+# one case per JobConfig field: (command, flags, the same setting as --config JSON)
+FIELD_CASES = {
+    "family": ("roots", ["--family", "E"], {"family": "E"}),
+    "rank": ("roots", ["--rank", "5"], {"rank": 5}),
+    "affine": ("roots", ["--affine"], {"affine": True}),
+    "contracted": ("roots", ["--contracted", "1,2"], {"contracted": [1, 2]}),
+    "kmax": ("roots", ["--kmax", "1"], {"kmax": 1}),
+    "maxlen": ("chambers", ["--maxlen", "2"], {"maxlen": 2}),
+    "rigidified": ("orbits", ["--rigidified"], {"rigidified": True}),
+    "weighted_homogeneous": ("vanishing-table", ["--weighted-homogeneous"],
+                             {"weighted_homogeneous": True}),
+    "non_flop": ("gv-map", ["--non-flop", "2"], {"non_flop": [2]}),
+    "chi_max": ("vanishing-table", ["--window", "chi=5,beta=2"], {"window": {"chi": 5}}),
+    "beta_max": ("orbits", ["--window", "chi=4,beta=3"], {"window": {"beta": 3}}),
+    "fmt": ("vanishing-table", ["--format", "csv"], {"format": "csv"}),
+    "out": ("roots", ["--out", "roots.json"], {"out": "roots.json"}),
+    "n": ("dihedral-check", ["--n", "3"], {"n": 3}),
+}
+
+
+def test_field_cases_cover_every_field():
+    assert set(FIELD_CASES) == {f.name for f in fields(JobConfig)}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_CASES))
+def test_flag_and_config_file_set_a_field_alike(field, tmp_path):
+    command, flags, data = FIELD_CASES[field]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    parser = build_parser()
+    by_flag = config_from_args(parser.parse_args([command, *flags]))
+    by_file = config_from_args(parser.parse_args([command, "--config", str(path)]))
+    assert by_flag == by_file
+    default = getattr(JobConfig(), field)
+    assert getattr(by_flag, field) != default
+    assert replace(by_flag, **{field: default}) == JobConfig()
 
 
 def test_check_gcd_e6_reports_zero_violations(capsys):
@@ -187,11 +248,13 @@ def test_gv_map_marks_vacuous_rows(capsys):
     ["chambers", "--family", "A", "--rank", "2", "--affine", "--format", "csv"],
     ["vanishing-table", "--family", "A", "--rank", "2", "--format", "dot"],
     ["check-gcd", "--family", "A", "--rank", "2", "--format", "csv"],
+    ["vanishing-table", "--family", "D", "--rank", "4", "--non-flop", "7"],
 ], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
         "missing-config", "unwritable-out", "config-not-json", "config-list",
         "config-rank-string", "duplicate-contracted", "duplicate-non-flop",
         "config-format-xml", "config-unknown-key", "config-unknown-window-key",
-        "chambers-csv", "vanishing-table-dot", "check-gcd-csv"])
+        "chambers-csv", "vanishing-table-dot", "check-gcd-csv",
+        "vanishing-table-non-flop"])
 def test_invalid_input_is_a_usage_error(args, tmp_path):
     for name, text in (("not-json.json", '{"family": "A",'), ("list.json", "[1, 2]"),
                        ("rank-string.json", '{"family": "A", "rank": "3"}'),
