@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .dynkin import build_diagram
 from .groupoid import compose, induced_root_map, self_mutation_identification, step_relabelling
@@ -117,8 +118,11 @@ class SymmetryConfig:
         }
 
 
+@lru_cache(maxsize=None)
 def affine_companion(dtype: DynkinType) -> DynkinType:
-    """The affine type (same family and rank, node 0 kept) of a finite type."""
+    """The affine type (same family and rank, node 0 kept) of a finite type.
+
+    Cached, so the companion's own cached data is built once per type."""
     if dtype.affine:
         raise ClassError("affine_companion starts from a finite type")
     diagram = build_diagram(dtype.diagram.family, dtype.diagram.rank, affine=True)
@@ -128,12 +132,12 @@ def affine_companion(dtype: DynkinType) -> DynkinType:
 def class_to_vector(aff: DynkinType, cc: CurveClass) -> Vec:
     """beta + chi * pi(r_im) in the affine kept coordinates (node 0 first)."""
     rim_bar = imaginary_restriction(aff)
-    kept = aff.kept
-    fin_kept = tuple(n for n in kept if n != 0)
-    if len(cc.beta) != len(fin_kept):
+    # nodes are sorted, so node 0, when kept, is the first coordinate
+    beta = (0, *cc.beta) if aff.kept[0] == 0 else cc.beta
+    if len(beta) != len(rim_bar):
         raise ClassError("beta length does not match the kept finite nodes")
-    beta_at = dict(zip(fin_kept, cc.beta))
-    return tuple(beta_at.get(n, 0) + cc.chi * rim_bar[i] for i, n in enumerate(kept))
+    chi = cc.chi
+    return tuple(b + chi * r for b, r in zip(beta, rim_bar))
 
 
 def vector_to_class(aff: DynkinType, delta: Vec) -> CurveClass:
@@ -187,11 +191,11 @@ def geometric_verdict(dtype: DynkinType, cc: CurveClass,
         raise ClassError("geometric verdicts take a finite type")
     aff = affine_companion(dtype)
     delta = class_to_vector(aff, cc)
-    if any(c < 0 for c in delta):
+    if min(delta) < 0:
         raise ClassError("class does not map into the non-negative dimension vectors")
-    if all(c == 0 for c in delta):
+    if not any(delta):
         raise ClassError("the zero class has no verdict")
-    if all(b == 0 for b in cc.beta):
+    if not any(cc.beta):
         return Verdict(False, RULE_GEOM_VANISHING, cc.chi, kind="imaginary",
                        base=imaginary_restriction(aff),
                        global_scope=weighted_homogeneous)
@@ -216,21 +220,26 @@ def gv_verdict(dtype: DynkinType, beta: Vec) -> Verdict:
 
 @dataclass(frozen=True)
 class ClassGenerator:
-    """A partial self-map on classes with its certificate data."""
+    """A partial self-map on classes with its certificate data.  act gives
+    the image and its certificate parameters, or None off the domain."""
 
     name: str
     rule: str
     level: str
     domain: str
-    defined: Callable[[CurveClass], bool] = field(compare=False)
-    image: Callable[[CurveClass], tuple[CurveClass, tuple]] = field(compare=False)
+    act: Callable[[CurveClass], Optional[tuple[CurveClass, tuple]]] = field(compare=False)
+
+    def defined(self, cc: CurveClass) -> bool:
+        return self.act(cc) is not None
+
+    def image(self, cc: CurveClass) -> tuple[CurveClass, tuple]:
+        out = self.act(cc)
+        if out is None:
+            raise ClassError(f"{self.name} is not defined at {cc.key()}")
+        return out
 
     def certificate(self, params: tuple) -> Certificate:
         return Certificate(self.rule, self.level, params)
-
-
-def _maps_into_cone(aff: DynkinType, cc: CurveClass) -> bool:
-    return all(c >= 0 for c in class_to_vector(aff, cc))
 
 
 def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
@@ -287,75 +296,76 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     gens: list[ClassGenerator] = []
 
     if config.rigidified:
-        def twist_defined(cc: CurveClass) -> bool:
-            return cc.d_beta > 0
-
-        def twist_image(cc: CurveClass):
+        def twist(cc: CurveClass):
             d = cc.d_beta
+            if d == 0:
+                return None
             return CurveClass(cc.chi + d, cc.beta), (("d", d),)
 
         gens.append(ClassGenerator(
-            "motivic-twist", RULE_TWIST_MOTIVIC, "motivic",
-            "beta nonzero", twist_defined, twist_image))
+            "motivic-twist", RULE_TWIST_MOTIVIC, "motivic", "beta nonzero", twist))
 
-        def dual_defined(cc: CurveClass) -> bool:
-            return cc.d_beta > 0
-
-        def dual_image(cc: CurveClass):
+        def dual(cc: CurveClass):
             d = cc.d_beta
+            if d == 0:
+                return None
             n = minimal_duality_shift(dtype, cc)
             out = CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta))
             return out, (("n", n), ("d", d))
 
         gens.append(ClassGenerator(
             "motivic-duality", RULE_DUAL_MOTIVIC, "motivic",
-            "beta nonzero; n minimal with the image representable",
-            dual_defined, dual_image))
+            "beta nonzero; n minimal with the image representable", dual))
 
-    for node in dtype.kept:
-        def numeric_defined(cc: CurveClass) -> bool:
-            return cc.is_effective() and cc.d_pair == 1
-
-        def numeric_image(cc: CurveClass, _node=node):
-            idx = dtype.kept.index(_node)
-            return CurveClass(cc.chi + cc.beta[idx], cc.beta), (("node", _node),)
+    for idx, node in enumerate(dtype.kept):
+        def numeric_twist(cc: CurveClass, _idx=idx, _node=node):
+            if not (cc.is_effective() and cc.d_pair == 1):
+                return None
+            return CurveClass(cc.chi + cc.beta[_idx], cc.beta), (("node", _node),)
 
         gens.append(ClassGenerator(
             f"numeric-twist-{node}", RULE_TWIST_NUMERIC, "numeric",
-            "coprime (chi, beta) with beta effective", numeric_defined, numeric_image))
+            "coprime (chi, beta) with beta effective", numeric_twist))
+
+    level = "motivic" if config.rigidified else "numeric"
+
+    @lru_cache(maxsize=None)
+    def movable(cc: CurveClass) -> Optional[Vec]:
+        """The class's dimension vector if it is nonzero, off the imaginary
+        line, and a real restricted root (motivic) or indivisible (numeric);
+        else None.  Shared by the mutation generators, so each class is
+        classified once whatever the number of non-flop nodes."""
+        delta = class_to_vector(aff, cc)
+        if not any(delta) or is_colinear(delta, rim_bar):
+            return None
+        if level == "motivic":
+            hit = classify_value(aff, delta)
+            if hit is None or hit[0] != "real":
+                return None
+        elif vec_gcd(delta) != 1:
+            return None
+        return delta
 
     for node in sorted(config.non_flop_nodes):
-        apply_map = mutation_class_map(dtype, node)
+        autom = self_mutation_identification(compose(aff, (node,)))
         alpha_bar = class_to_vector(aff, CurveClass(0, tuple(
             1 if n == node else 0 for n in dtype.kept)))
-        level = "motivic" if config.rigidified else "numeric"
-        rule = RULE_MUT_MOTIVIC if config.rigidified else RULE_MUT_NUMERIC
 
-        def mut_defined(cc: CurveClass, _alpha=alpha_bar, _level=level,
-                        _apply=apply_map) -> bool:
-            delta = class_to_vector(aff, cc)
-            if all(c == 0 for c in delta):
-                return False
-            if is_colinear(delta, _alpha) or is_colinear(delta, rim_bar):
-                return False
-            if _level == "motivic":
-                hit = classify_value(aff, delta)
-                if hit is None or hit[0] != "real":
-                    return False
-            elif vec_gcd(delta) != 1:
-                return False
-            image = class_to_vector(aff, _apply(cc))
-            return all(c >= 0 for c in image)
-
-        def mut_image(cc: CurveClass, _node=node, _apply=apply_map):
-            out = _apply(cc)
-            return out, (("node", _node),)
+        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _autom=autom):
+            delta = movable(cc)
+            if delta is None or is_colinear(delta, _alpha):
+                return None
+            image = mat_vec(_autom, delta)
+            if any(c < 0 for c in image):
+                return None
+            return vector_to_class(aff, image), (("node", _node),)
 
         gens.append(ClassGenerator(
-            f"mutation-{node}", rule, level,
+            f"mutation-{node}", RULE_MUT_MOTIVIC if config.rigidified else RULE_MUT_NUMERIC,
+            level,
             "not colinear to the node class or the imaginary direction; "
             + ("a real restricted root" if level == "motivic" else "indivisible"),
-            mut_defined, mut_image))
+            mutation))
 
     return tuple(gens)
 
@@ -407,44 +417,46 @@ class OrbitPartition:
         }
 
 
-def window_classes(dtype: DynkinType, config: SymmetryConfig) -> tuple[CurveClass, ...]:
+def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveClass]:
     """All nonzero classes in the window that map into the cone, in
-    lexicographic (chi, beta) order."""
+    lexicographic (chi, beta) order, generated one at a time.
+
+    Node 0 of the dimension vector is chi >= 0, and a kept finite node reads
+    beta_i + chi * pi(r_im)_i, so each beta_i starts at the larger of
+    -beta_max and -chi * pi(r_im)_i; no class outside the cone is built."""
     aff = affine_companion(dtype)
-    out = []
-    ranges = [range(-config.beta_max, config.beta_max + 1)] * len(dtype.kept)
+    rim_fin = [r for n, r in zip(aff.kept, imaginary_restriction(aff)) if n != 0]
+    b_max = config.beta_max
     for chi in range(config.chi_max + 1):
-        for beta in itertools.product(*ranges):
-            cc = CurveClass(chi, beta)
-            if chi == 0 and all(b == 0 for b in beta):
-                continue
-            if _maps_into_cone(aff, cc):
-                out.append(cc)
-    return tuple(out)
+        betas = itertools.product(*(range(max(-b_max, -chi * r), b_max + 1) for r in rim_fin))
+        if chi == 0:
+            next(betas, None)   # the zero class comes first and has no verdict
+        for beta in betas:
+            yield CurveClass(chi, beta)
 
 
 def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition:
     """Union-find closure of the configured generators on the window."""
-    classes = window_classes(dtype, config)
+    classes = tuple(window_classes(dtype, config))
     keys = [cc.key() for cc in classes]
     index = set(keys)
     uf = UnionFind(keys)
     edges = []
     seen_edges = set()
     for gen in symmetry_generators(dtype, config):
-        for cc in classes:
-            if not gen.defined(cc):
+        for cc, key in zip(classes, keys):
+            hit = gen.act(cc)
+            if hit is None:
                 continue
-            img, params = gen.image(cc)
-            if img.key() not in index:
+            img, params = hit
+            img_key = img.key()
+            if img_key not in index or img_key == key:
                 continue
-            if img.key() == cc.key():
-                continue
-            uf.union(cc.key(), img.key())
-            tag = (cc.key(), img.key(), gen.rule, params)
+            uf.union(key, img_key)
+            tag = (key, img_key, gen.rule, params)
             if tag not in seen_edges:
                 seen_edges.add(tag)
-                edges.append((cc.key(), img.key(), gen.certificate(params)))
+                edges.append((key, img_key, gen.certificate(params)))
     grouped: dict = {}
     for key in keys:
         grouped.setdefault(uf.find(key), []).append(key)

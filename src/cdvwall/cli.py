@@ -8,9 +8,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .arrangement import (
@@ -231,27 +235,137 @@ def _dtype(cfg: JobConfig) -> DynkinType:
     return DynkinType(diagram, frozenset(cfg.contracted))
 
 
-def _emit(cfg: JobConfig, text: str) -> None:
-    if cfg.out:
+# parts of output text joined into one write
+BLOCK_PARTS = 1 << 14
+
+
+@contextmanager
+def _output(cfg: JobConfig):
+    """Yield a write function for --out or stdout.  A failed write, the
+    final flush or close included, raises UsageError: exit 2, one line."""
+    where = "--out" if cfg.out else "output"
+    try:
+        stream = open(cfg.out, "w", encoding="utf-8", newline="\n") if cfg.out else sys.stdout
+    except OSError as err:
+        raise UsageError(f"cannot write {where}: {err}") from None
+
+    def guarded(action: Callable, *args) -> None:
         try:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            action(*args)
         except OSError as err:
-            raise UsageError(f"cannot write --out: {err}") from None
-    else:
-        sys.stdout.write(text)
+            if stream is sys.stdout:
+                # the interpreter flushes stdout again at exit; send what is
+                # still buffered to the null device so that flush cannot fail
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+            raise UsageError(f"cannot write {where}: {err}") from None
+
+    try:
+        yield lambda text: guarded(stream.write, text)
+        guarded(stream.flush)
+    finally:
+        if stream is not sys.stdout:
+            guarded(stream.close)
+
+
+def _emit(cfg: JobConfig, text: str) -> None:
+    with _output(cfg) as write:
+        write(text)
+
+
+def write_json(obj, write: Callable[[str], None]) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2), byte for byte, in
+    blocks of BLOCK_PARTS joined parts.  Any iterator is written as a JSON
+    array, so a long list can be produced while it is written.  Values are
+    str, int, bool, None, str-keyed dicts and arrays; the program writes no
+    floats, and anything else raises TypeError."""
+    parts: list[str] = []
+    append = parts.append
+    encode = encode_basestring_ascii
+    breaks = ["\n"]   # breaks[d]: a newline and the indent of depth d
+
+    def newline(depth: int) -> str:
+        while len(breaks) <= depth:
+            breaks.append(breaks[-1] + "  ")
+        return breaks[depth]
+
+    def value(o, depth: int) -> None:
+        if isinstance(o, str):
+            append(encode(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = newline(depth + 1)
+            sep, comma = "{" + inner, "," + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                item = o[key]
+                head = sep + encode(key) + ": "
+                sep = comma
+                # scalar values, the common case, skip a call
+                kind = type(item)
+                if kind is str:
+                    append(head + encode(item))
+                elif kind is int:
+                    append(head + int.__repr__(item))
+                elif item is None:
+                    append(head + "null")
+                elif kind is bool:
+                    append(head + ("true" if item else "false"))
+                else:
+                    append(head)
+                    value(item, depth + 1)
+            append(newline(depth) + "}")
+        elif isinstance(o, (list, tuple)) and o and all(type(x) is int for x in o):
+            inner = newline(depth + 1)
+            append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline(depth) + "]")
+        elif isinstance(o, (list, tuple, Iterator)):
+            inner = newline(depth + 1)
+            sep, comma = "[" + inner, "," + inner
+            for item in o:
+                append(sep)
+                sep = comma
+                value(item, depth + 1)
+                if len(parts) >= BLOCK_PARTS:
+                    write("".join(parts))
+                    parts.clear()
+            append(newline(depth) + "]" if sep is comma else "[]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    value(obj, 0)
+    write("".join(parts))
 
 
 def _emit_json(cfg: JobConfig, command: str, results) -> None:
+    """The command's JSON document; results may hold iterators for lists."""
     payload = {"command": command, "config": cfg.to_json(), "results": results}
-    _emit(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _output(cfg) as write:
+        write_json(payload, write)
+        write("\n")
 
 
-def _emit_csv(cfg: JobConfig, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    _emit(cfg, "\n".join(lines) + "\n")
+def _emit_csv(cfg: JobConfig, header: list[str], rows: Iterable[list]) -> None:
+    with _output(cfg) as write:
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(map(str, row)))
+            if len(lines) >= BLOCK_PARTS:
+                write("\n".join(lines) + "\n")
+                lines.clear()
+        if lines:
+            write("\n".join(lines) + "\n")
 
 
 def cmd_roots(cfg: JobConfig) -> int:
@@ -392,23 +506,18 @@ def cmd_vanishing_table(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
     sym = SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
                          frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
-    classes = window_classes(dtype, sym)
-    rows = []
-    for cc in classes:
-        verdict = geometric_verdict(dtype, cc, cfg.weighted_homogeneous)
-        rows.append((cc, verdict))
+    rows = ((cc, geometric_verdict(dtype, cc, cfg.weighted_homogeneous))
+            for cc in window_classes(dtype, sym))
     if cfg.fmt == "csv":
         header = ["chi", "beta", "verdict", "paper_ref", "mult"]
-        csv_rows = [
+        csv_rows = (
             [cc.chi, ";".join(map(str, cc.beta)),
              "forced-zero" if v.forced_zero else "candidate", v.rule, v.mult]
             for cc, v in rows
-        ]
+        )
         _emit_csv(cfg, header, csv_rows)
         return 0
-    results = [
-        {"class": cc.to_json(), **v.to_json()} for cc, v in rows
-    ]
+    results = ({"class": cc.to_json(), **v.to_json()} for cc, v in rows)
     _emit_json(cfg, "vanishing-table", results)
     return 0
 
@@ -420,12 +529,8 @@ def cmd_orbits(cfg: JobConfig) -> int:
     partition = orbit_partition(dtype, sym)
     if cfg.fmt == "csv":
         header = ["chi", "beta", "rep_chi", "rep_beta"]
-        rows = []
-        for orbit in partition.orbits:
-            rep = orbit[0]
-            for member in orbit:
-                rows.append([member[0], ";".join(map(str, member[1])),
-                             rep[0], ";".join(map(str, rep[1]))])
+        rows = ([member[0], ";".join(map(str, member[1])), orbit[0][0], ";".join(map(str, orbit[0][1]))]
+                for orbit in partition.orbits for member in orbit)
         _emit_csv(cfg, header, rows)
         return 0
     _emit_json(cfg, "orbits", partition.to_json())

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cdvwall import bps
 from cdvwall.bps import (
     ClassError,
     CurveClass,
@@ -19,9 +20,10 @@ from cdvwall.bps import (
     verdict_constant_on_orbits,
     window_classes,
 )
-from cdvwall.dynkin import build_diagram
+from cdvwall.dynkin import build_diagram, imaginary_root
 from cdvwall.restriction import (
     DynkinType,
+    classify_value,
     finite_restricted_values,
     imaginary_restriction,
 )
@@ -98,6 +100,42 @@ def test_geometric_and_affine_verdicts_agree():
         g = geometric_verdict(D4, cc)
         a = vanishing_verdict(D4_AFF, class_to_vector(D4_AFF, cc))
         assert g.forced_zero == a.forced_zero, cc
+
+
+@pytest.mark.parametrize("family, rank, contracted", [
+    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3}), ("E", 6, set())],
+    ids=["A3-2", "D4", "D5-1,3", "E6"])
+@pytest.mark.parametrize("chi_max", [0, 1, 4])
+@pytest.mark.parametrize("beta_max", [0, 1, 2])
+def test_window_is_the_cone_part_of_the_box(family, rank, contracted, chi_max, beta_max):
+    dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
+    # the dimension vector of (chi, beta) is chi at node 0 and
+    # beta_i + chi * delta_i at each kept finite node i, delta the imaginary root
+    affine = build_diagram(family, rank, affine=True)
+    delta = [imaginary_root(affine)[affine.index[n]] for n in dtype.kept]
+    box = [range(-beta_max, beta_max + 1)] * len(dtype.kept)
+    want = [CurveClass(chi, beta)
+            for chi in range(chi_max + 1) for beta in itertools.product(*box)
+            if (chi, *beta) != (0,) * (len(beta) + 1)
+            and all(b + chi * d >= 0 for b, d in zip(beta, delta))]
+    got = list(window_classes(dtype, SymmetryConfig(chi_max=chi_max, beta_max=beta_max)))
+    assert got == want
+    aff = affine_companion(dtype)
+    assert all(min(class_to_vector(aff, cc)) >= 0 for cc in got)
+
+
+def test_orbit_partition_classifies_each_class_once(monkeypatch):
+    seen = []
+
+    def counted(aff, v):
+        seen.append(v)
+        return classify_value(aff, v)
+
+    monkeypatch.setattr(bps, "classify_value", counted)
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
+                         chi_max=2, beta_max=1)
+    orbit_partition(D4, cfg)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_motivic_twist_shape():

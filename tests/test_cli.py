@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main
+from cdvwall import cli
+from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main, write_json
 
 
 def run_cli(args, capsys):
@@ -79,6 +82,71 @@ def test_flag_and_config_file_set_a_field_alike(field, tmp_path):
     default = getattr(JobConfig(), field)
     assert getattr(by_flag, field) != default
     assert replace(by_flag, **{field: default}) == JobConfig()
+
+
+class Lazy(list):
+    """A list the writer is given as a generator."""
+
+
+def plain(obj):
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(x) for x in obj]
+    return obj
+
+
+def streamed(obj):
+    if isinstance(obj, dict):
+        return {k: streamed(v) for k, v in obj.items()}
+    if isinstance(obj, Lazy):
+        return (streamed(x) for x in obj)
+    if isinstance(obj, list):
+        return [streamed(x) for x in obj]
+    return obj
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]))
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(-2 ** 200, 2 ** 200) | TEXT)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(Lazy)
+                   | st.lists(st.integers(), max_size=5)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(PAYLOADS, st.sampled_from([1, 2, 7, cli.BLOCK_PARTS]))
+def test_write_json_matches_json_dumps(obj, block):
+    parts = []
+    with mock.patch.object(cli, "BLOCK_PARTS", block):
+        write_json(streamed(obj), parts.append)
+    assert "".join(parts) == json.dumps(plain(obj), sort_keys=True, indent=2)
+
+
+def test_write_json_writes_rows_while_they_are_produced():
+    produced, written_at = [], []
+
+    def rows():
+        for i in range(100):
+            produced.append(i)
+            yield {"row": i}
+
+    def write(text):
+        written_at.append(len(produced))
+
+    with mock.patch.object(cli, "BLOCK_PARTS", 10):
+        write_json({"results": rows()}, write)
+    assert len(written_at) > 10 and written_at[0] < 10
+
+
+@pytest.mark.parametrize("bad", [{1: "int key"}, [1.5], {"x": object()}])
+def test_write_json_takes_only_integer_json(bad):
+    with pytest.raises(TypeError):
+        write_json(bad, lambda text: None)
 
 
 def test_check_gcd_e6_reports_zero_violations(capsys):
@@ -270,6 +338,43 @@ def test_invalid_input_is_a_usage_error(args, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+VANISHING_D4 = ["vanishing-table", "--family", "D", "--rank", "4"]
+# stdout block-buffered, as it is for a user, so that text can still be
+# pending when a write fails
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args, where", [
+    (["check-gcd", "--family", "E", "--rank", "6", "--format", "text"], "output"),
+    (VANISHING_D4, "output"),
+    (VANISHING_D4 + ["--format", "csv"], "output"),
+    (["roots", "--family", "A", "--rank", "2", "--out", "/dev/full"], "--out"),
+    (VANISHING_D4 + ["--out", "/dev/full"], "--out"),
+], ids=["text-stdout", "json-stdout", "csv-stdout", "small-out", "large-out"])
+def test_full_device_is_a_usage_error(args, where):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cdvwall", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=BUFFERED)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"error: cannot write {where}: [Errno 28] No space left on device"]
+
+
+def test_closed_pipe_is_a_usage_error():
+    proc = subprocess.Popen([sys.executable, "-m", "cdvwall", *VANISHING_D4],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=BUFFERED)
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read().splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_console_entry_point_runs():
