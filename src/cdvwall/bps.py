@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterator, Optional
 
@@ -264,18 +264,11 @@ def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
     return n
 
 
-def mutation_class_map(dtype: DynkinType, node: int):
-    """The self-map on classes induced by one mutation at a kept finite
-    node, through the canonical relabelling of the mutated subset."""
-    aff = affine_companion(dtype)
-    arrow = compose(aff, (node,))
-    autom = self_mutation_identification(arrow)
-
-    def apply(cc: CurveClass) -> CurveClass:
-        delta = class_to_vector(aff, cc)
-        return vector_to_class(aff, mat_vec(autom, delta))
-
-    return apply
+def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
+    """The self-map on dimension vectors induced by one mutation at a kept
+    finite node, through the canonical relabelling of the mutated subset."""
+    arrow = compose(affine_companion(dtype), (node,))
+    return partial(mat_vec, self_mutation_identification(arrow))
 
 
 def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[ClassGenerator, ...]:
@@ -347,15 +340,15 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
         return delta
 
     for node in sorted(config.non_flop_nodes):
-        autom = self_mutation_identification(compose(aff, (node,)))
+        apply_map = mutation_vector_map(dtype, node)
         alpha_bar = class_to_vector(aff, CurveClass(0, tuple(
             1 if n == node else 0 for n in dtype.kept)))
 
-        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _autom=autom):
+        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _apply=apply_map):
             delta = movable(cc)
             if delta is None or is_colinear(delta, _alpha):
                 return None
-            image = mat_vec(_autom, delta)
+            image = _apply(delta)
             if any(c < 0 for c in image):
                 return None
             return vector_to_class(aff, image), (("node", _node),)

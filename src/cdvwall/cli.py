@@ -9,9 +9,10 @@ import argparse
 import itertools
 import json
 import os
+import shutil
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional
@@ -242,31 +243,41 @@ BLOCK_PARTS = 1 << 14
 @contextmanager
 def _output(cfg: JobConfig):
     """Yield a write function for --out or stdout.  A failed write, the
-    final flush or close included, raises UsageError: exit 2, one line."""
+    final flush or close included, raises UsageError: exit 2, one line.
+    stdout is written as the output is produced.  A regular --out file is
+    written beside itself under a temporary name and renamed over --out
+    once complete, so a failed or interrupted run leaves --out as it was;
+    a device or a pipe is written in place."""
     where = "--out" if cfg.out else "output"
-    try:
-        stream = open(cfg.out, "w", encoding="utf-8", newline="\n") if cfg.out else sys.stdout
-    except OSError as err:
-        raise UsageError(f"cannot write {where}: {err}") from None
 
-    def guarded(action: Callable, *args) -> None:
+    def guarded(action: Callable, *args, **kwargs):
         try:
-            action(*args)
+            return action(*args, **kwargs)
         except OSError as err:
-            if stream is sys.stdout:
-                # the interpreter flushes stdout again at exit; send what is
-                # still buffered to the null device so that flush cannot fail
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, stream.fileno())
-                os.close(devnull)
             raise UsageError(f"cannot write {where}: {err}") from None
 
+    if not cfg.out:
+        yield lambda text: guarded(sys.stdout.write, text)
+        guarded(sys.stdout.flush)
+        return
+    target, part = cfg.out, None
+    if os.path.isfile(target) or not os.path.exists(target):
+        target = os.path.realpath(target)   # a symlink keeps pointing at the file
+        part = f"{target}.{os.getpid()}.part"
+    stream = guarded(open, part or target, "x" if part else "w", encoding="utf-8", newline="\n")
     try:
         yield lambda text: guarded(stream.write, text)
-        guarded(stream.flush)
+        guarded(stream.close)
+        if part:
+            if os.path.exists(target):
+                guarded(shutil.copymode, target, part)
+            guarded(os.replace, part, target)
+            part = None
     finally:
-        if stream is not sys.stdout:
-            guarded(stream.close)
+        with suppress(OSError):   # the error already raised is the one reported
+            stream.close()
+        if part:
+            os.unlink(part)
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -310,22 +321,9 @@ def write_json(obj, write: Callable[[str], None]) -> None:
             for key in sorted(o):
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                item = o[key]
-                head = sep + encode(key) + ": "
+                append(sep + encode(key) + ": ")
                 sep = comma
-                # scalar values, the common case, skip a call
-                kind = type(item)
-                if kind is str:
-                    append(head + encode(item))
-                elif kind is int:
-                    append(head + int.__repr__(item))
-                elif item is None:
-                    append(head + "null")
-                elif kind is bool:
-                    append(head + ("true" if item else "false"))
-                else:
-                    append(head)
-                    value(item, depth + 1)
+                value(o[key], depth + 1)
             append(newline(depth) + "}")
         elif isinstance(o, (list, tuple)) and o and all(type(x) is int for x in o):
             inner = newline(depth + 1)
@@ -681,5 +679,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def script() -> int:
+    """main() in a process of its own, as ``python -m cdvwall`` and the
+    ``cdvwall`` script run it.  After a failed write to stdout the
+    interpreter would flush the text still buffered once more at exit,
+    print a second error and exit 120; fd 1 belongs to this process, so
+    it is pointed at the null device instead."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(script())

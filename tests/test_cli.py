@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdvwall import cli
+from cdvwall.bps import ClassError
 from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main, write_json
 
 
@@ -17,6 +19,9 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+VANISHING_D4 = ["vanishing-table", "--family", "D", "--rank", "4"]
 
 
 def test_config_schema():
@@ -221,6 +226,63 @@ def test_out_writes_a_file(tmp_path, capsys):
     assert payload["results"]["count"] == 3
 
 
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ClassError])
+def test_interrupted_table_leaves_out_as_it_was(error, tmp_path, capsys):
+    target = tmp_path / "table.json"
+    target.write_text("earlier\n", encoding="utf-8")
+    verdict, decided = cli.geometric_verdict, []
+
+    def failing(*args):
+        if len(decided) == 500:
+            # rows are already on their way to the file
+            [part] = tmp_path.glob("table.json.*.part")
+            assert part.stat().st_size > 0
+            raise error("stop")
+        decided.append(1)
+        return verdict(*args)
+
+    with mock.patch.object(cli, "BLOCK_PARTS", 64), \
+            mock.patch.object(cli, "geometric_verdict", failing):
+        try:
+            code = main(VANISHING_D4 + ["--out", str(target)])
+        except KeyboardInterrupt:
+            code = None
+    assert code == (None if error is KeyboardInterrupt else 2)
+    assert target.read_text(encoding="utf-8") == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
+
+
+def test_out_replaces_a_file_and_keeps_its_mode(tmp_path, capsys):
+    target, link = tmp_path / "table.json", tmp_path / "link.json"
+    target.write_text("earlier\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli(VANISHING_D4 + ["--out", str(link)], capsys)[0] == 0
+    _, out, _ = run_cli(VANISHING_D4, capsys)
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == out.replace(
+        '"out": null', f'"out": {json.dumps(str(link))}', 1)
+    assert target.stat().st_mode & 0o777 == 0o640
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(VANISHING_D4 + ["--out", str(fresh)], capsys)[0] == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "link.json", "table.json"]
+
+
+def test_failed_stdout_write_in_process_is_a_usage_error(capsys):
+    class Full(io.StringIO):   # no file descriptor behind it
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with mock.patch.object(sys, "stdout", Full()):
+        code = main(["roots", "--family", "A", "--rank", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write output: [Errno 28] No space left on device"]
+
+
 def test_usage_error_names_the_field(capsys):
     code, _, err = run_cli(
         ["vanishing-table", "--family", "A", "--rank", "3", "--contracted", "2",
@@ -340,7 +402,6 @@ def test_invalid_input_is_a_usage_error(args, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-VANISHING_D4 = ["vanishing-table", "--family", "D", "--rank", "4"]
 # stdout block-buffered, as it is for a user, so that text can still be
 # pending when a write fails
 BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
