@@ -24,7 +24,6 @@ from .linalg import (
     clear_denominators,
     det,
     dot,
-    invert_unimodular,
     is_colinear,
     primitive,
     solve,
@@ -86,6 +85,10 @@ def wall_through(normal: Vec, offset: int = 0) -> Hyperplane:
     return Hyperplane(normal, offset)
 
 
+def _chamber_key(sign: int, subset: frozenset, weyl: WeylElement) -> tuple:
+    return (sign, tuple(sorted(subset)), weyl.matrix)
+
+
 @dataclass(frozen=True)
 class Chamber:
     dtype: DynkinType
@@ -99,7 +102,7 @@ class Chamber:
         return tuple(n for n in self.dtype.diagram.nodes if n not in self.subset)
 
     def key(self):
-        return (self.sign, tuple(sorted(self.subset)), self.weyl.matrix)
+        return _chamber_key(self.sign, self.subset, self.weyl)
 
     def interior_point(self) -> Vec:
         return tuple(self.sign * sum(r[j] for r in self.rays) for j in range(len(self.rays[0])))
@@ -107,8 +110,7 @@ class Chamber:
     @cached_property
     def _facet_normals(self) -> tuple[Vec, ...]:
         """Inner normal data of every facet, in facet order, built once."""
-        diagram = self.dtype.diagram
-        return tuple(restrict(self.dtype, self.weyl.apply(diagram.simple_root(node)))
+        return tuple(restrict(self.dtype, self.weyl.image_of_simple(node))
                      for node in self.kept_of_subset)
 
     def facet_normal_raw(self, k: int) -> Vec:
@@ -119,10 +121,6 @@ class Chamber:
     def coords_in(self, point: Vec) -> tuple:
         """Coefficients of a point over the signed rays (dual-basis pairing)."""
         return tuple(self.sign * dot(point, n) for n in self._facet_normals)
-
-    def contains(self, point: Vec, strict: bool = True) -> bool:
-        coords = self.coords_in(point)
-        return all(c > 0 for c in coords) if strict else all(c >= 0 for c in coords)
 
     def label_str(self) -> str:
         word = ",".join(str(i) for i in self.weyl.word) or "e"
@@ -149,7 +147,7 @@ def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[in
     diagram = dtype.diagram
     if len(subset) != len(dtype.contracted):
         raise GeometryError("label subset size must match the base contracted size")
-    minv = invert_unimodular(weyl.matrix)
+    minv = weyl.inverse_matrix
     kept_cols = [diagram.index[n] for n in dtype.kept]
     contracted_cols = [diagram.index[n] for n in sorted(dtype.contracted)]
     rays = []
@@ -180,9 +178,9 @@ def facet_index_of_node(chamber: Chamber, node: int) -> int:
 def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
     """Check that c2 is the chamber across facet k of c1; raise otherwise.
 
-    Verifies opposite strict sides of the wall and mutual containment of
-    the two facet cones (full rank inside the wall is automatic because
-    the rays of a simplicial chamber are independent).
+    Verifies opposite strict sides of the wall, a facet of c2 in the same
+    wall, and that the two facet cones are equal (full rank inside the wall
+    is automatic because the rays of a simplicial chamber are independent).
     """
     if c1.sign != c2.sign:
         raise GeometryError("facet sharing is only defined within a sign class")
@@ -194,26 +192,30 @@ def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
     k2 = next((j for j, n2 in enumerate(c2._facet_normals) if is_colinear(n2, normal)), None)
     if k2 is None:
         raise GeometryError("second chamber has no facet in the crossed wall")
-    for j, ray in enumerate(c1.rays):
-        if j == k:
-            continue
-        signed = tuple(c1.sign * c for c in ray)
-        if not c2.contains(signed, strict=False):
-            raise GeometryError("facet of the first chamber is not a face of the second")
-    for j, ray in enumerate(c2.rays):
-        if j == k2:
-            continue
-        signed = tuple(c2.sign * c for c in ray)
-        if not c1.contains(signed, strict=False):
-            raise GeometryError("facet of the second chamber is not a face of the first")
+    # Each facet is a simplicial cone on the chamber's other rays, and every
+    # ray is primitive: a row of a unimodular matrix (the label's inverse)
+    # whose contracted entries are zero.  Equal ray sets give equal facet
+    # cones, so each lies in the other closed chamber.  Conversely, a
+    # simplicial cone fixes its extreme rays up to positive scale and a
+    # primitive integer vector is the only one on its ray, so mutual
+    # containment of the facets forces equal ray sets: the comparison is
+    # the two-way containment test, exactly.
+    facet1 = {ray for j, ray in enumerate(c1.rays) if j != k}
+    facet2 = {ray for j, ray in enumerate(c2.rays) if j != k2}
+    if facet1 != facet2:
+        raise GeometryError("the two chambers do not share the crossed facet")
 
 
-def cross_wall(chamber: Chamber, k: int) -> tuple[Chamber, Hyperplane]:
+def cross_wall(chamber: Chamber, k: int,
+               known: dict | None = None) -> tuple[Chamber, Hyperplane]:
     """Cross facet k; returns the unique chamber sharing it and the wall.
 
     The new label comes from the groupoid mutation and is verified
-    geometrically.  A facet lying in the hyperplane of the restricted
-    imaginary root signals a sign-crossing instead of returning a chamber.
+    geometrically.  When `known` (a map from chamber keys to chambers)
+    already holds the new label's chamber, that chamber is reused instead
+    of being built again; it is facet-checked all the same.  A facet lying
+    in the hyperplane of the restricted imaginary root signals a
+    sign-crossing instead of returning a chamber.
     """
     dtype = chamber.dtype
     raw = chamber.facet_normal_raw(k)
@@ -222,7 +224,11 @@ def cross_wall(chamber: Chamber, k: int) -> tuple[Chamber, Hyperplane]:
         raise SignCrossing("facet lies in the imaginary-root hyperplane")
     node = chamber.kept_of_subset[k]
     new_label = mutate(Label(dtype, chamber.weyl, chamber.subset), node)
-    c2 = chamber_from_label(dtype, new_label.weyl, new_label.subset, chamber.sign)
+    c2 = None
+    if known is not None:
+        c2 = known.get(_chamber_key(chamber.sign, new_label.subset, new_label.weyl))
+    if c2 is None:
+        c2 = chamber_from_label(dtype, new_label.weyl, new_label.subset, chamber.sign)
     shares_facet(chamber, k, c2)
     return c2, Hyperplane(primitive(raw))
 
@@ -288,7 +294,7 @@ class ChamberGraph:
             edges = {}
             for k in range(len(chamber.rays)):
                 try:
-                    c2, wall = cross_wall(chamber, k)
+                    c2, wall = cross_wall(chamber, k, self.chambers)
                 except SignCrossing:
                     edges[k] = None
                     continue

@@ -63,6 +63,15 @@ class Diagram:
             if sum(1 for d in deg.values() if d == 3) > 1:
                 raise DiagramError("more than one trivalent node in a finite diagram")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The field hash the dataclass would compute, computed once: a
+        diagram keys every per-diagram cache and is hashed on each lookup."""
+        return hash((self.family, self.rank, self.affine, self.nodes, self.edges))
+
     def degrees(self) -> dict[int, int]:
         deg = {n: 0 for n in self.nodes}
         for a, b in self.edges:

@@ -64,6 +64,7 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
     if enlarged == set(diagram.nodes):
         raise GroupoidError("mutation needs at least two kept nodes")
     omega = longest_element(diagram, subset) * longest_element(diagram, enlarged)
+    omega.word  # the reduced word `mutate` steps along, computed once here
     iota = dict(iota_permutation(diagram, enlarged))
     new_subset = frozenset(enlarged - {iota[node]})
     return omega, iota[node], new_subset
@@ -71,12 +72,13 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
 
 def mutate(label: Label, node: int) -> Label:
     """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)).  The
-    product is already minimal in its coset of W_{S'}, so it is not reduced."""
+    product is taken letter by letter along omega's reduced word, and it is
+    already minimal in its coset of W_{S'}, so it is not reduced."""
     diagram = label.base.diagram
     if len(label.kept) < 2:
         raise GroupoidError("labels with fewer than two kept nodes are not groupoid objects")
     omega, _, new_subset = mutation_data(diagram, label.subset, node)
-    return Label(label.base, label.weyl * omega, new_subset)
+    return Label(label.base, label.weyl.times_word(omega.word), new_subset)
 
 
 @dataclass(frozen=True)

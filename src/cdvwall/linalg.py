@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple
@@ -21,15 +22,12 @@ def identity_matrix(n: int) -> Mat:
 
 
 def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(p))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
@@ -97,7 +95,7 @@ def solve(m: Mat, v: Sequence) -> Optional[Vec]:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("length mismatch in pairing")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -143,7 +141,11 @@ def integer_multiple_of(v: Vec, u: Vec) -> Optional[int]:
 
 
 def is_colinear(v: Vec, u: Vec) -> bool:
-    """True when v lies on the rational line through u (u nonzero)."""
-    if all(a == 0 for a in u):
+    """True when v lies on the rational line through u (u nonzero): every
+    2x2 minor of (v, u) vanishes, which it suffices to check against one
+    coordinate where u is nonzero."""
+    lead = next((i for i, a in enumerate(u) if a != 0), None)
+    if lead is None:
         raise ValueError("u is zero")
-    return all(v[i] * u[j] == v[j] * u[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+    ul, vl = u[lead], v[lead]
+    return all(x * ul == vl * y for x, y in zip(v, u))

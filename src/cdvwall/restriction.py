@@ -49,6 +49,14 @@ class DynkinType:
         if self.contracted == set(self.diagram.nodes):
             raise DiagramError("contracted set must be a proper subset")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The field hash the dataclass would compute, computed once."""
+        return hash((self.diagram, self.contracted))
+
     @cached_property
     def kept(self) -> tuple[int, ...]:
         return tuple(n for n in self.diagram.nodes if n not in self.contracted)

@@ -1,9 +1,14 @@
 """Exact Weyl group arithmetic on the root lattice.
 
-Elements are integer matrices in the simple-root basis.  Lengths and
-reduced words come from descent stripping, which needs no window even in
-the affine case.  Longest elements of finite parabolics are found by
-greedy ascent.
+An element is an integer matrix in the simple-root basis together with the
+matrix of its inverse.  Right multiplication by a simple reflection s_i is
+a rank-one update of both: w . s_i rewrites only the rows of w with a
+nonzero entry in column i, and (w . s_i)^-1 = s_i . w^-1 only row i of the
+inverse.  Reduced words (by descent stripping, which needs no window even
+in the affine case), `from_word`, longest elements of finite parabolics
+(by greedy ascent), coset representatives and group enumeration are all
+walks by this step, and `inverse` swaps the two matrices, so no element is
+ever inverted by elimination.
 """
 
 from __future__ import annotations
@@ -12,19 +17,55 @@ from functools import lru_cache
 from typing import Iterable
 
 from .dynkin import Diagram, DiagramError
-from .linalg import Vec, identity_matrix, invert_unimodular, mat_mul, mat_vec
+from .linalg import Mat, Vec, identity_matrix, mat_mul, mat_vec
 
 _ASCENT_CAP = 256  # safely above the 120 positive roots of the largest type
 
 
+@lru_cache(maxsize=None)
+def _cartan_rows(diagram: Diagram) -> dict:
+    """node -> (i, ((j, A_ij) for every nonzero entry of Cartan row i))."""
+    return {
+        node: (i, tuple((j, a) for j, a in enumerate(diagram.cartan[i]) if a != 0))
+        for node, i in diagram.index.items()
+    }
+
+
+def _step(matrix: Mat, inverse: Mat, i: int, row_i: tuple) -> tuple[Mat, Mat]:
+    """(w . s_i, s_i . w^-1) for w = matrix and w^-1 = inverse.
+
+    s_i sends alpha_j to alpha_j - A_ij alpha_i, so column j of w . s_i is
+    column j of w minus A_ij times column i: only rows with a nonzero entry
+    in column i change.  s_i . w^-1 differs from w^-1 in row i alone, which
+    becomes w^-1[i] - sum_j A_ij w^-1[j].
+    """
+    rows = []
+    for row in matrix:
+        c = row[i]
+        if c:
+            row = list(row)
+            for j, a in row_i:
+                row[j] -= a * c
+            row = tuple(row)
+        rows.append(row)
+    reflected = inverse[i]
+    for j, a in row_i:
+        reflected = [x - a * y for x, y in zip(reflected, inverse[j])]
+    inv = list(inverse)
+    inv[i] = tuple(reflected)
+    return tuple(rows), tuple(inv)
+
+
 class WeylElement:
-    """An element of the Weyl group, identified by its lattice matrix."""
+    """An element of the Weyl group, identified by its lattice matrix and
+    carrying the lattice matrix of its inverse."""
 
-    __slots__ = ("diagram", "matrix", "_word", "__weakref__")
+    __slots__ = ("diagram", "matrix", "inverse_matrix", "_word", "__weakref__")
 
-    def __init__(self, diagram: Diagram, matrix):
+    def __init__(self, diagram: Diagram, matrix: Mat, inverse_matrix: Mat):
         self.diagram = diagram
         self.matrix = matrix
+        self.inverse_matrix = inverse_matrix
         self._word = None
 
     def __eq__(self, other):
@@ -43,10 +84,25 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.diagram != other.diagram:
             raise ValueError("cannot compose elements over different diagrams")
-        return WeylElement(self.diagram, mat_mul(self.matrix, other.matrix))
+        return WeylElement(self.diagram, mat_mul(self.matrix, other.matrix),
+                           mat_mul(other.inverse_matrix, self.inverse_matrix))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.diagram, invert_unimodular(self.matrix))
+        return WeylElement(self.diagram, self.inverse_matrix, self.matrix)
+
+    def times_word(self, word: Iterable[int]) -> "WeylElement":
+        """w . s_{i_1} ... s_{i_m}, one rank-one step per letter."""
+        rows = _cartan_rows(self.diagram)
+        matrix, inverse = self.matrix, self.inverse_matrix
+        for node in word:
+            if node not in rows:
+                raise DiagramError(f"unknown node {node}")
+            matrix, inverse = _step(matrix, inverse, *rows[node])
+        return WeylElement(self.diagram, matrix, inverse)
+
+    def times_simple(self, node: int) -> "WeylElement":
+        """w . s_node."""
+        return self.times_word((node,))
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != len(self.matrix):
@@ -58,22 +114,24 @@ class WeylElement:
         return tuple(row[j] for row in self.matrix)
 
     def sends_simple_negative(self, node: int) -> bool:
-        col = self.image_of_simple(node)
-        return any(c < 0 for c in col)
+        j = self.diagram.index[node]
+        return any(row[j] < 0 for row in self.matrix)
 
     def is_identity(self) -> bool:
         return self.matrix == identity_matrix(len(self.matrix))
 
     @property
     def word(self) -> tuple[int, ...]:
-        """A reduced word, computed once by descent stripping."""
+        """A reduced word, computed once by descent stripping: strip the
+        first right descent in node order until none is left."""
         if self._word is None:
-            w = WeylElement(self.diagram, self.matrix)
-            rev = []
-            while not w.is_identity():
-                node = next(n for n in self.diagram.nodes if w.sends_simple_negative(n))
+            w, rev = self, []
+            while True:
+                node = next((n for n in self.diagram.nodes if w.sends_simple_negative(n)), None)
+                if node is None:
+                    break
                 rev.append(node)
-                w = w * simple_reflection(self.diagram, node)
+                w = w.times_simple(node)
             self._word = tuple(reversed(rev))
         return self._word
 
@@ -86,7 +144,8 @@ class WeylElement:
 
 
 def identity(diagram: Diagram) -> WeylElement:
-    return WeylElement(diagram, identity_matrix(len(diagram.nodes)))
+    e = identity_matrix(len(diagram.nodes))
+    return WeylElement(diagram, e, e)
 
 
 @lru_cache(maxsize=None)
@@ -101,16 +160,13 @@ def simple_reflection(diagram: Diagram, node: int) -> WeylElement:
         tuple((1 if r == j else 0) - (a[i][j] if r == i else 0) for j in range(n))
         for r in range(n)
     )
-    w = WeylElement(diagram, m)
+    w = WeylElement(diagram, m, m)  # a reflection is its own inverse
     w._word = (node,)
     return w
 
 
 def from_word(diagram: Diagram, word: Iterable[int]) -> WeylElement:
-    w = identity(diagram)
-    for node in word:
-        w = w * simple_reflection(diagram, node)
-    return w
+    return identity(diagram).times_word(word)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +188,7 @@ def longest_element(diagram: Diagram, subset: frozenset) -> WeylElement:
         ascent = next((n for n in nodes if not w.sends_simple_negative(n)), None)
         if ascent is None:
             return w
-        w = w * simple_reflection(diagram, ascent)
+        w = w.times_simple(ascent)
     raise DiagramError("subset does not generate a finite parabolic")
 
 
@@ -161,7 +217,7 @@ def coset_minimal(w: WeylElement, subset: Iterable[int]) -> WeylElement:
         descent = next((n for n in nodes if w.sends_simple_negative(n)), None)
         if descent is None:
             return w
-        w = w * simple_reflection(w.diagram, descent)
+        w = w.times_simple(descent)
 
 
 def group_elements(diagram: Diagram, subset: Iterable[int] | None = None) -> list[WeylElement]:
@@ -176,7 +232,7 @@ def group_elements(diagram: Diagram, subset: Iterable[int] | None = None) -> lis
         nxt = []
         for w in frontier:
             for n in nodes:
-                u = w * simple_reflection(diagram, n)
+                u = w.times_simple(n)
                 if u.matrix not in seen:
                     seen[u.matrix] = u
                     nxt.append(u)

@@ -4,10 +4,12 @@ from math import lcm
 
 import pytest
 
+from cdvwall import arrangement
 from cdvwall.arrangement import (
     ChamberGraph,
     GeometryError,
     arrangement_hyperplanes,
+    chamber_from_label,
     cross_wall,
     enumerate_chambers,
     fundamental_chamber,
@@ -16,14 +18,17 @@ from cdvwall.arrangement import (
     locate_by_walk,
     minimal_gallery,
     separating_hyperplanes,
+    shares_facet,
 )
 from cdvwall.dynkin import build_diagram
+from cdvwall.groupoid import Label
 from cdvwall.linalg import dot, is_colinear, primitive
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
 D4_PAIR = DynkinType(build_diagram("D", 4, affine=True), frozenset({3, 4}))
 A3_ONE = DynkinType(build_diagram("A", 3, affine=True), frozenset({2}))
+E6_EMPTY = DynkinType(build_diagram("E", 6, affine=True), frozenset())
 
 TYPES = [A2_EMPTY, D4_PAIR, A3_ONE]
 
@@ -158,7 +163,7 @@ def test_walk_is_invariant_under_positive_scaling(dtype, sign):
         if isinstance(outcome, str):
             continue
         located += 1
-        assert graph.chambers[outcome].contains(point)
+        assert all(c > 0 for c in graph.chambers[outcome].coords_in(point))
         scale = lcm(*(c.denominator for c in point))
         for m in (3, Fraction(5, 2)):
             assert _walk_outcome(graph, tuple(m * c for c in point)) == outcome
@@ -300,3 +305,102 @@ def test_slice_reproduces_the_affine_arrangement():
             (-wall.offset,)
             + tuple(c - wall.offset * r for c, r in zip(wall.normal, rim[1:])))
         assert any(h.normal == lifted.normal for h in upstairs), wall
+
+
+def _facet_in(chamber, wall):
+    """The index of the chamber's facet lying in `wall`."""
+    return next(j for j in range(len(chamber.rays))
+                if primitive(chamber.facet_normal_raw(j)) == wall.normal)
+
+
+def _wrong_chambers(dtype, k):
+    """The chamber across facet k of the base, then chambers that are not:
+    the base itself, every chamber two crossings away through it, every
+    neighbour across another facet, and its mirror in the other sign class."""
+    base = fundamental_chamber(dtype)
+    across, wall = cross_wall(base, k)
+    back = _facet_in(across, wall)
+    two_away = [cross_wall(across, j)[0] for j in range(len(across.rays)) if j != back]
+    others = [cross_wall(base, j)[0] for j in range(len(base.rays)) if j != k]
+    mirror = chamber_from_label(dtype, across.weyl, across.subset, -1)
+    return across, {"itself": [base], "two crossings away": two_away,
+                    "across another facet": others, "other sign class": [mirror]}
+
+
+@pytest.mark.parametrize("dtype", TYPES)
+def test_shares_facet_rejects_every_chamber_but_the_neighbour(dtype):
+    base = fundamental_chamber(dtype)
+    for k in range(len(base.rays)):
+        across, wrong = _wrong_chambers(dtype, k)
+        shares_facet(base, k, across)
+        for case, chambers in wrong.items():
+            assert chambers, case
+            for c in chambers:
+                with pytest.raises(GeometryError):
+                    shares_facet(base, k, c)
+
+
+def test_cross_wall_rejects_a_label_for_the_wrong_chamber(monkeypatch):
+    base = fundamental_chamber(D4_PAIR)
+    _, wrong = _wrong_chambers(D4_PAIR, 0)
+    for case, chambers in wrong.items():
+        c = chambers[0]
+        if c.sign != base.sign:
+            # the mutated label is right, the chamber is built in the wrong class
+            build = arrangement.chamber_from_label
+            monkeypatch.setattr(arrangement, "chamber_from_label",
+                                lambda dtype, w, subset, sign: build(dtype, w, subset, -sign))
+        else:
+            label = Label(D4_PAIR, c.weyl, c.subset)
+            monkeypatch.setattr(arrangement, "mutate", lambda _label, _node: label)
+        with pytest.raises(GeometryError):
+            cross_wall(base, 0)
+        monkeypatch.undo()
+
+
+def test_cross_wall_checks_a_known_chamber_too():
+    graph = ChamberGraph(D4_PAIR, 1)
+    base = graph.chambers[graph.base_key]
+    across, wrong = _wrong_chambers(D4_PAIR, 0)
+    assert cross_wall(base, 0, {across.key(): across})[0] is across
+    for c in (*wrong["across another facet"], *wrong["two crossings away"]):
+        with pytest.raises(GeometryError):
+            cross_wall(base, 0, {across.key(): c})
+
+
+def _contains_facet(c1, k, c2):
+    """Every ray of c1 but the k-th lies in the closed chamber c2."""
+    return all(all(x >= 0 for x in c2.coords_in(tuple(c1.sign * x for x in ray)))
+               for j, ray in enumerate(c1.rays) if j != k)
+
+
+def _same_facet_rays(c1, k, c2, k2):
+    return ({r for j, r in enumerate(c1.rays) if j != k}
+            == {r for j, r in enumerate(c2.rays) if j != k2})
+
+
+@pytest.mark.parametrize("dtype,max_len", [(D4_PAIR, 3), (E6_EMPTY, 2)])
+def test_facet_ray_sets_agree_with_two_way_containment(dtype, max_len):
+    chambers, edges = enumerate_chambers(dtype, max_len)
+    by_key = {c.key(): c for c in chambers}
+    for a, b, wall in edges:
+        c1, c2 = by_key[a], by_key[b]
+        k, k2 = _facet_in(c1, wall), _facet_in(c2, wall)
+        assert _same_facet_rays(c1, k, c2, k2)
+        assert _contains_facet(c1, k, c2) and _contains_facet(c2, k2, c1)
+    # every pair of chambers with facets in one wall, on its two sides
+    disagreements, pairs = 0, 0
+    for c1 in chambers:
+        for k, normal in enumerate(c1._facet_normals):
+            side = dot(c1.interior_point(), normal)
+            for c2 in chambers:
+                if dot(c2.interior_point(), normal) * side >= 0:
+                    continue
+                k2 = next((j for j, n2 in enumerate(c2._facet_normals)
+                           if is_colinear(n2, normal)), None)
+                if k2 is None:
+                    continue
+                pairs += 1
+                contained = _contains_facet(c1, k, c2) and _contains_facet(c2, k2, c1)
+                disagreements += contained != _same_facet_rays(c1, k, c2, k2)
+    assert pairs > 2 * len(edges) and disagreements == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from cdvwall.dynkin import (
+    Diagram,
     DiagramError,
     build_diagram,
     enumerate_roots,
@@ -11,6 +12,7 @@ from cdvwall.dynkin import (
     root_count_formula,
 )
 from cdvwall.oracle import oracle_positive_roots
+from cdvwall.restriction import DynkinType
 
 ALL_FINITE = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + \
     [("E", n) for n in (6, 7, 8)]
@@ -166,3 +168,16 @@ def test_affine_restriction_equals_finite_diagram():
         assert da.finite_part() is da.finite_part()
     with pytest.raises(DiagramError):
         build_diagram("A", 4).finite_part()
+
+
+def test_separately_built_equal_diagrams_hash_and_compare_equal():
+    d = build_diagram("E", 6, affine=True)
+    twin = Diagram(d.family, d.rank, d.affine, tuple(list(d.nodes)),
+                   tuple(tuple(list(e)) for e in d.edges))
+    assert twin is not d and twin == d and hash(twin) == hash(d)
+    # the cached hash is the dataclass field hash, so set and dict orders keep
+    assert hash(d) == hash((d.family, d.rank, d.affine, d.nodes, d.edges))
+    t, t_twin = DynkinType(d, frozenset({1, 3})), DynkinType(twin, frozenset([3, 1]))
+    assert t_twin == t and hash(t_twin) == hash(t) == hash((d, frozenset({1, 3})))
+    assert len({d, twin}) == 1 and len({t, t_twin}) == 1
+    assert DynkinType(d, frozenset({1})) != t

@@ -116,6 +116,18 @@ def test_colinearity_over_the_rationals():
     assert is_colinear((0, 0), (1, 1))
 
 
+@PROPERTY
+@given(st.data())
+def test_colinearity_is_the_vanishing_of_every_minor(data):
+    n = data.draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    u = data.draw(vec.filter(any))
+    k = data.draw(st.integers(-3, 3))
+    v = data.draw(st.sampled_from([tuple(k * a for a in u), data.draw(vec)]))
+    minors = all(v[i] * u[j] == v[j] * u[i] for i in range(n) for j in range(i + 1, n))
+    assert is_colinear(v, u) == minors
+
+
 def test_vec_gcd():
     assert vec_gcd((4, -6, 0)) == 2
     assert vec_gcd((0, 0)) == 0

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdvwall.dynkin import build_diagram, enumerate_roots, imaginary_root, real_roots_window
+from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
 from cdvwall.weyl import (
     coset_minimal,
     from_word,
@@ -173,3 +176,61 @@ def test_serialisation_round_trip():
     w = from_word(d, [1, 2, 3, 2, 4])
     data = w.to_json()
     assert from_word(d, data["word"]) == w
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PROPERTY_DIAGRAMS = [build_diagram("A", 3), build_diagram("D", 4, affine=True),
+                     build_diagram("E", 6, affine=True), build_diagram("E", 8, affine=True)]
+PROPERTY_IDS = ["A3", "D4~", "E6~", "E8~"]
+
+
+def _words(diagram):
+    return st.lists(st.sampled_from(diagram.nodes), max_size=16)
+
+
+@pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
+def test_carried_inverse_is_the_inverse(diagram):
+    @PROPERTY
+    @given(_words(diagram))
+    def check(word):
+        w = from_word(diagram, word)
+        assert mat_mul(w.matrix, w.inverse_matrix) == identity_matrix(len(diagram.nodes))
+
+    check()
+
+
+@pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
+def test_inverse_swaps_to_the_eliminated_inverse(diagram):
+    @PROPERTY
+    @given(_words(diagram))
+    def check(word):
+        w = from_word(diagram, word)
+        assert w.inverse().matrix == invert_unimodular(w.matrix)
+
+    check()
+
+
+@pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
+def test_reduced_word_round_trip(diagram):
+    @PROPERTY
+    @given(_words(diagram))
+    def check(word):
+        w = from_word(diagram, word)
+        assert from_word(diagram, w.word) == w
+        assert len(w.word) <= len(word) and len(w.word) % 2 == len(word) % 2
+
+    check()
+
+
+@pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
+def test_simple_step_is_the_matrix_product(diagram):
+    @PROPERTY
+    @given(_words(diagram), st.sampled_from(diagram.nodes))
+    def check(word, node):
+        w = from_word(diagram, word)
+        s = simple_reflection(diagram, node)
+        stepped = w.times_simple(node)
+        assert stepped.matrix == mat_mul(w.matrix, s.matrix)
+        assert stepped.inverse_matrix == mat_mul(s.matrix, w.inverse_matrix)
+
+    check()
