@@ -38,7 +38,10 @@ from .restriction import (
     restrict,
     restricted_roots,
 )
-from .weyl import WeylElement, coset_minimal, identity
+from .weyl import WeylElement, identity
+
+MINIMAL_GALLERY_CAP = 200_000   # chamber expansions before minimal_gallery gives up
+THROUGH_WALL_CAP = 50_000       # chamber expansions before gallery_through_wall gives up
 
 
 class SignCrossing(Exception):
@@ -104,8 +107,12 @@ class Chamber:
     def key(self):
         return _chamber_key(self.sign, self.subset, self.weyl)
 
+    @cached_property
+    def _interior(self) -> Vec:
+        return tuple(self.sign * sum(column) for column in zip(*self.rays))
+
     def interior_point(self) -> Vec:
-        return tuple(self.sign * sum(r[j] for r in self.rays) for j in range(len(self.rays[0])))
+        return self._interior
 
     @cached_property
     def _facet_normals(self) -> tuple[Vec, ...]:
@@ -271,8 +278,7 @@ def path_to_gallery(arrow: GroupoidArrow) -> Gallery:
         chambers.append(chamber)
         walls.append(wall)
     final = chambers[-1]
-    target = coset_minimal(arrow.weyl, arrow.target_subset)
-    if (final.subset, final.weyl.matrix) != (arrow.target_subset, target.matrix):
+    if (final.subset, final.weyl.matrix) != (arrow.target_subset, arrow.weyl.matrix):
         raise GeometryError("gallery endpoint disagrees with the composed arrow")
     return Gallery(tuple(chambers), tuple(walls))
 
@@ -303,28 +309,49 @@ class ChamberGraph:
             self._adj[key] = edges
         return self._adj[key]
 
+    def search(self, start: Chamber, admit=None):
+        """Breadth-first search from `start` over the chambers `admit`
+        accepts (all by default).  Yields each key as it leaves the queue with
+        the parent links, key -> (parent key, wall) set once on first finding
+        (None for `start`); a key is expanded only when the next is asked for."""
+        skey = start.key()
+        self.chambers.setdefault(skey, start)
+        parent = {skey: None}
+        queue = deque([skey])
+        while queue:
+            key = queue.popleft()
+            yield key, parent
+            for edge in self.neighbors(self.chambers[key]).values():
+                if edge is None:
+                    continue
+                nkey, wall = edge
+                if nkey not in parent and (admit is None or admit(self.chambers[nkey])):
+                    parent[nkey] = (key, wall)
+                    queue.append(nkey)
+
+    def gallery(self, parent: dict, key) -> Gallery:
+        """The gallery that the parent links of a search trace back from key."""
+        chain, walls = [key], []
+        while parent[chain[-1]] is not None:
+            prev, wall = parent[chain[-1]]
+            chain.append(prev)
+            walls.append(wall)
+        return Gallery(tuple(self.chambers[k] for k in reversed(chain)), tuple(reversed(walls)))
+
     def bfs(self, max_len: int) -> tuple[list, list]:
         """Chambers within max_len crossings of the base, plus labelled edges."""
         if max_len < 0:
             raise ValueError(f"max_len must be >= 0, got {max_len}")
-        dist = {self.base_key: 0}
-        order = [self.base_key]
-        edges = []
-        queue = deque([self.base_key])
-        while queue:
-            key = queue.popleft()
-            if dist[key] == max_len:
-                continue
-            for k, edge in self.neighbors(self.chambers[key]).items():
-                if edge is None:
-                    continue
-                nkey, wall = edge
-                if nkey not in dist:
-                    dist[nkey] = dist[key] + 1
-                    order.append(nkey)
-                    queue.append(nkey)
-                edges.append((key, nkey, wall))
-        return [self.chambers[k] for k in order], edges
+        dist, edges = {}, []
+        for key, parent in self.search(self.chambers[self.base_key]):
+            link = parent[key]
+            dist[key] = 0 if link is None else dist[link[0]] + 1
+            if dist[key] == max_len:   # all within max_len found; expand none at it
+                break
+            edges.extend((key, edge[0], edge[1])
+                         for edge in self.neighbors(self.chambers[key]).values()
+                         if edge is not None)
+        return [self.chambers[k] for k in parent], edges
 
 
 def enumerate_chambers(dtype: DynkinType, max_len: int, sign: int = 1) -> tuple[list, list]:
@@ -333,45 +360,27 @@ def enumerate_chambers(dtype: DynkinType, max_len: int, sign: int = 1) -> tuple[
     return ChamberGraph(dtype, sign).bfs(max_len)
 
 
-def minimal_gallery(graph: ChamberGraph, source: Chamber, target: Chamber,
-                    cap: int = 200_000) -> Gallery:
+def distinct_edges(chambers: list, edges: list) -> list:
+    """The BFS edges as (i, j, wall) over chamber indices with i < j, each
+    once, in first-seen order."""
+    index = {c.key(): i for i, c in enumerate(chambers)}
+    return list(dict.fromkeys((min(index[a], index[b]), max(index[a], index[b]), wall)
+                              for a, b, wall in edges))
+
+
+def minimal_gallery(graph: ChamberGraph, source: Chamber, target: Chamber) -> Gallery:
     """A shortest wall-crossing path, found by breadth-first search with
     on-demand expansion of the chamber graph."""
     if source.sign != target.sign:
         raise GeometryError("minimal galleries connect chambers of one sign class")
-    graph.chambers.setdefault(source.key(), source)
-    graph.chambers.setdefault(target.key(), target)
-    skey, tkey = source.key(), target.key()
-    if skey == tkey:
-        return Gallery((source,), ())
-    parent = {skey: None}
-    queue = deque([skey])
-    expanded = 0
-    while queue:
-        key = queue.popleft()
-        expanded += 1
-        if expanded > cap:
-            raise GeometryError(f"target not reachable within the expansion bound {cap}")
-        for k, edge in graph.neighbors(graph.chambers[key]).items():
-            if edge is None:
-                continue
-            nkey, wall = edge
-            if nkey not in parent:
-                parent[nkey] = (key, wall)
-                if nkey == tkey:
-                    chain = [nkey]
-                    walls = []
-                    cur = nkey
-                    while parent[cur] is not None:
-                        prev, w = parent[cur]
-                        walls.append(w)
-                        chain.append(prev)
-                        cur = prev
-                    chain.reverse()
-                    walls.reverse()
-                    return Gallery(tuple(graph.chambers[c] for c in chain), tuple(walls))
-                queue.append(nkey)
-    raise GeometryError(f"target not reachable within the expansion bound {cap}")
+    tkey = target.key()
+    graph.chambers.setdefault(tkey, target)
+    for expanded, (_, parent) in enumerate(graph.search(source)):
+        if tkey in parent:
+            return graph.gallery(parent, tkey)
+        if expanded >= MINIMAL_GALLERY_CAP:
+            break
+    raise GeometryError(f"target not reachable within the expansion bound {MINIMAL_GALLERY_CAP}")
 
 
 def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozenset:
@@ -537,15 +546,20 @@ def _in_nonneg_cone(target: Vec, u: Vec, v: Vec) -> bool:
     return False
 
 
-def gallery_through_wall(dtype: DynkinType, node: int, rbar: Vec,
-                         cap: int = 50_000) -> Gallery:
+def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     """A minimal gallery from the base chamber whose first crossed wall is
     the facet hyperplane at `node` and whose last crossed wall is the one
-    orthogonal to `rbar`.
+    orthogonal to `rbar`, on a positive-class graph.
 
     Requires rbar to be a positive restricted root not colinear to the
     restricted simple root at `node` nor to the restricted imaginary root.
+    The search stays between the two walls; a minimal gallery crosses only
+    separating walls (Abramenko-Brown, Buildings, 2008), so its parent links
+    hold the minimal middle section.
     """
+    dtype = graph.dtype
+    if graph.sign < 0:
+        raise GeometryError("through-wall galleries start at the positive base chamber")
     if node not in dtype.kept:
         raise GeometryError(f"node {node} is not kept")
     alpha_bar = restrict(dtype, dtype.diagram.simple_root(node))
@@ -566,47 +580,26 @@ def gallery_through_wall(dtype: DynkinType, node: int, rbar: Vec,
             "the cone spanned by rbar and the restricted simple root"
         )
 
-    graph = ChamberGraph(dtype, 1)
     base = graph.chambers[graph.base_key]
-    first, first_wall = cross_wall(base, facet_index_of_node(base, node))
-    graph.chambers.setdefault(first.key(), first)
+    first_key, first_wall = graph.neighbors(base)[facet_index_of_node(base, node)]
 
     def in_region(c: Chamber) -> bool:
         p = c.interior_point()
         return dot(p, alpha_bar) < 0 and dot(p, rbar) > 0
 
-    if not in_region(first):
+    if not in_region(graph.chambers[first_key]):
         raise GeometryError("first crossing left the expected region")
     prim_r = primitive(rbar)
-    found = None
-    seen = {first.key()}
-    queue = deque([first.key()])
-    expanded = 0
-    while queue and found is None:
-        key = queue.popleft()
-        expanded += 1
-        if expanded > cap:
-            raise GeometryError(f"no wall facet found within the expansion bound {cap}")
-        chamber = graph.chambers[key]
-        for k, edge in graph.neighbors(chamber).items():
-            if edge is None:
-                continue
-            if primitive(chamber.facet_normal_raw(k)) == prim_r:
-                found = (chamber, k)
-                break
-            nkey, _ = edge
-            nchamber = graph.chambers[nkey]
-            if nkey not in seen and in_region(nchamber):
-                seen.add(nkey)
-                queue.append(nkey)
-    if found is None:
-        raise GeometryError("no chamber with a facet in the target wall was found")
-    near, k = found
-    mid = minimal_gallery(graph, first, near)
-    far, last_wall = cross_wall(near, k)
-    chambers = (base,) + mid.chambers + (far,)
-    walls = (first_wall,) + mid.walls + (last_wall,)
-    gallery = Gallery(chambers, walls)
-    if not gallery.walls_distinct():
-        raise GeometryError("constructed gallery repeats a wall")
-    return gallery
+    for expanded, (key, parent) in enumerate(graph.search(graph.chambers[first_key], in_region)):
+        if expanded >= THROUGH_WALL_CAP:
+            raise GeometryError(f"no wall facet found within the expansion bound {THROUGH_WALL_CAP}")
+        near = graph.chambers[key]
+        for k, edge in graph.neighbors(near).items():
+            if edge is not None and primitive(near.facet_normal_raw(k)) == prim_r:
+                mid = graph.gallery(parent, key)
+                gallery = Gallery((base,) + mid.chambers + (graph.chambers[edge[0]],),
+                                  (first_wall,) + mid.walls + (edge[1],))
+                if not gallery.walls_distinct():
+                    raise GeometryError("constructed gallery repeats a wall")
+                return gallery
+    raise GeometryError("no chamber with a facet in the target wall was found")

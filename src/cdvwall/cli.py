@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .arrangement import (
+    ChamberGraph,
     GeometryError,
+    distinct_edges,
     enumerate_chambers,
     gallery_through_wall,
     path_to_gallery,
@@ -429,10 +431,7 @@ def cmd_chambers(cfg: JobConfig) -> int:
     if cfg.fmt == "dot":
         _emit(cfg, chamber_graph_dot(chambers, edges))
         return 0
-    index = {c.key(): i for i, c in enumerate(chambers)}
-    dedup = sorted({(min(index[a], index[b]), max(index[a], index[b]), w)
-                    for a, b, w in edges if a in index and b in index},
-                   key=lambda e: (e[0], e[1], e[2].normal))
+    dedup = sorted(distinct_edges(chambers, edges), key=lambda e: (e[0], e[1], e[2].normal))
     results = {
         "count": len(chambers),
         "chambers": [c.to_json() for c in chambers],
@@ -451,6 +450,7 @@ def cmd_gallery(cfg: JobConfig) -> int:
         if all(c >= 0 for c in e.coeffs)
     )
     rim = imaginary_restriction(dtype)
+    graph = ChamberGraph(dtype)
     rows = []
     for node in dtype.kept:
         alpha = tuple(dtype.diagram.simple_root(node)[dtype.diagram.index[m]]
@@ -459,7 +459,7 @@ def cmd_gallery(cfg: JobConfig) -> int:
             if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
                 continue
             try:
-                gallery = gallery_through_wall(dtype, node, rbar)
+                gallery = gallery_through_wall(graph, node, rbar)
             except GeometryError as err:
                 rows.append({"node": node, "rbar": list(rbar), "skipped": str(err)})
                 continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrangement import arrangement_hyperplanes
+from .arrangement import arrangement_hyperplanes, distinct_edges
 from .groupoid import GroupoidError, mutation_data
 from .restriction import DynkinType
 
@@ -17,19 +17,10 @@ def _wall_label(wall) -> str:
 
 def chamber_graph_dot(chambers, edges) -> str:
     """DOT text for a chamber adjacency graph with wall labels."""
-    index = {c.key(): i for i, c in enumerate(chambers)}
     lines = ["graph chambers {", "  node [shape=box];"]
     for i, chamber in enumerate(chambers):
         lines.append(f'  c{i} [label="{chamber.label_str()}"];')
-    seen = set()
-    for a, b, wall in edges:
-        if a not in index or b not in index:
-            continue
-        i, j = sorted((index[a], index[b]))
-        tag = (i, j, wall)
-        if tag in seen:
-            continue
-        seen.add(tag)
+    for i, j, wall in distinct_edges(chambers, edges):
         lines.append(f'  c{i} -- c{j} [label="{_wall_label(wall)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

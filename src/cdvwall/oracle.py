@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arrangement import ChamberGraph, GeometryError, arrangement_hyperplanes, locate_by_walk
+from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
-from .linalg import solve
-from .restriction import DynkinType, imaginary_restriction
+from .linalg import primitive, solve
+from .restriction import DynkinType
 
 
 def _form(cartan, v) -> int:
@@ -63,16 +63,8 @@ def oracle_restricted_roots(dtype: DynkinType) -> frozenset:
     return frozenset(out)
 
 
-def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:
-    """Affine restricted roots over the levels |k| <= k_max, from the
-    definition: real roots r + k*delta, with r a root of the finite part and
-    delta the positive kernel vector of the affine Cartan matrix with
-    delta_0 = 1, each asserted to have norm two; then the imaginary roots
-    k*delta, 1 <= |k| <= k_max; all projected onto the kept nodes, zeros
-    dropped."""
-    if not dtype.affine:
-        raise ValueError("the affine oracle handles affine types")
-    diagram = dtype.diagram
+def oracle_delta(diagram: Diagram) -> tuple:
+    """The positive integer kernel vector of an affine Cartan matrix, delta_0 = 1."""
     cartan = diagram.cartan
     rest = [i for i, n in enumerate(diagram.nodes) if n != 0]
     zero = diagram.index[0]
@@ -87,6 +79,20 @@ def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:
         delta[i] = int(c)
     if any(sum(a * d for a, d in zip(row, delta)) != 0 for row in cartan):
         raise AssertionError("delta is not in the kernel of the affine Cartan matrix")
+    return tuple(delta)
+
+
+def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:
+    """Affine restricted roots over the levels |k| <= k_max, from the
+    definition: real roots r + k*delta, with r a root of the finite part and
+    delta from `oracle_delta`, each asserted to have norm two; then the
+    imaginary roots k*delta, 1 <= |k| <= k_max; all projected onto the kept
+    nodes, zeros dropped."""
+    if not dtype.affine:
+        raise ValueError("the affine oracle handles affine types")
+    diagram = dtype.diagram
+    cartan = diagram.cartan
+    delta = oracle_delta(diagram)
     fin = diagram.finite_part()
     keep = [diagram.index[n] for n in dtype.kept]
     roots = set()
@@ -140,7 +146,8 @@ class ProbeReport:
 def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
                    denominator: int = 97):
     """Deterministic rational points on the requested unit level, in a box."""
-    rim = imaginary_restriction(dtype)
+    delta = oracle_delta(dtype.diagram)
+    rim = [delta[dtype.diagram.index[n]] for n in dtype.kept]
     m = len(dtype.kept)
     span = 2 * box * denominator
     state = 123456789
@@ -179,7 +186,8 @@ def sign_vector(point, normals) -> tuple:
 def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
                          k_max: int = 8, sign: int = 1) -> ProbeReport:
     """Locate sampled points twice: by the engine's exact segment walk, and
-    independently by matching sign vectors over a window of wall normals.
+    independently by matching sign vectors over the wall normals of the
+    oracle's own affine restricted roots in a window.
 
     Points land on the requested unit level (positive or negative side).
     Points on a hyperplane or producing a degenerate segment are skipped.
@@ -191,7 +199,7 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
     if len(dtype.kept) > 3:
         raise ValueError("the probe is limited to at most three kept nodes")
     sign = 1 if sign >= 0 else -1
-    normals = [h.normal for h in arrangement_hyperplanes(dtype, k_max)]
+    normals = sorted({primitive(r) for r in oracle_affine_restricted_roots(dtype, k_max)})
     graph = ChamberGraph(dtype, sign)
     signatures: dict = {}
     mismatches = []

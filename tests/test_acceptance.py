@@ -185,7 +185,7 @@ def test_criterion_6_gallery_minimality(name, dtype):
             if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
                 continue
             try:
-                gallery = gallery_through_wall(dtype, node, rbar)
+                gallery = gallery_through_wall(graph, node, rbar)
             except GeometryError as err:
                 assert "cone" in str(err), (name, node, rbar, str(err))
                 continue

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -7,6 +8,7 @@ import pytest
 from cdvwall import arrangement
 from cdvwall.arrangement import (
     ChamberGraph,
+    Gallery,
     GeometryError,
     arrangement_hyperplanes,
     chamber_from_label,
@@ -223,6 +225,7 @@ def test_gallery_through_wall_labels():
         e.coeffs for e in restricted_roots(A2_EMPTY, 1).elements
         if all(c >= 0 for c in e.coeffs)
     )
+    graph = ChamberGraph(A2_EMPTY)
     checked = 0
     for node in A2_EMPTY.kept:
         alpha = restrict(A2_EMPTY, A2_EMPTY.diagram.simple_root(node))
@@ -230,7 +233,7 @@ def test_gallery_through_wall_labels():
             if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
                 continue
             try:
-                g = gallery_through_wall(A2_EMPTY, node, rbar)
+                g = gallery_through_wall(graph, node, rbar)
             except GeometryError as err:
                 assert "cone" in str(err)
                 continue
@@ -243,12 +246,48 @@ def test_gallery_through_wall_labels():
     assert checked >= 15
 
 
+@pytest.mark.parametrize("dtype", TYPES)
+def test_gallery_through_wall_on_a_shared_graph(dtype):
+    """A row built on a graph that earlier rows expanded equals the row
+    built on a fresh graph, and its middle section is the minimal gallery
+    between the chambers after the first and before the last crossing."""
+    shared = ChamberGraph(dtype)
+    rim = imaginary_restriction(dtype)
+    positives = sorted(
+        e.coeffs for e in restricted_roots(dtype, 1).elements if all(c >= 0 for c in e.coeffs)
+    )
+    built = 0
+    for node in dtype.kept:
+        alpha = restrict(dtype, dtype.diagram.simple_root(node))
+        for rbar in positives:
+            if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
+                continue
+            try:
+                g = gallery_through_wall(shared, node, rbar)
+            except GeometryError as err:
+                with pytest.raises(GeometryError, match=re.escape(str(err))):
+                    gallery_through_wall(ChamberGraph(dtype), node, rbar)
+                continue
+            assert g == gallery_through_wall(ChamberGraph(dtype), node, rbar)
+            mid = minimal_gallery(ChamberGraph(dtype), g.chambers[1], g.chambers[-2])
+            assert mid == Gallery(g.chambers[1:-1], g.walls[1:-1])
+            assert g.length == len(separating_hyperplanes(dtype, g.chambers[0], g.chambers[-1]))
+            built += 1
+    assert built >= 15
+
+
+def test_gallery_through_wall_needs_a_positive_graph():
+    with pytest.raises(GeometryError, match="positive base chamber"):
+        gallery_through_wall(ChamberGraph(A2_EMPTY, -1), 1, (1, 1, 0))
+
+
 def test_gallery_through_wall_rejects_colinear():
     alpha = restrict(A2_EMPTY, A2_EMPTY.diagram.simple_root(1))
+    graph = ChamberGraph(A2_EMPTY)
     with pytest.raises(GeometryError):
-        gallery_through_wall(A2_EMPTY, 1, alpha)
+        gallery_through_wall(graph, 1, alpha)
     with pytest.raises(GeometryError):
-        gallery_through_wall(A2_EMPTY, 1, imaginary_restriction(A2_EMPTY))
+        gallery_through_wall(graph, 1, imaginary_restriction(A2_EMPTY))
 
 
 def test_hyperplane_multiples_collapse():

@@ -1,5 +1,6 @@
-"""Module structure: every import sits at module level, and the groupoid
-(label algebra) never reaches into the arrangement (geometry)."""
+"""Module structure: every import sits at module level, the groupoid
+(label algebra) never reaches into the arrangement (geometry), and the
+oracle builds its walls and levels without the engine's."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,10 @@ def test_groupoid_imports_nothing_from_arrangement():
     for node in _imports(tree):
         names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
         assert not any("arrangement" in name for name in names), ast.unparse(node)
+
+
+def test_oracle_builds_walls_and_levels_itself():
+    path = Path(cdvwall.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in _imports(tree) for alias in node.names}
+    assert not imported & {"arrangement_hyperplanes", "imaginary_restriction"}

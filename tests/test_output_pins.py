@@ -1,8 +1,10 @@
 """Byte-identity pins: the sha256 of stdout for small wall-crossing commands.
 
-The digests were recorded before the Weyl core started carrying inverses
-and stepping by simple reflections; any change to chamber, gallery or
-mutation output, including its order or formatting, fails here.
+The first four digests were recorded before the Weyl core started carrying
+inverses and stepping by simple reflections, the two `gallery` digests
+before through-wall galleries shared one chamber graph per command.  Any
+change to chamber, gallery or mutation output, including its order or
+formatting, fails here.
 """
 
 import hashlib
@@ -22,6 +24,10 @@ PINS = [
      "af76857c9d5238be53d02172503c3c161b411b1bc3e04bd22a1d8b6e20b242da"),
     (["mutate", "--family", "E", "--rank", "6", "--affine", "--contracted", "1,3,5"],
      "d91d0a62d95b97701dc8bc924331d9cd7bb7bf9798af34bf1854642d5ebfead8"),
+    (["gallery", "--family", "A", "--rank", "3", "--affine", "--contracted", "2"],
+     "b5eabe8e1efe186f660bb22e1fdea6fe086a3d32ec9d2c97c990ac5b6f49f6b4"),
+    (["gallery", "--family", "D", "--rank", "5", "--affine", "--contracted", "1,4"],
+     "5909c9f3ff5950dc1e4212125ddcc84557058d2446c553ccbbfe66fc61272145"),
 ]
 
 
