@@ -50,8 +50,10 @@ from .oracle import oracle_chamber_probe, oracle_gcd_check, oracle_restricted_ro
 from .restriction import (
     DynkinType,
     check_gcd_closure,
+    gcd_report,
     imaginary_restriction,
     proper_subsets,
+    restricted_root_sweep,
     restricted_roots,
 )
 
@@ -404,17 +406,15 @@ def cmd_restricted_roots(cfg: JobConfig) -> int:
 
 def cmd_check_gcd(cfg: JobConfig) -> int:
     diagram = build_diagram(cfg.family, cfg.rank, cfg.affine)
-    if cfg.contracted:
-        subsets = [frozenset(cfg.contracted)]
-    else:
-        subsets = list(proper_subsets(diagram))
-
     k_max = cfg.kmax if cfg.affine else None
-    reports = [check_gcd_closure(DynkinType(diagram, s), k_max) for s in subsets]
+    if cfg.contracted:
+        reports = [check_gcd_closure(DynkinType(diagram, frozenset(cfg.contracted)), k_max)]
+    else:
+        reports = [gcd_report(rr) for rr in restricted_root_sweep(diagram, k_max)]
     total = sum(len(r.violations) for r in reports)
     if cfg.fmt == "json":
         results = {
-            "subsets": len(subsets),
+            "subsets": len(reports),
             "violations": total,
             "summary": f"{total} violations",
             "failing": [r.to_json() for r in reports if r.violations],

@@ -111,10 +111,8 @@ def vec_neg(u: Vec) -> Vec:
 
 
 def vec_gcd(u: Sequence) -> int:
-    g = 0
-    for a in u:
-        g = gcd(g, abs(a))
-    return g
+    """The gcd of the absolute entries; 0 for the zero or empty vector."""
+    return gcd(*u)
 
 
 def primitive(u: Vec) -> Vec:

@@ -7,6 +7,12 @@ sign and reality classes are annotations on the tuple, not part of its
 identity.  Affine sets are infinite, so enumeration takes a level window;
 membership tests are windowless and exact via the translation structure
 of the real restricted roots.
+
+Every set of one diagram is built from one scan of (full root, sign)
+pairs.  restricted_root_sweep builds the sets of all proper subsets at
+once: restriction composes, so each subset's entries come from its
+parent's deduplicated entries with one more coordinate dropped, never
+from a second scan of the roots.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .dynkin import (
     Diagram,
@@ -152,30 +158,103 @@ class RestrictedRootSet:
         }
 
 
-def _collect(entries: dict, coeffs: Vec, sign: int, reality: Optional[str], witness: Vec):
-    if coeffs in entries:
-        signs, old_reality, old_witness = entries[coeffs]
-        entries[coeffs] = (signs | {sign}, old_reality, old_witness)
+_ONE_SIGN = {1: frozenset({1}), -1: frozenset({-1})}
+
+
+def _window(diagram: Diagram, k_max: Optional[int]) -> Optional[int]:
+    """The level window of a restricted-root set: None for finite types,
+    k_max (default DEFAULT_WINDOW) for affine ones."""
+    if not diagram.affine:
+        if k_max is not None:
+            raise ValueError("finite types take no level window")
+        return None
+    window = DEFAULT_WINDOW if k_max is None else k_max
+    if window < 0:
+        raise ValueError("k_max must be >= 0")
+    return window
+
+
+@lru_cache(maxsize=None)
+def _scan(diagram: Diagram, window: Optional[int]) -> tuple[tuple[tuple[Vec, int], ...], int]:
+    """The (full root, sign) pairs every restricted-root set of the diagram
+    is built from, in scan order, and the largest absolute coordinate among
+    them.  Finite types scan r, then -r, for each positive root; affine
+    types scan the level window."""
+    if window is None:
+        pairs = tuple(pair for r in enumerate_roots(diagram).positive_roots
+                      for pair in ((r, 1), (vec_neg(r), -1)))
     else:
-        entries[coeffs] = (frozenset({sign}), reality, witness)
+        pairs = expanded_window(diagram, window)
+    return pairs, max((abs(c) for full, _ in pairs for c in full), default=0)
 
 
-def _real_window_entries(dtype: DynkinType, k_max: int) -> dict:
-    """Restrictions of the real roots at levels |k| <= k_max, collected as by
-    _collect, zeros dropped.  Reality depends only on the restricted vector,
-    so the imaginary line is tested once per distinct vector."""
-    rim_bar = imaginary_restriction(dtype)
+def _scan_entries(dtype: DynkinType, pairs) -> dict:
+    """Nonzero restrictions of the scanned roots, in order of first
+    appearance: coeffs -> (sign classes of the preimages, first preimage)."""
+    take = dtype._take_kept
     entries: dict[Vec, tuple] = {}
-    for full, sign in expanded_window(dtype.diagram, k_max):
-        rbar = restrict(dtype, full)
-        if rbar in entries:
-            signs, reality, witness = entries[rbar]
-            if sign not in signs:
-                entries[rbar] = (signs | {sign}, reality, witness)
-        elif any(rbar):
-            reality = "imaginary" if integer_multiple_of(rbar, rim_bar) is not None else "real"
-            entries[rbar] = (frozenset({sign}), reality, full)
+    for full, sign in pairs:
+        rbar = take(full)
+        entry = entries.get(rbar)
+        if entry is None:
+            if any(rbar):
+                entries[rbar] = (_ONE_SIGN[sign], full)
+        elif sign not in entry[0]:
+            entries[rbar] = (entry[0] | _ONE_SIGN[sign], entry[1])
     return entries
+
+
+def _drop_coordinate(entries: dict, j: int) -> dict:
+    """The scan entries of one more contracted node, whose coordinate is
+    position j of the entries.  Walking the entries in first-appearance
+    order keeps the child's keys in that order too, and the first entry to
+    reach a child vector holds the first scanned root that reaches it, so
+    the witness is the one a direct scan keeps."""
+    child: dict[Vec, tuple] = {}
+    for rbar, (signs, witness) in entries.items():
+        c = rbar[:j] + rbar[j + 1:]
+        entry = child.get(c)
+        if entry is None:
+            if any(c):
+                child[c] = (signs, witness)
+        elif not signs <= entry[0]:
+            child[c] = (entry[0] | signs, entry[1])
+    return child
+
+
+def _imaginary_line(rim_bar: Vec, bound: int) -> frozenset:
+    """The multiples k * pi(r_im) with 0 < |k| <= bound.  pi(r_im) has
+    positive entries, so a multiple whose coordinates are bounded by
+    bound in absolute value is one of these."""
+    return frozenset(tuple(k * c for c in rim_bar)
+                     for k in range(-bound, bound + 1) if k)
+
+
+def _root_set(dtype: DynkinType, entries: dict, window: Optional[int],
+              bound: int) -> RestrictedRootSet:
+    """The set of the scan entries, sorted by coefficients.  Affine sets
+    add the imaginary multiples k * pi(r_im), 0 < |k| <= window, to a copy
+    of the entries, and take reality from membership in the imaginary
+    line; bound caps the scanned coordinates."""
+    if window is None:
+        elements = tuple(RestrictedRoot(coeffs, signs, None, vec_gcd(coeffs), witness)
+                         for coeffs, (signs, witness) in sorted(entries.items()))
+        return RestrictedRootSet(dtype, elements, None)
+    entries = dict(entries)
+    rim_bar = imaginary_restriction(dtype)
+    rim = imaginary_root(dtype.diagram)
+    for k in range(1, window + 1):
+        for sign in (1, -1):
+            coeffs = tuple(sign * k * c for c in rim_bar)
+            signs, witness = entries.get(coeffs, (frozenset(), tuple(sign * k * c for c in rim)))
+            entries[coeffs] = (signs | _ONE_SIGN[sign], witness)
+    line = _imaginary_line(rim_bar, max(bound, window))
+    elements = tuple(
+        RestrictedRoot(coeffs, signs, "imaginary" if coeffs in line else "real",
+                       vec_gcd(coeffs), witness)
+        for coeffs, (signs, witness) in sorted(entries.items())
+    )
+    return RestrictedRootSet(dtype, elements, window)
 
 
 def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> RestrictedRootSet:
@@ -185,33 +264,36 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
     at levels |k| <= k_max and the imaginary multiples k * pi(r_im) with
     0 < |k| <= k_max are included.
     """
-    entries: dict[Vec, tuple] = {}
-    if not dtype.affine:
-        if k_max is not None:
-            raise ValueError("finite types take no level window")
-        rts = enumerate_roots(dtype.diagram)
-        for r in rts.positive_roots:
-            for sign, root in ((1, r), (-1, vec_neg(r))):
-                rbar = restrict(dtype, root)
-                if any(c != 0 for c in rbar):
-                    _collect(entries, rbar, sign, None, root)
-        window = None
-    else:
-        window = DEFAULT_WINDOW if k_max is None else k_max
-        if window < 0:
-            raise ValueError("k_max must be >= 0")
-        entries = _real_window_entries(dtype, window)
-        rim_bar = imaginary_restriction(dtype)
-        rim = imaginary_root(dtype.diagram)
-        for k in range(1, window + 1):
-            for sign in (1, -1):
-                coeffs = tuple(sign * k * c for c in rim_bar)
-                _collect(entries, coeffs, sign, "imaginary", tuple(sign * k * c for c in rim))
-    elements = tuple(
-        RestrictedRoot(coeffs, signs, reality, vec_gcd(coeffs), witness)
-        for coeffs, (signs, reality, witness) in sorted(entries.items())
-    )
-    return RestrictedRootSet(dtype, elements, window)
+    window = _window(dtype.diagram, k_max)
+    pairs, bound = _scan(dtype.diagram, window)
+    return _root_set(dtype, _scan_entries(dtype, pairs), window, bound)
+
+
+def restricted_root_sweep(diagram: Diagram,
+                          k_max: Optional[int] = None) -> Iterator[RestrictedRootSet]:
+    """restricted_roots of every proper subset, in proper_subsets order.
+
+    Restriction composes, so the subset of mask m is built from the scan
+    entries of its parent m & (m - 1), the subset without m's lowest node
+    j, by dropping one coordinate.  Every node below j is kept in the
+    parent, so j is also the coordinate's position there.  The parent is
+    on the chain m - 1, (m - 1) & (m - 2), ..., 0 of the mask before, so a
+    stack along that chain keeps every parent the sweep still needs.
+    """
+    window = _window(diagram, k_max)
+    pairs, bound = _scan(diagram, window)
+    stack: list[tuple[int, dict]] = []
+    for mask in range(2 ** len(diagram.nodes) - 1):
+        dtype = DynkinType(diagram, _subset(diagram, mask))
+        if mask == 0:
+            entries = _scan_entries(dtype, pairs)
+        else:
+            parent = mask & (mask - 1)
+            while stack[-1][0] != parent:
+                stack.pop()
+            entries = _drop_coordinate(stack[-1][1], (mask & -mask).bit_length() - 1)
+        stack.append((mask, entries))
+        yield _root_set(dtype, entries, window, bound)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +330,9 @@ def classify_value(dtype: DynkinType, v: Vec):
     """Exact membership of a vector in the affine restricted-root set.
 
     Returns None if v is not a restricted root, ("imaginary", k) when
-    v = k * pi(r_im), and ("real", (rbar, k)) when v = rbar + k * pi(r_im)
-    with rbar a finite restricted root and v off the imaginary line.
+    v = k * pi(r_im), and ("real", (rbar, k)) for a decomposition
+    v = rbar + k * pi(r_im), with rbar a finite restricted root and v off
+    the imaginary line; several decompositions can exist, and this is one.
     No window is involved: real membership reduces to the finite set plus
     integer translation along the imaginary direction.
     """
@@ -273,13 +356,14 @@ def classify_value(dtype: DynkinType, v: Vec):
         if cand in fin_values:
             return ("real", (cand, k))
         return None
-    for rbar in fin_values:
-        diff = vec_sub(v, rbar)
-        if all(c == 0 for c in diff):
-            return ("real", (rbar, 0))
-        k = integer_multiple_of(diff, rim_bar)
-        if k is not None:
-            return ("real", (rbar, k))
+    # node 0 is contracted, so the kept nodes are finite ones: a finite
+    # root's coefficient is at most the highest root's, which is pi(r_im)'s,
+    # so |rbar_0| <= h_0 and k is within one of v_0 / h_0
+    h, v0 = rim_bar[0], v[0]
+    for k in range(-((h - v0) // h), (v0 + h) // h + 1):
+        cand = vec_sub(v, tuple(k * c for c in rim_bar))
+        if cand in fin_values:
+            return ("real", (cand, k))
     return None
 
 
@@ -320,14 +404,20 @@ class GcdReport:
         }
 
 
-def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdReport:
+def gcd_report(rr: RestrictedRootSet) -> GcdReport:
     """For each restricted root of multiplicity d, check that the proper
     fractions (m/d) * rbar, m = 1..d-1, are again restricted roots.
 
-    Finite types are checked against the full finite set; affine types scan
-    a window of elements but decide membership exactly.
+    Finite sets are complete, so membership is read from the set itself;
+    affine sets are windowed, so membership is decided exactly by
+    classify_value.
     """
-    rr = restricted_roots(dtype, k_max if dtype.affine else None)
+    dtype = rr.dynkin_type
+    if dtype.affine:
+        def member(v: Vec) -> bool:
+            return classify_value(dtype, v) is not None
+    else:
+        member = rr.values().__contains__
     violations = []
     nontrivial = 0
     for e in rr.elements:
@@ -337,9 +427,14 @@ def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdRepo
         nontrivial += 1
         for m in range(1, d):
             frac = tuple(m * c // d for c in e.coeffs)
-            if not is_restricted_root(dtype, frac):
+            if not member(frac):
                 violations.append(GcdViolation(e.coeffs, d, m))
     return GcdReport(dtype, len(rr.elements), nontrivial, tuple(violations))
+
+
+def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdReport:
+    """The gcd report of one type's set; k_max is ignored for finite types."""
+    return gcd_report(restricted_roots(dtype, k_max if dtype.affine else None))
 
 
 @dataclass(frozen=True)
@@ -361,8 +456,11 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     if not dtype.affine:
         raise DiagramError("real_restricted_two_ways requires an affine type")
     rim_bar = imaginary_restriction(dtype)
-    direct = {rbar for rbar, (_, reality, _) in _real_window_entries(dtype, k_max).items()
-              if reality == "real"}
+    # the window holds theta + k_max * delta, so the scan bound also caps
+    # the translates below, whose coordinates are at most (k_max + 1) * h
+    pairs, bound = _scan(dtype.diagram, k_max)
+    line = _imaginary_line(rim_bar, bound)
+    direct = set(_scan_entries(dtype, pairs)) - line
 
     kept = dtype.kept
     fin_kept, fin_values = finite_companion_data(dtype)
@@ -381,7 +479,7 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
         base = embed_finite(kept, fin_kept, rbar_fin)
         for k in range(-k_max, k_max + 1):
             v = tuple(b + k * c for b, c in zip(base, rim_bar))
-            if integer_multiple_of(v, rim_bar) is None:
+            if v not in line:
                 translated.add(v)
 
     return TwoWayReport(
@@ -389,9 +487,12 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     )
 
 
+def _subset(diagram: Diagram, mask: int) -> frozenset:
+    """The nodes at the set bits of mask, bit i standing for the i-th node."""
+    return frozenset(n for i, n in enumerate(diagram.nodes) if mask >> i & 1)
+
+
 def proper_subsets(diagram: Diagram) -> Iterable[frozenset]:
-    """All proper contraction subsets, in a deterministic order."""
-    nodes = list(diagram.nodes)
-    n = len(nodes)
-    for mask in range(2 ** n - 1):
-        yield frozenset(nodes[i] for i in range(n) if mask >> i & 1)
+    """All proper contraction subsets, in order of their bit masks."""
+    for mask in range(2 ** len(diagram.nodes) - 1):
+        yield _subset(diagram, mask)

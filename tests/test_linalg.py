@@ -131,3 +131,5 @@ def test_colinearity_is_the_vanishing_of_every_minor(data):
 def test_vec_gcd():
     assert vec_gcd((4, -6, 0)) == 2
     assert vec_gcd((0, 0)) == 0
+    assert vec_gcd((-9,)) == 9
+    assert vec_gcd(()) == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from cdvwall import restriction
 from cdvwall.dynkin import DiagramError, build_diagram, enumerate_roots
 from cdvwall.restriction import (
     DynkinType,
@@ -10,6 +11,7 @@ from cdvwall.restriction import (
     proper_subsets,
     real_restricted_two_ways,
     restrict,
+    restricted_root_sweep,
     restricted_roots,
 )
 
@@ -123,6 +125,51 @@ def test_gcd_closure_affine():
         assert report.ok, (J, report.violations)
 
 
+def test_finite_gcd_report_builds_each_set_once(monkeypatch):
+    # membership comes from the set being checked, not from a second build
+    restriction.finite_restricted_values.cache_clear()
+    calls = []
+    build = restriction.restricted_roots
+    monkeypatch.setattr(restriction, "restricted_roots",
+                        lambda *args: calls.append(args) or build(*args))
+    diagram = build_diagram("E", 6)
+    for J in proper_subsets(diagram):
+        assert check_gcd_closure(DynkinType(diagram, J)).ok
+    assert len(calls) == 2 ** 6 - 1
+
+
+@pytest.mark.parametrize("family,rank,affine,k_max", [
+    ("E", 6, True, 3), ("D", 6, True, 2), ("A", 3, True, 1), ("E", 8, False, None),
+])
+def test_sweep_equals_direct_builds(family, rank, affine, k_max):
+    # each swept set derives from its parent's entries; a direct build
+    # scans the roots again, and the two agree on every field, witness,
+    # signs, reality and mult included, and in proper_subsets order
+    diagram = build_diagram(family, rank, affine)
+    subsets = list(proper_subsets(diagram))
+    swept = list(restricted_root_sweep(diagram, k_max))
+    assert [rr.dynkin_type.contracted for rr in swept] == subsets
+    for rr, J in zip(swept, subsets):
+        assert rr.to_json() == restricted_roots(DynkinType(diagram, J), k_max).to_json(), J
+
+
+def test_dropping_a_coordinate_keeps_the_first_witness_and_unites_signs():
+    # sign classes are single-valued on every ADE type, so the union is
+    # pinned here on entries no root system produces
+    parent = {(1, 2): (frozenset({1}), "first"), (0, 0): (frozenset({1}), "zero"),
+              (-1, 2): (frozenset({-1}), "second"), (3, 0): (frozenset({1}), "x")}
+    child = restriction._drop_coordinate(parent, 0)
+    assert child == {(2,): (frozenset({1, -1}), "first")}
+    assert list(restriction._drop_coordinate(parent, 1)) == [(1,), (-1,), (3,)]
+
+
+def test_sweep_checks_its_window():
+    with pytest.raises(ValueError):
+        next(restricted_root_sweep(build_diagram("D", 4), 2))
+    with pytest.raises(ValueError):
+        next(restricted_root_sweep(build_diagram("D", 4, affine=True), -1))
+
+
 def test_imaginary_restriction_never_zero():
     for family, rank in [("A", 3), ("D", 4), ("E", 6)]:
         da = build_diagram(family, rank, affine=True)
@@ -166,6 +213,7 @@ def test_exact_membership_agrees_with_windowed_enumeration():
 @pytest.mark.parametrize("family,rank,subset", [
     ("A", 2, frozenset()), ("A", 2, frozenset({0})), ("A", 3, frozenset({1, 3})),
     ("D", 4, frozenset({2})), ("D", 4, frozenset({0, 1, 3, 4})),
+    ("E", 6, frozenset({0})), ("E", 6, frozenset({0, 3})),
 ])
 def test_exact_membership_equals_conclusive_window(family, rank, subset):
     # for a vector with coordinates bounded by B, membership is decided by
@@ -176,7 +224,7 @@ def test_exact_membership_equals_conclusive_window(family, rank, subset):
 
     diagram = build_diagram(family, rank, affine=True)
     dt = DynkinType(diagram, subset)
-    box = 3
+    box = 2 if family == "E" else 3   # 5^6 vectors on E6~ {0} already
     high = enumerate_roots(diagram.finite_part()).highest_root
     window = box + max(high) + 1
     values = restricted_roots(dt, window).values()
