@@ -6,6 +6,12 @@ vectors w . alpha_i^* for kept nodes i of S, cut to the coordinate
 subspace of the base type's kept nodes.  Its facet through the rays other
 than the i-th lies in the hyperplane orthogonal to the restriction of
 w . alpha_i, which makes containment tests pure sign checks.
+
+Two ways move through the chamber graph.  `ChamberGraph.search` is a
+breadth-first search (chamber enumeration, shortest galleries).  A
+straight-segment walk crosses the walls a segment meets, in order, and
+expands only the facets it crosses; it locates points (`locate_by_walk`)
+and builds galleries through two given walls (`gallery_through_wall`).
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import count
 from typing import Iterable
 
-from .dynkin import DiagramError, enumerate_roots
+from .dynkin import DiagramError
 from .groupoid import GroupoidArrow, Label, mutate
 from .linalg import (
     Vec,
@@ -41,7 +47,6 @@ from .restriction import (
 from .weyl import WeylElement, identity
 
 MINIMAL_GALLERY_CAP = 200_000   # chamber expansions before minimal_gallery gives up
-THROUGH_WALL_CAP = 50_000       # chamber expansions before gallery_through_wall gives up
 
 
 class SignCrossing(Exception):
@@ -50,6 +55,10 @@ class SignCrossing(Exception):
 
 class GeometryError(RuntimeError):
     """An algebraic label disagrees with the chamber geometry."""
+
+
+class SimultaneousCrossing(GeometryError):
+    """A walked segment meets two facet hyperplanes of a chamber at one point."""
 
 
 @dataclass(frozen=True)
@@ -294,26 +303,29 @@ class ChamberGraph:
         self.base_key = base.key()
         self._adj: dict = {}
 
-    def neighbors(self, chamber: Chamber) -> dict:
-        key = chamber.key()
-        if key not in self._adj:
-            edges = {}
-            for k in range(len(chamber.rays)):
-                try:
-                    c2, wall = cross_wall(chamber, k, self.chambers)
-                except SignCrossing:
-                    edges[k] = None
-                    continue
+    def edge(self, chamber: Chamber, k: int):
+        """The edge across facet k, (key, wall), or None at the imaginary
+        wall; crossed and facet-checked once per graph."""
+        edges = self._adj.setdefault(chamber.key(), {})
+        if k not in edges:
+            try:
+                c2, wall = cross_wall(chamber, k, self.chambers)
+            except SignCrossing:
+                edges[k] = None
+            else:
                 self.chambers.setdefault(c2.key(), c2)
                 edges[k] = (c2.key(), wall)
-            self._adj[key] = edges
-        return self._adj[key]
+        return edges[k]
 
-    def search(self, start: Chamber, admit=None):
-        """Breadth-first search from `start` over the chambers `admit`
-        accepts (all by default).  Yields each key as it leaves the queue with
-        the parent links, key -> (parent key, wall) set once on first finding
-        (None for `start`); a key is expanded only when the next is asked for."""
+    def neighbors(self, chamber: Chamber) -> dict:
+        """Every edge of a chamber, keyed by facet index in facet order."""
+        return {k: self.edge(chamber, k) for k in range(len(chamber.rays))}
+
+    def search(self, start: Chamber):
+        """Breadth-first search from `start`.  Yields each key as it leaves
+        the queue with the parent links, key -> (parent key, wall) set once on
+        first finding (None for `start`); a key is expanded only when the next
+        is asked for."""
         skey = start.key()
         self.chambers.setdefault(skey, start)
         parent = {skey: None}
@@ -325,7 +337,7 @@ class ChamberGraph:
                 if edge is None:
                     continue
                 nkey, wall = edge
-                if nkey not in parent and (admit is None or admit(self.chambers[nkey])):
+                if nkey not in parent:
                     parent[nkey] = (key, wall)
                     queue.append(nkey)
 
@@ -420,44 +432,6 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
     return frozenset(separating)
 
 
-@dataclass(frozen=True)
-class LevelPoint:
-    """A rational point on one of the two unit levels of the imaginary
-    pairing, in finite kept-node coordinates."""
-
-    coords: tuple
-    sign: int
-
-
-def level_embed(dtype: DynkinType, theta, sign: int = 1) -> tuple:
-    """Embed a functional on the finite kept lattice into the full
-    coordinate space at level +-1: the node-0 value is +-1 - theta(r_max)."""
-    if not dtype.affine:
-        raise DiagramError("level embeddings require an affine type")
-    if 0 in dtype.contracted:
-        raise DiagramError("the canonical level embedding needs node 0 kept")
-    fin_diagram = dtype.diagram.finite_part()
-    high = enumerate_roots(fin_diagram).highest_root
-    fin_kept, _ = finite_companion_data(dtype)
-    if len(theta) != len(fin_kept):
-        raise ValueError("functional length does not match the finite kept nodes")
-    theta_high = sum(t * high[fin_diagram.index[n]] for t, n in zip(theta, fin_kept))
-    vals = dict(zip(fin_kept, theta))
-    vals[0] = (1 if sign >= 0 else -1) - theta_high
-    return tuple(vals[n] for n in dtype.kept)
-
-
-def level_slice_point(dtype: DynkinType, theta, sign: int = 1) -> tuple[LevelPoint, tuple]:
-    """A level point and its embedded image; the image pairs to +-1 with
-    the restricted imaginary root."""
-    image = level_embed(dtype, theta, sign)
-    pairing = dot(image, imaginary_restriction(dtype))
-    expected = 1 if sign >= 0 else -1
-    if pairing != expected:
-        raise GeometryError("level embedding does not hit the requested level")
-    return LevelPoint(tuple(theta), expected), image
-
-
 def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False) -> tuple:
     """The walls of the intersection arrangement within a level window.
 
@@ -483,67 +457,100 @@ def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False)
     return tuple(sorted(walls, key=lambda h: (h.normal, h.offset)))
 
 
-def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
-    """Walk the straight segment from the base chamber's interior point to
-    `point`, crossing walls in order; exact integer arithmetic throughout.
 
-    Both ends are scaled by positive integers onto one level, which moves
-    no wall crossing along the segment, so only the crossing parameters
-    are rational, and those are compared by cross-multiplication.
+def _crossings(graph: ChamberGraph, chamber: Chamber, start: Vec, end: Vec):
+    """Walk the straight segment from `start`, interior to `chamber`, to
+    `end`, crossing walls in order; yields (chamber entered, wall crossed)
+    per crossing and returns once the current chamber holds `end` strictly
+    inside.  Both ends are integer vectors, and the crossing parameters
+    v0 / (v0 - v1) are compared by cross-multiplication, so no Fraction is
+    built.  The segment lies in one sign class, where the arrangement is
+    locally finite, so it crosses finitely many walls, each at most once.
+
+    Raises SimultaneousCrossing when the segment leaves a chamber through
+    two facets at one point, and GeometryError when `end` lies on a wall or
+    the walk would leave the sign class.
+    """
+    t_num, t_den = 0, 1          # the current crossing parameter t_num / t_den
+    while True:
+        coords_start, coords_end = chamber.coords_in(start), chamber.coords_in(end)
+        if all(c > 0 for c in coords_end):
+            return
+        best, tied = None, False
+        for k, (v0, v1) in enumerate(zip(coords_start, coords_end)):
+            if v0 <= 0 or v1 >= 0:
+                continue
+            # the open segment leaves facet k's side at t_k = v0 / (v0 - v1) < 1
+            den = v0 - v1
+            if v0 * t_den <= t_num * den:
+                continue
+            if best is None or v0 * best[1] < best[0] * den:
+                best, tied = (v0, den, k), False
+            elif v0 * best[1] == best[0] * den:
+                tied = True
+        if best is None:
+            raise GeometryError("point lies on a wall of the current chamber")
+        if tied:
+            raise SimultaneousCrossing("degenerate segment: simultaneous wall crossings")
+        t_num, t_den, k = best
+        edge = graph.edge(chamber, k)
+        if edge is None:
+            raise GeometryError("walk attempted to leave the sign class")
+        chamber = graph.chambers[edge[0]]
+        yield chamber, edge[1]
+
+
+def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
+    """The chamber holding `point`, found by walking the straight segment
+    from the base chamber's interior point to it; exact integer arithmetic
+    throughout (a rational point is first scaled to an integer one, which
+    moves no wall crossing).
 
     Raises GeometryError on degenerate segments (hitting a wall crossing
     tie or a point on a hyperplane); callers should skip such samples.
     """
     chamber = graph.chambers[graph.base_key]
-    rim_bar = imaginary_restriction(graph.dtype)
     point, _ = clear_denominators(point)
-    target_level = dot(point, rim_bar)
-    if target_level == 0 or (target_level > 0) != (graph.sign > 0):
+    level = dot(point, imaginary_restriction(graph.dtype))
+    if level == 0 or (level > 0) != (graph.sign > 0):
         raise GeometryError("point is not on the graph's side of the imaginary wall")
-    start = chamber.interior_point()
-    # the base interior point lies on the graph's side too, so both levels
-    # share a sign and the two positive scalings meet on one level
-    start_level = dot(start, rim_bar)
-    start = tuple(c * abs(target_level) for c in start)
-    point = tuple(c * abs(start_level) for c in point)
-    t_num, t_den = 0, 1          # the current crossing parameter t_num / t_den
-    for _ in range(10_000):
-        coords_target = chamber.coords_in(point)
-        if all(c > 0 for c in coords_target):
-            return chamber
-        best = None
-        for k, n in enumerate(chamber._facet_normals):
-            v0 = chamber.sign * dot(start, n)
-            v1 = coords_target[k]
-            if v1 >= v0:
-                continue
-            # the segment meets facet k at t_k = v0 / (v0 - v1), denominator > 0
-            den = v0 - v1
-            if v0 * t_den <= t_num * den or v0 > den:
-                continue
-            if best is None or v0 * best[1] < best[0] * den:
-                best = (v0, den, k)
-            elif v0 * best[1] == best[0] * den:
-                raise GeometryError("degenerate segment: simultaneous wall crossings")
-        if best is None:
-            raise GeometryError("point lies on a wall of the current chamber")
-        t_num, t_den, k = best
-        edge = graph.neighbors(chamber).get(k)
-        if edge is None:
-            raise GeometryError("walk attempted to leave the sign class")
-        chamber = graph.chambers[edge[0]]
-    raise GeometryError("walk did not terminate")
+    for chamber, _ in _crossings(graph, chamber, chamber.interior_point(), point):
+        pass
+    return chamber
 
 
-def _in_nonneg_cone(target: Vec, u: Vec, v: Vec) -> bool:
-    """Whether target = a*u + b*v with rational a, b >= 0 (u, v independent)."""
-    for i, j in combinations(range(len(u)), 2):
-        ab = solve(((u[i], v[i]), (u[j], v[j])), (target[i], target[j]))
-        if ab is not None:
-            a, b = ab
-            return (a >= 0 and b >= 0
-                    and all(a * x + b * y == t for x, y, t in zip(u, v, target)))
-    return False
+def through_wall_end_point(rbar: Vec, alpha_bar: Vec, rim_bar: Vec) -> Vec:
+    """An integer point z in span(rbar, alpha_bar, rim_bar) with
+    z.rbar < 0, z.alpha_bar < 0 and z.rim_bar > 0 (rbar and alpha_bar
+    independent).
+
+    With an invertible Gram matrix the pairings are (-1, -1, +1).  Otherwise
+    rim_bar = a*rbar + b*alpha_bar.  By Gordan's theorem the three strict
+    signs have no solution exactly when a, b >= 0, which raises
+    GeometryError; else the two negative pairings are picked from the signs
+    of a and b so that z.rim_bar = -a, -b or -a-b is positive.
+    """
+    gens = (rbar, alpha_bar, rim_bar)
+    gram = tuple(tuple(dot(u, v) for v in gens) for u in gens)
+    coeffs = solve(gram, (-1, -1, 1))
+    if coeffs is None:
+        gram2 = tuple(row[:2] for row in gram[:2])
+        a, b = solve(gram2, gram[2][:2])
+        if a >= 0 and b >= 0:
+            # every point below both walls pairs negatively with rim_bar
+            raise GeometryError(
+                "no positive-side gallery exists: the imaginary direction lies in "
+                "the cone spanned by rbar and the restricted simple root"
+            )
+        if a < 0 and b < 0:
+            pairings = (-1, -1)
+        elif a < 0:
+            pairings = (-(b + 1), a)
+        else:
+            pairings = (b, -(a + 1))
+        coeffs = solve(gram2, pairings)
+    point = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(len(rbar)))
+    return clear_denominators(point)[0]
 
 
 def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
@@ -552,10 +559,24 @@ def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     orthogonal to `rbar`, on a positive-class graph.
 
     Requires rbar to be a positive restricted root not colinear to the
-    restricted simple root at `node` nor to the restricted imaginary root.
-    The search stays between the two walls; a minimal gallery crosses only
-    separating walls (Abramenko-Brown, Buildings, 2008), so its parent links
-    hold the minimal middle section.
+    restricted simple root alpha_bar at `node` nor to the restricted
+    imaginary root.  After crossing into `first`, the chamber across the
+    facet at `node`, the gallery walks a straight segment from a point p of
+    `first` to `through_wall_end_point` and stops right after crossing the
+    wall of rbar.  Both ends lie below alpha_bar and on the positive
+    imaginary side, and a segment crosses each wall at most once, so the
+    walls are distinct and the gallery is minimal between its ends
+    (Abramenko-Brown, Buildings, 2008, ch. 1); it need not be the shortest
+    gallery through the two walls.
+
+    p is sum_i j**i * ray_i over the rays of `first`, for j = 1, 2, ... (j = 1
+    gives its interior point), moving on when the walk meets two walls at
+    one point.  Every p is interior, and a tie puts p on one of finitely
+    many hyperplanes (each spanned by the end point and the meet of two
+    walls near the segments).
+    The pairing of p with such a hyperplane's normal is a nonzero polynomial
+    in j of degree below the rank, so this moment curve meets each of them
+    fewer than rank times, and some j walks without a tie.
     """
     dtype = graph.dtype
     if graph.sign < 0:
@@ -572,34 +593,21 @@ def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
         raise GeometryError("rbar must not be colinear to the simple root's restriction")
     if is_colinear(rbar, rim_bar):
         raise GeometryError("rbar must not be colinear to the imaginary restriction")
-    if _in_nonneg_cone(rim_bar, rbar, alpha_bar):
-        # beyond the first wall every positive-class chamber pairs strictly
-        # positively with rbar, so the requested last crossing cannot occur
-        raise GeometryError(
-            "no positive-side gallery exists: the imaginary direction lies in "
-            "the cone spanned by rbar and the restricted simple root"
-        )
+    end = through_wall_end_point(rbar, alpha_bar, rim_bar)
 
     base = graph.chambers[graph.base_key]
-    first_key, first_wall = graph.neighbors(base)[facet_index_of_node(base, node)]
-
-    def in_region(c: Chamber) -> bool:
-        p = c.interior_point()
-        return dot(p, alpha_bar) < 0 and dot(p, rbar) > 0
-
-    if not in_region(graph.chambers[first_key]):
-        raise GeometryError("first crossing left the expected region")
+    first_key, first_wall = graph.edge(base, facet_index_of_node(base, node))
+    first = graph.chambers[first_key]
     prim_r = primitive(rbar)
-    for expanded, (key, parent) in enumerate(graph.search(graph.chambers[first_key], in_region)):
-        if expanded >= THROUGH_WALL_CAP:
-            raise GeometryError(f"no wall facet found within the expansion bound {THROUGH_WALL_CAP}")
-        near = graph.chambers[key]
-        for k, edge in graph.neighbors(near).items():
-            if edge is not None and primitive(near.facet_normal_raw(k)) == prim_r:
-                mid = graph.gallery(parent, key)
-                gallery = Gallery((base,) + mid.chambers + (graph.chambers[edge[0]],),
-                                  (first_wall,) + mid.walls + (edge[1],))
-                if not gallery.walls_distinct():
-                    raise GeometryError("constructed gallery repeats a wall")
-                return gallery
-    raise GeometryError("no chamber with a facet in the target wall was found")
+    for j in count(1):
+        start = tuple(sum(j ** i * c for i, c in enumerate(column)) for column in zip(*first.rays))
+        chambers, walls = [base, first], [first_wall]
+        try:
+            for chamber, wall in _crossings(graph, first, start, end):
+                chambers.append(chamber)
+                walls.append(wall)
+                if wall.normal == prim_r:
+                    return Gallery(tuple(chambers), tuple(walls))
+        except SimultaneousCrossing:
+            continue
+        raise GeometryError("the walk ended without crossing the target wall")

@@ -30,7 +30,6 @@ from .restriction import (
 RULE_NC_VANISHING = "vanishing:nonroot-dimension-vector"
 RULE_NC_VANISHING_GLOBAL = "vanishing:nonroot-dimension-vector-global"
 RULE_GEOM_VANISHING = "vanishing:nonroot-curve-class"
-RULE_GV_VANISHING = "vanishing:gv-effective-nonroot"
 RULE_TWIST_MOTIVIC = "symmetry:motivic-euler-twist"
 RULE_DUAL_MOTIVIC = "symmetry:motivic-duality"
 RULE_TWIST_NUMERIC = "symmetry:numeric-line-bundle-twist"
@@ -207,17 +206,6 @@ def geometric_verdict(dtype: DynkinType, cc: CurveClass,
     return Verdict(True, RULE_GEOM_VANISHING, d, global_scope=weighted_homogeneous)
 
 
-def gv_verdict(dtype: DynkinType, beta: Vec) -> Verdict:
-    """Genus-zero curve-count verdict for an effective class: forced zero
-    when the class itself is not a positive restricted root."""
-    if not all(b >= 0 for b in beta) or all(b == 0 for b in beta):
-        raise ClassError("gv verdicts take a nonzero effective class")
-    if beta in finite_restricted_values(dtype):
-        return Verdict(False, RULE_GV_VANISHING, vec_gcd(beta), kind="real",
-                       base=tuple(b // vec_gcd(beta) for b in beta))
-    return Verdict(True, RULE_GV_VANISHING, vec_gcd(beta))
-
-
 @dataclass(frozen=True)
 class ClassGenerator:
     """A partial self-map on classes with its certificate data.  act gives
@@ -389,24 +377,26 @@ class OrbitPartition:
     edges: tuple[tuple[tuple, tuple, Certificate], ...]
 
     def to_json(self) -> dict:
+        """The document with its orbits and certificates as generators, so
+        the JSON writer builds each entry only as it writes it."""
         return {
             "type": self.dtype.to_json(),
             "config": self.config.to_json(),
-            "orbits": [
+            "orbits": (
                 {
                     "representative": {"chi": o[0][0], "beta": list(o[0][1])},
                     "members": [{"chi": m[0], "beta": list(m[1])} for m in o],
                 }
                 for o in self.orbits
-            ],
-            "certificates": [
+            ),
+            "certificates": (
                 {
                     "from": {"chi": a[0], "beta": list(a[1])},
                     "to": {"chi": b[0], "beta": list(b[1])},
                     **cert.to_json(),
                 }
                 for a, b, cert in self.edges
-            ],
+            ),
         }
 
 

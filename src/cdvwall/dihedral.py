@@ -41,12 +41,6 @@ class DihedralCase:
     source: DynkinType
     target: Diagram
 
-    @property
-    def iso_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Kept source node -> target node: 2i-1 -> i and 2n -> n+1."""
-        n = self.n
-        return tuple((2 * i - 1, i) for i in range(1, n + 1)) + ((2 * n, n + 1),)
-
 
 def dihedral_case(n: int) -> DihedralCase:
     return DihedralCase(n, source_type(n), target_diagram(n))

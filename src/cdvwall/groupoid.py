@@ -96,10 +96,6 @@ class GroupoidArrow:
         }
 
 
-def identity_arrow(dtype: DynkinType) -> GroupoidArrow:
-    return GroupoidArrow(dtype, dtype.contracted, identity(dtype.diagram), ())
-
-
 def compose(dtype: DynkinType, nodes: tuple[int, ...]) -> GroupoidArrow:
     """Compose the mutation path that starts at the base subset and mutates
     at the given kept nodes in order."""

@@ -1,6 +1,8 @@
 import random
 import re
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -16,11 +18,11 @@ from cdvwall.arrangement import (
     enumerate_chambers,
     fundamental_chamber,
     gallery_through_wall,
-    level_slice_point,
     locate_by_walk,
     minimal_gallery,
     separating_hyperplanes,
     shares_facet,
+    through_wall_end_point,
 )
 from cdvwall.dynkin import build_diagram
 from cdvwall.groupoid import Label
@@ -219,61 +221,152 @@ def test_sign_classes_never_mix():
     assert all(dot(c.interior_point(), rim) > 0 for c in chambers)
 
 
-def test_gallery_through_wall_labels():
-    rim = imaginary_restriction(A2_EMPTY)
+def _positive_rows(dtype, nodes=None):
+    """The (node, alpha_bar, rbar) rows of the gallery command: kept nodes
+    against positive level-1 restricted roots off both excluded lines."""
+    rim = imaginary_restriction(dtype)
     positives = sorted(
-        e.coeffs for e in restricted_roots(A2_EMPTY, 1).elements
-        if all(c >= 0 for c in e.coeffs)
+        e.coeffs for e in restricted_roots(dtype, 1).elements if all(c >= 0 for c in e.coeffs)
     )
+    for node in nodes or dtype.kept:
+        alpha = restrict(dtype, dtype.diagram.simple_root(node))
+        for rbar in positives:
+            if not (is_colinear(rbar, alpha) or is_colinear(rbar, rim)):
+                yield node, alpha, rbar
+
+
+def _in_nonneg_cone(target, u, v) -> bool:
+    """Whether target = a*u + b*v with rational a, b >= 0 (u, v independent),
+    by Cramer's rule on the first nonsingular 2x2 minor."""
+    for i, j in combinations(range(len(u)), 2):
+        d = u[i] * v[j] - u[j] * v[i]
+        if d:
+            a = Fraction(target[i] * v[j] - target[j] * v[i], d)
+            b = Fraction(u[i] * target[j] - u[j] * target[i], d)
+            return (a >= 0 and b >= 0
+                    and all(a * x + b * y == t for x, y, t in zip(u, v, target)))
+    return False
+
+
+def _region_search_gallery(dtype, node, rbar) -> Gallery:
+    """Oracle: a shortest gallery through both walls, by breadth-first search
+    from the chamber across the facet at `node` over the chambers with
+    alpha_bar < 0 < rbar, to the nearest one with a facet in the wall of rbar."""
+    graph = ChamberGraph(dtype)
+    alpha = restrict(dtype, dtype.diagram.simple_root(node))
+    base = graph.chambers[graph.base_key]
+    first_key, first_wall = graph.neighbors(base)[base.kept_of_subset.index(node)]
+    parent, queue = {first_key: None}, deque([first_key])
+    while queue:
+        key = queue.popleft()
+        for edge in graph.neighbors(graph.chambers[key]).values():
+            if edge is None:
+                continue
+            if edge[1].normal == primitive(rbar):
+                mid = graph.gallery(parent, key)
+                return Gallery((base,) + mid.chambers + (graph.chambers[edge[0]],),
+                               (first_wall,) + mid.walls + (edge[1],))
+            p = graph.chambers[edge[0]].interior_point()
+            if edge[0] not in parent and dot(p, alpha) < 0 < dot(p, rbar):
+                parent[edge[0]] = (key, edge[1])
+                queue.append(edge[0])
+    raise AssertionError("the region holds no chamber with a facet in the target wall")
+
+
+def test_gallery_through_wall_labels():
     graph = ChamberGraph(A2_EMPTY)
     checked = 0
-    for node in A2_EMPTY.kept:
-        alpha = restrict(A2_EMPTY, A2_EMPTY.diagram.simple_root(node))
-        for rbar in positives:
-            if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
-                continue
-            try:
-                g = gallery_through_wall(graph, node, rbar)
-            except GeometryError as err:
-                assert "cone" in str(err)
-                continue
-            assert g.walls[0].normal == primitive(alpha)
-            assert g.walls[-1].normal == primitive(rbar)
-            assert g.walls_distinct()
-            sep = separating_hyperplanes(A2_EMPTY, g.chambers[0], g.chambers[-1])
-            assert g.length == len(sep)
-            checked += 1
+    for node, alpha, rbar in _positive_rows(A2_EMPTY):
+        try:
+            g = gallery_through_wall(graph, node, rbar)
+        except GeometryError as err:
+            assert "cone" in str(err)
+            continue
+        assert g.walls[0].normal == primitive(alpha)
+        assert g.walls[-1].normal == primitive(rbar)
+        assert g.walls_distinct()
+        sep = separating_hyperplanes(A2_EMPTY, g.chambers[0], g.chambers[-1])
+        assert g.length == len(sep)
+        checked += 1
     assert checked >= 15
 
 
 @pytest.mark.parametrize("dtype", TYPES)
 def test_gallery_through_wall_on_a_shared_graph(dtype):
     """A row built on a graph that earlier rows expanded equals the row
-    built on a fresh graph, and its middle section is the minimal gallery
-    between the chambers after the first and before the last crossing."""
+    built on a fresh graph; it is no shorter than the region search's
+    shortest gallery, and both are minimal between their own ends."""
     shared = ChamberGraph(dtype)
-    rim = imaginary_restriction(dtype)
-    positives = sorted(
-        e.coeffs for e in restricted_roots(dtype, 1).elements if all(c >= 0 for c in e.coeffs)
-    )
     built = 0
-    for node in dtype.kept:
-        alpha = restrict(dtype, dtype.diagram.simple_root(node))
-        for rbar in positives:
-            if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
-                continue
-            try:
-                g = gallery_through_wall(shared, node, rbar)
-            except GeometryError as err:
-                with pytest.raises(GeometryError, match=re.escape(str(err))):
-                    gallery_through_wall(ChamberGraph(dtype), node, rbar)
-                continue
-            assert g == gallery_through_wall(ChamberGraph(dtype), node, rbar)
-            mid = minimal_gallery(ChamberGraph(dtype), g.chambers[1], g.chambers[-2])
-            assert mid == Gallery(g.chambers[1:-1], g.walls[1:-1])
-            assert g.length == len(separating_hyperplanes(dtype, g.chambers[0], g.chambers[-1]))
-            built += 1
+    for node, _, rbar in _positive_rows(dtype):
+        try:
+            g = gallery_through_wall(shared, node, rbar)
+        except GeometryError as err:
+            assert "cone" in str(err)
+            with pytest.raises(GeometryError, match=re.escape(str(err))):
+                gallery_through_wall(ChamberGraph(dtype), node, rbar)
+            continue
+        assert g == gallery_through_wall(ChamberGraph(dtype), node, rbar)
+        shortest = _region_search_gallery(dtype, node, rbar)
+        assert g.length >= shortest.length
+        for h in (g, shortest):
+            assert h.length == len(separating_hyperplanes(dtype, h.chambers[0], h.chambers[-1]))
+        built += 1
     assert built >= 15
+
+
+def test_e7_through_wall_rows_are_minimal_galleries_or_cone_skips():
+    """Every E7~ {2,5} row at node 0 is decided by the geometry: a gallery
+    through both walls, minimal between its ends, or a skip by the cone rule."""
+    dtype = DynkinType(build_diagram("E", 7, affine=True), frozenset({2, 5}))
+    rim = imaginary_restriction(dtype)
+    graph = ChamberGraph(dtype)
+    built = skipped = 0
+    for node, alpha, rbar in _positive_rows(dtype, nodes=(0,)):
+        if _in_nonneg_cone(rim, rbar, alpha):
+            with pytest.raises(GeometryError, match="cone"):
+                gallery_through_wall(graph, node, rbar)
+            skipped += 1
+            continue
+        g = gallery_through_wall(graph, node, rbar)
+        assert g.walls[0].normal == primitive(alpha)
+        assert g.walls[-1].normal == primitive(rbar)
+        sep = separating_hyperplanes(dtype, g.chambers[0], g.chambers[-1])
+        assert g.length == len(sep) and set(g.walls) == sep
+        built += 1
+    assert built >= 70 and skipped >= 1
+
+
+@pytest.mark.parametrize("dtype", [A2_EMPTY, A3_ONE, D4_PAIR,
+                                   DynkinType(build_diagram("D", 4, affine=True), frozenset()),
+                                   DynkinType(build_diagram("D", 5, affine=True), frozenset({1, 4})),
+                                   DynkinType(build_diagram("E", 6, affine=True),
+                                              frozenset({1, 3, 5})),
+                                   E6_EMPTY])
+def test_through_wall_end_point_exists_exactly_off_the_cone(dtype):
+    rim = imaginary_restriction(dtype)
+    for _, alpha, rbar in _positive_rows(dtype):
+        if _in_nonneg_cone(rim, rbar, alpha):
+            with pytest.raises(GeometryError, match="cone"):
+                through_wall_end_point(rbar, alpha, rim)
+        else:
+            z = through_wall_end_point(rbar, alpha, rim)
+            assert dot(z, rbar) < 0 and dot(z, alpha) < 0 < dot(z, rim)
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(-3, 4) for b in range(-3, 4)
+                                 if (a, b) != (0, 0)])
+def test_through_wall_end_point_on_every_sign_pattern(a, b):
+    """rim_bar = a*rbar + b*alpha_bar in every sign pattern of (a, b),
+    including a < 0, which no gallery row reaches."""
+    rbar, alpha, rim = (1, 0, 0), (0, 1, 0), (a, b, 0)
+    if a >= 0 and b >= 0:
+        with pytest.raises(GeometryError, match="cone"):
+            through_wall_end_point(rbar, alpha, rim)
+    else:
+        z = through_wall_end_point(rbar, alpha, rim)
+        assert dot(z, rbar) < 0 and dot(z, alpha) < 0 < dot(z, rim)
+        assert z[2] == 0
 
 
 def test_gallery_through_wall_needs_a_positive_graph():
@@ -302,26 +395,6 @@ def test_rank_one_slice_walls():
     dt = DynkinType(build_diagram("A", 1, affine=True), frozenset())
     walls = arrangement_hyperplanes(dt, 2, sliced=True)
     assert {(h.normal, h.offset) for h in walls} == {((1,), k) for k in range(-2, 3)}
-
-
-def test_level_embedding_formulas():
-    point, image = level_slice_point(A2_EMPTY, (Fraction(0), Fraction(0)), 1)
-    assert image == (1, 0, 0)  # alpha_0^* when theta = 0
-    rim = imaginary_restriction(A2_EMPTY)
-    assert dot(image, rim) == 1
-    _, image_minus = level_slice_point(A2_EMPTY, (Fraction(0), Fraction(0)), -1)
-    assert dot(image_minus, rim) == -1
-
-
-def test_level_embedding_hits_translated_walls():
-    # a point with theta(rbar) = -k embeds into the wall of rbar + k*rim
-    rbar_fin = (1, 0)
-    k = 2
-    theta = (Fraction(-k), Fraction(1, 3))
-    _, image = level_slice_point(A2_EMPTY, theta, 1)
-    rim = imaginary_restriction(A2_EMPTY)
-    target = tuple(a + k * b for a, b in zip((0,) + rbar_fin, rim))
-    assert dot(image, target) == 0
 
 
 def test_slice_reproduces_the_affine_arrangement():

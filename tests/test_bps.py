@@ -11,7 +11,6 @@ from cdvwall.bps import (
     class_to_vector,
     geometric_verdict,
     gv_transport,
-    gv_verdict,
     minimal_duality_shift,
     orbit_partition,
     symmetry_generators,
@@ -78,13 +77,6 @@ def test_geometric_weighted_flag_extends_scope():
     verdict = geometric_verdict(D4, CurveClass(3, (1, 0, 0, 1)),
                                 weighted_homogeneous=True)
     assert verdict.forced_zero and verdict.global_scope
-
-
-def test_gv_corollary():
-    # an effective class that is not a positive restricted root
-    verdict = gv_verdict(D4, (1, 0, 0, 1))
-    assert verdict.forced_zero
-    assert not gv_verdict(D4, (1, 1, 0, 0)).forced_zero
 
 
 def test_class_vector_round_trip():

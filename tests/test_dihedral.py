@@ -4,7 +4,6 @@ from cdvwall.dihedral import (
     _extended_imaginary,
     classify_restricted,
     compound_vectors,
-    dihedral_case,
     mozgovoy_reineke_check,
     proposition_check,
     restricted_imaginary_image,
@@ -21,11 +20,6 @@ def test_source_type_layout():
     assert dt.diagram.rank == 6
     assert dt.contracted == frozenset({2, 4})
     assert dt.kept == (1, 3, 5, 6)
-
-
-def test_iso_pairs():
-    case = dihedral_case(3)
-    assert case.iso_pairs == ((1, 1), (3, 2), (5, 3), (6, 4))
 
 
 def test_target_diagram_small_rank():

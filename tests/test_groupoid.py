@@ -7,7 +7,6 @@ from cdvwall.groupoid import (
     GroupoidError,
     compose,
     fundamental_label,
-    identity_arrow,
     induced_root_map,
     mutate,
     mutation_data,
@@ -100,7 +99,7 @@ def test_noncomposable_step_rejected():
 
 
 def test_identity_arrow_has_identity_root_map():
-    arrow = identity_arrow(D4_PAIR)
+    arrow = compose(D4_PAIR, ())
     assert induced_root_map(arrow).matrix == identity_matrix(len(D4_PAIR.kept))
 
 
@@ -160,7 +159,7 @@ def test_self_identification_nonadjacent_is_the_restricted_reflection():
 
 
 def test_self_identification_identity_arrow():
-    autom = self_mutation_identification(identity_arrow(A2_EMPTY))
+    autom = self_mutation_identification(compose(A2_EMPTY, ()))
     assert autom == identity_matrix(len(A2_EMPTY.kept))
 
 

@@ -3,8 +3,7 @@ supported rank range, plus error-path coverage."""
 
 import pytest
 
-from cdvwall.arrangement import level_slice_point
-from cdvwall.dynkin import DiagramError, build_diagram
+from cdvwall.dynkin import build_diagram
 from cdvwall.groupoid import fundamental_label, mutate
 from cdvwall.restriction import (
     DynkinType,
@@ -68,12 +67,6 @@ def test_finite_types_take_no_window():
     dt = DynkinType(build_diagram("A", 3), frozenset({2}))
     with pytest.raises(ValueError):
         restricted_roots(dt, 3)
-
-
-def test_level_ops_need_node_zero_kept():
-    dt = DynkinType(build_diagram("A", 2, affine=True), frozenset({0}))
-    with pytest.raises(DiagramError):
-        level_slice_point(dt, (0,), 1)
 
 
 def test_cli_rejects_affine_vanishing_table(capsys):
