@@ -24,7 +24,7 @@ from itertools import count
 from typing import Iterable
 
 from .dynkin import DiagramError
-from .groupoid import GroupoidArrow, Label, mutate
+from .groupoid import GroupoidArrow, mutate
 from .linalg import (
     Vec,
     clear_denominators,
@@ -239,12 +239,12 @@ def cross_wall(chamber: Chamber, k: int,
     if rim_bar is not None and is_colinear(raw, rim_bar):
         raise SignCrossing("facet lies in the imaginary-root hyperplane")
     node = chamber.kept_of_subset[k]
-    new_label = mutate(Label(dtype, chamber.weyl, chamber.subset), node)
+    weyl, subset = mutate(chamber.weyl, chamber.subset, node)
     c2 = None
     if known is not None:
-        c2 = known.get(_chamber_key(chamber.sign, new_label.subset, new_label.weyl))
+        c2 = known.get(_chamber_key(chamber.sign, subset, weyl))
     if c2 is None:
-        c2 = chamber_from_label(dtype, new_label.weyl, new_label.subset, chamber.sign)
+        c2 = chamber_from_label(dtype, weyl, subset, chamber.sign)
     shares_facet(chamber, k, c2)
     return c2, Hyperplane(primitive(raw))
 

@@ -1,10 +1,15 @@
 """The wall-crossing groupoid: mutation of chamber labels, path
 composition, and the induced maps between restricted-root lattices.
 
-Objects are contraction subsets with at least two kept nodes.  A mutation
-at a kept node i replaces the label (w, S) by (w * omega, S + i - iota(i)),
-where omega is built from longest elements of the parabolics on S and S+i,
-and iota is the permutation induced by the longest element of S+i.  This
+A chamber label is a pair (w, S) of a Weyl element and a contraction
+subset.  A mutation at a kept node i replaces (w, S) by
+(w * omega, S + i - iota(i)), where omega is built from longest elements of
+the parabolics on S and S+i, and iota is the permutation induced by the
+longest element of S+i.  On an affine diagram S+i must be a proper subset,
+so objects there have at least two kept nodes; a finite diagram has a
+longest element on every subset, and a single kept node mutates too.  An
+arrow's induced map and its inverse are blocks of w's matrix and of the
+inverse matrix w carries, so nothing is inverted by elimination.  This
 module is label algebra only: the arrangement module checks the labels
 against the chamber geometry (`cross_wall`, `path_to_gallery`).
 """
@@ -16,38 +21,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .dynkin import Diagram
-from .linalg import Mat, Vec, invert_unimodular, mat_vec
-from .restriction import DynkinType, restrict
+from .linalg import Mat, Vec, identity_matrix, mat_mul, mat_vec
+from .restriction import DynkinType
 from .weyl import WeylElement, identity, iota_permutation, longest_element
 
 
 class GroupoidError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Label:
-    """A chamber label (w, subset) relative to a base Dynkin type."""
-
-    base: DynkinType
-    weyl: WeylElement
-    subset: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        if len(self.subset) != len(self.base.contracted):
-            raise GroupoidError("label subset must have the size of the base subset")
-
-    @property
-    def kept(self) -> tuple[int, ...]:
-        return tuple(n for n in self.base.diagram.nodes if n not in self.subset)
-
-    def key(self):
-        return (tuple(sorted(self.subset)), self.weyl.matrix)
-
-
-def fundamental_label(dtype: DynkinType) -> Label:
-    return Label(dtype, identity(dtype.diagram), dtype.contracted)
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +41,7 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
     if node in subset:
         raise GroupoidError(f"node {node} is contracted, mutation needs a kept node")
     enlarged = subset | {node}
-    if enlarged == set(diagram.nodes):
+    if diagram.affine and enlarged == set(diagram.nodes):
         raise GroupoidError("mutation needs at least two kept nodes")
     omega = longest_element(diagram, subset) * longest_element(diagram, enlarged)
     omega.word  # the reduced word `mutate` steps along, computed once here
@@ -70,15 +50,12 @@ def mutation_data(diagram: Diagram, subset: frozenset, node: int):
     return omega, iota[node], new_subset
 
 
-def mutate(label: Label, node: int) -> Label:
+def mutate(weyl: WeylElement, subset: frozenset, node: int) -> tuple[WeylElement, frozenset]:
     """One mutation step (w, S) -> (w * omega_{S,i}, S + i - iota(i)).  The
     product is taken letter by letter along omega's reduced word, and it is
     already minimal in its coset of W_{S'}, so it is not reduced."""
-    diagram = label.base.diagram
-    if len(label.kept) < 2:
-        raise GroupoidError("labels with fewer than two kept nodes are not groupoid objects")
-    omega, _, new_subset = mutation_data(diagram, label.subset, node)
-    return Label(label.base, label.weyl.times_word(omega.word), new_subset)
+    omega, _, new_subset = mutation_data(weyl.diagram, subset, node)
+    return weyl.times_word(omega.word), new_subset
 
 
 @dataclass(frozen=True)
@@ -99,42 +76,47 @@ class GroupoidArrow:
 def compose(dtype: DynkinType, nodes: tuple[int, ...]) -> GroupoidArrow:
     """Compose the mutation path that starts at the base subset and mutates
     at the given kept nodes in order."""
-    label = fundamental_label(dtype)
+    weyl, subset = identity(dtype.diagram), dtype.contracted
     word = []
     for node in nodes:
-        if node in label.subset:
-            raise GroupoidError(f"step at node {node} is not composable: node is contracted")
-        word.append((label.subset, node))
-        label = mutate(label, node)
-    return GroupoidArrow(dtype, label.subset, label.weyl, tuple(word))
+        word.append((subset, node))
+        weyl, subset = mutate(weyl, subset, node)
+    return GroupoidArrow(dtype, subset, weyl, tuple(word))
 
 
 @dataclass(frozen=True)
 class InducedRootMap:
-    """The lattice map Z(target kept) -> Z(source kept) of an arrow, with
-    columns pi_source(w . alpha_j) over the target's kept nodes."""
+    """The lattice map Z(target kept) -> Z(source kept) of an arrow and its
+    inverse.  w carries span{alpha_j : j in T} onto span{alpha_j : j in S},
+    so it induces an isomorphism between the quotients by these spans:
+    `matrix` is the block of w on source-kept rows and target-kept columns
+    (columns pi_source(w . alpha_j)), and `inverse` the block of w^-1 on
+    target-kept rows and source-kept columns."""
 
     arrow: GroupoidArrow
     matrix: Mat
+    inverse: Mat
 
     def apply(self, v: Vec) -> Vec:
         return mat_vec(self.matrix, v)
 
     def inverse_apply(self, v: Vec) -> Vec:
-        return mat_vec(invert_unimodular(self.matrix), v)
+        return mat_vec(self.inverse, v)
 
 
 def induced_root_map(arrow: GroupoidArrow) -> InducedRootMap:
-    dtype = arrow.source
-    diagram = dtype.diagram
-    target_kept = tuple(n for n in diagram.nodes if n not in arrow.target_subset)
-    cols = []
-    for j in target_kept:
-        img = arrow.weyl.apply(diagram.simple_root(j))
-        cols.append(restrict(dtype, img))
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(len(dtype.kept)))
-    invert_unimodular(matrix)  # raises unless the map is a lattice isomorphism
-    return InducedRootMap(arrow, matrix)
+    """Read both lattice maps off the arrow's element; raises unless they
+    are mutually inverse, as they are whenever the element carries the
+    target's contracted span onto the source's."""
+    diagram = arrow.source.diagram
+    source = arrow.source.kept_index
+    target = tuple(diagram.index[n] for n in diagram.nodes if n not in arrow.target_subset)
+    w, w_inv = arrow.weyl.matrix, arrow.weyl.inverse_matrix
+    matrix = tuple(tuple(w[s][t] for t in target) for s in source)
+    inverse = tuple(tuple(w_inv[t][s] for s in source) for t in target)
+    if mat_mul(matrix, inverse) != identity_matrix(len(source)):
+        raise GroupoidError("the arrow's element does not induce a lattice isomorphism")
+    return InducedRootMap(arrow, matrix, inverse)
 
 
 def step_relabelling(arrow: GroupoidArrow) -> Optional[dict]:
@@ -159,8 +141,7 @@ def self_mutation_identification(arrow: GroupoidArrow) -> Mat:
     """
     dtype = arrow.source
     if len(arrow.word) == 0:
-        n = len(dtype.kept)
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return identity_matrix(len(dtype.kept))
     relabel = step_relabelling(arrow)
     if relabel is None:
         raise GroupoidError("identification is only defined for single mutation steps")
@@ -168,7 +149,7 @@ def self_mutation_identification(arrow: GroupoidArrow) -> Mat:
         raise GroupoidError("target subset is not identified with the source by the relabelling")
     source_kept = dtype.kept
     target_kept = tuple(n for n in dtype.diagram.nodes if n not in arrow.target_subset)
-    minv = invert_unimodular(induced_root_map(arrow).matrix)
+    minv = induced_root_map(arrow).inverse
     # rows of the automorphism live on source coordinates; row for node
     # relabel[t] is the t-row of the inverse map
     perm_rows = {relabel[t]: minv[target_kept.index(t)] for t in target_kept}

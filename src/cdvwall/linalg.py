@@ -68,7 +68,12 @@ def det(m: Mat) -> int:
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix."""
+    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+
+    The engine never calls this: Weyl elements carry their inverses and
+    induced root maps read theirs off them.  It stays as the elimination
+    reference that the Weyl, linear-algebra and groupoid tests compare the
+    carried inverses against."""
     d, adj = _eliminate(m, identity_matrix(len(m)))
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")

@@ -25,7 +25,6 @@ from cdvwall.arrangement import (
     through_wall_end_point,
 )
 from cdvwall.dynkin import build_diagram
-from cdvwall.groupoid import Label
 from cdvwall.linalg import dot, is_colinear, primitive
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
 
@@ -463,8 +462,8 @@ def test_cross_wall_rejects_a_label_for_the_wrong_chamber(monkeypatch):
             monkeypatch.setattr(arrangement, "chamber_from_label",
                                 lambda dtype, w, subset, sign: build(dtype, w, subset, -sign))
         else:
-            label = Label(D4_PAIR, c.weyl, c.subset)
-            monkeypatch.setattr(arrangement, "mutate", lambda _label, _node: label)
+            monkeypatch.setattr(arrangement, "mutate",
+                                lambda _weyl, _subset, _node: (c.weyl, c.subset))
         with pytest.raises(GeometryError):
             cross_wall(base, 0)
         monkeypatch.undo()

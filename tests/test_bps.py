@@ -12,6 +12,7 @@ from cdvwall.bps import (
     geometric_verdict,
     gv_transport,
     minimal_duality_shift,
+    mutation_vector_map,
     orbit_partition,
     symmetry_generators,
     vanishing_verdict,
@@ -20,6 +21,8 @@ from cdvwall.bps import (
     window_classes,
 )
 from cdvwall.dynkin import build_diagram, imaginary_root
+from cdvwall.groupoid import mutation_data
+from cdvwall.linalg import is_colinear
 from cdvwall.restriction import (
     DynkinType,
     classify_value,
@@ -265,8 +268,6 @@ def test_transport_image_is_a_restricted_root_of_the_target():
     for node in dt.kept:
         unit = tuple(1 if n == node else 0 for n in dt.kept)
         for beta in positives:
-            from cdvwall.linalg import is_colinear
-
             if is_colinear(beta, unit):
                 continue
             out = gv_transport(dt, beta, node, flop=True)
@@ -278,3 +279,32 @@ def test_transport_flop_tags_the_target_type():
     dt = DynkinType(build_diagram("A", 3), frozenset({2}))
     out = gv_transport(dt, (0, 1), 1, flop=True)
     assert out.target == "flopped space"
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("D", 4), ("D", 5), ("E", 6)])
+def test_transport_agrees_with_the_mutation_generator_where_delta_is_fixed(family, rank):
+    # two engine paths to the image of (1, beta) under one mutation: the
+    # transport's step relabelling and the mutation generator's dimension
+    # vector map.  They agree exactly when iota(node) and node carry the
+    # same coefficient of the imaginary root; elsewhere they differ (for
+    # D4 {1}, node 2, beta (1, 0, 1): (0, 0, 1) against (-1, 0, 1)).
+    diagram = build_diagram(family, rank)
+    for size in range(len(diagram.nodes) - 1):
+        for subset in itertools.combinations(diagram.nodes, size):
+            dt = DynkinType(diagram, frozenset(subset))
+            aff = affine_companion(dt)
+            delta = dict(zip(aff.diagram.nodes, imaginary_root(aff.diagram)))
+            positives = sorted(v for v in finite_restricted_values(dt)
+                               if all(c >= 0 for c in v))
+            for node in dt.kept:
+                _, iota_node, _ = mutation_data(aff.diagram, aff.contracted, node)
+                if delta[iota_node] != delta[node]:
+                    continue
+                unit = tuple(1 if n == node else 0 for n in dt.kept)
+                apply_map = mutation_vector_map(dt, node)
+                for beta in positives:
+                    if is_colinear(beta, unit):
+                        continue
+                    image = vector_to_class(
+                        aff, apply_map(class_to_vector(aff, CurveClass(1, beta))))
+                    assert image == CurveClass(1, gv_transport(dt, beta, node, False).image_beta)

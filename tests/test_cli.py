@@ -342,6 +342,19 @@ def test_mutate_command(capsys):
     assert by_node[1]["iota"] == 2 and by_node[1]["target"] == [1]
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "A", "--rank", "1", "--maxlen", "1"],
+    ["--family", "A", "--rank", "2", "--contracted", "1", "--maxlen", "1"],
+    ["--family", "D", "--rank", "4", "--contracted", "1,2,3", "--maxlen", "2"],
+], ids=["A1", "A2 {1}", "D4 {1,2,3}"])
+def test_chambers_cross_a_one_kept_node_flop(args, capsys):
+    # a finite type with one kept node has w0 of the whole diagram, so its
+    # one wall is crossed into the flopped chamber and back
+    code, out, _ = run_cli(["chambers", *args], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 2
+
+
 def test_chambers_dot_output(capsys):
     code, out, _ = run_cli(
         ["chambers", "--family", "A", "--rank", "1", "--affine", "--maxlen", "2",

@@ -6,7 +6,6 @@ from cdvwall.groupoid import (
     GroupoidArrow,
     GroupoidError,
     compose,
-    fundamental_label,
     induced_root_map,
     mutate,
     mutation_data,
@@ -15,7 +14,7 @@ from cdvwall.groupoid import (
 )
 from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
-from cdvwall.weyl import simple_reflection
+from cdvwall.weyl import identity, longest_element, simple_reflection
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
 A3_ONE = DynkinType(build_diagram("A", 3, affine=True), frozenset({2}))
@@ -23,46 +22,50 @@ D4_PAIR = DynkinType(build_diagram("D", 4, affine=True), frozenset({3, 4}))
 
 
 def test_empty_subset_mutation_is_a_simple_reflection():
-    label = fundamental_label(A2_EMPTY)
-    out = mutate(label, 1)
-    assert out.subset == frozenset()
-    assert out.weyl == simple_reflection(A2_EMPTY.diagram, 1)
+    weyl, subset = mutate(identity(A2_EMPTY.diagram), A2_EMPTY.contracted, 1)
+    assert subset == frozenset()
+    assert weyl == simple_reflection(A2_EMPTY.diagram, 1)
 
 
 def test_adjacent_mutation_moves_the_subset():
     # contracted {2}, mutate at the adjacent node 1: the pair {1,2} has
     # iota(1) = 2, so the subset moves to {1}
     dt = DynkinType(build_diagram("A", 2, affine=True), frozenset({2}))
-    label = fundamental_label(dt)
-    out = mutate(label, 1)
-    assert out.subset == frozenset({1})
+    _, subset = mutate(identity(dt.diagram), dt.contracted, 1)
+    assert subset == frozenset({1})
     _, iota_node, _ = mutation_data(dt.diagram, frozenset({2}), 1)
     assert iota_node == 2
 
 
 def test_nonadjacent_mutation_fixes_the_subset():
     dt = DynkinType(build_diagram("A", 3, affine=True), frozenset({3}))
-    label = fundamental_label(dt)
-    out = mutate(label, 1)  # nodes 1 and 3 are not adjacent
-    assert out.subset == frozenset({3})
-    assert out.weyl == simple_reflection(dt.diagram, 1)
+    # nodes 1 and 3 are not adjacent
+    weyl, subset = mutate(identity(dt.diagram), dt.contracted, 1)
+    assert subset == frozenset({3})
+    assert weyl == simple_reflection(dt.diagram, 1)
 
 
 def test_mutation_needs_two_kept_nodes():
     dt = DynkinType(build_diagram("A", 1, affine=True), frozenset({0}))
     with pytest.raises(GroupoidError):
-        mutate(fundamental_label(dt), 1)
+        mutate(identity(dt.diagram), dt.contracted, 1)
+
+
+def test_finite_one_kept_node_mutates_through_the_whole_longest_element():
+    dt = DynkinType(build_diagram("A", 2), frozenset({1}))
+    d = dt.diagram
+    weyl, subset = mutate(identity(d), dt.contracted, 2)
+    assert subset == frozenset({2})
+    assert weyl == longest_element(d, frozenset({1})) * longest_element(d, frozenset({1, 2}))
 
 
 @pytest.mark.parametrize("dtype", [A2_EMPTY, A3_ONE, D4_PAIR])
 def test_mutation_inverts_through_iota(dtype):
-    label = fundamental_label(dtype)
+    start = (identity(dtype.diagram), dtype.contracted)
     for node in dtype.kept:
-        stepped = mutate(label, node)
-        _, iota_node, _ = mutation_data(dtype.diagram, label.subset, node)
-        back = mutate(stepped, iota_node)
-        assert back.subset == label.subset
-        assert back.weyl == label.weyl
+        stepped = mutate(*start, node)
+        _, iota_node, _ = mutation_data(dtype.diagram, dtype.contracted, node)
+        assert mutate(*stepped, iota_node) == start
 
 
 def test_compose_empty_path():
@@ -82,8 +85,7 @@ def test_single_step_gallery_wall():
 
 
 def test_step_then_reverse_is_the_identity_arrow():
-    label = fundamental_label(A2_EMPTY)
-    _, iota_node, _ = mutation_data(A2_EMPTY.diagram, label.subset, 1)
+    _, iota_node, _ = mutation_data(A2_EMPTY.diagram, A2_EMPTY.contracted, 1)
     arrow = compose(A2_EMPTY, (1, iota_node))
     assert arrow.weyl.is_identity()
     assert arrow.target_subset == A2_EMPTY.contracted
@@ -101,6 +103,35 @@ def test_noncomposable_step_rejected():
 def test_identity_arrow_has_identity_root_map():
     arrow = compose(D4_PAIR, ())
     assert induced_root_map(arrow).matrix == identity_matrix(len(D4_PAIR.kept))
+
+
+def test_induced_map_rejects_an_element_that_misses_the_target_span():
+    # s_1 sends alpha_1 to -alpha_1, outside the span of alpha_2, so it is
+    # no arrow from A3~ {2} to {1}, although its kept block is unimodular
+    arrow = GroupoidArrow(A3_ONE, frozenset({1}), simple_reflection(A3_ONE.diagram, 1), ())
+    with pytest.raises(GroupoidError):
+        induced_root_map(arrow)
+
+
+@pytest.mark.parametrize("dtype", [
+    A3_ONE, D4_PAIR,
+    DynkinType(build_diagram("E", 6, affine=True), frozenset({1, 3, 5})),
+    DynkinType(build_diagram("D", 5), frozenset({1})),
+    DynkinType(build_diagram("E", 6), frozenset({2, 4})),
+], ids=["A3~ {2}", "D4~ {3,4}", "E6~ {1,3,5}", "D5 {1}", "E6 {2,4}"])
+def test_induced_inverse_is_the_eliminated_inverse(dtype):
+    # the block of the carried w^-1 against elimination, on every path of
+    # up to three steps
+    paths = [()]
+    for _ in range(3):
+        grown = []
+        for path in paths:
+            target = compose(dtype, path).target_subset
+            grown += [path + (n,) for n in dtype.diagram.nodes if n not in target]
+        paths = grown
+        for path in paths:
+            rmap = induced_root_map(compose(dtype, path))
+            assert rmap.inverse == invert_unimodular(rmap.matrix)
 
 
 @pytest.mark.parametrize("dtype", [A2_EMPTY, A3_ONE, D4_PAIR])

@@ -4,14 +4,14 @@ supported rank range, plus error-path coverage."""
 import pytest
 
 from cdvwall.dynkin import build_diagram
-from cdvwall.groupoid import fundamental_label, mutate
+from cdvwall.groupoid import mutate
 from cdvwall.restriction import (
     DynkinType,
     check_gcd_closure,
     proper_subsets,
     restricted_roots,
 )
-from cdvwall.weyl import coset_minimal
+from cdvwall.weyl import coset_minimal, identity
 
 ALL_FINITE = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + \
     [("E", n) for n in (6, 7, 8)]
@@ -49,16 +49,16 @@ def test_mutated_labels_are_already_minimal(family, rank, affine, subset):
     # step by step, so products of the step elements stay coset-minimal
     diagram = build_diagram(family, rank, affine=affine)
     dtype = DynkinType(diagram, subset)
-    frontier = [fundamental_label(dtype)]
-    seen = {frontier[0].key()}
+    frontier = [(identity(diagram), dtype.contracted)]
+    seen = set(frontier)
     for _ in range(3):
         nxt = []
-        for label in frontier:
-            for node in label.kept:
-                stepped = mutate(label, node)
-                assert coset_minimal(stepped.weyl, stepped.subset) == stepped.weyl
-                if stepped.key() not in seen:
-                    seen.add(stepped.key())
+        for weyl, kept_subset in frontier:
+            for node in (n for n in diagram.nodes if n not in kept_subset):
+                stepped = mutate(weyl, kept_subset, node)
+                assert coset_minimal(*stepped) == stepped[0]
+                if stepped not in seen:
+                    seen.add(stepped)
                     nxt.append(stepped)
         frontier = nxt
 

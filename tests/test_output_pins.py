@@ -7,8 +7,10 @@ through-wall galleries became straight walks instead of a shortest search
 over the region between the two walls: a walked row is minimal between its
 ends but may be longer than the shortest row, and rows of equal length may
 pass through other chambers, so all three outputs changed.  Their skipped
-rows are unchanged.  Any change to chamber, gallery or mutation output,
-including its order or formatting, fails here.
+rows are unchanged.  The `gv-map` and `orbits` digests pin the two
+consumers of the induced root maps on a finite type.  Any change to
+chamber, gallery, mutation, transport or orbit output, including its order
+or formatting, fails here.
 """
 
 import hashlib
@@ -32,6 +34,11 @@ PINS = [
      "9a001070ff814e4bda462b2ae99db284232690b705aa6e2620ee6e23d8c10621"),
     (["gallery", "--family", "D", "--rank", "5", "--affine", "--contracted", "1,4"],
      "e3d8518768817b2b58dd2fd4213410c0032380da292617028194ac68e48fc953"),
+    (["gv-map", "--family", "D", "--rank", "4", "--contracted", "1", "--non-flop", "2"],
+     "82d87dd1275e42eacdf16df3b72ffdbedaa7c3b27ab81aa72be89a9986a3cf45"),
+    (["orbits", "--family", "D", "--rank", "4", "--non-flop", "1,2,3,4",
+      "--window", "chi=2,beta=1"],
+     "413a040829e77a400c02b039334c661ea5c7126e1ae99381351ae9a6a2957eee"),
 ]
 
 
