@@ -102,14 +102,6 @@ def _extended_imaginary(n: int) -> Vec:
     return (1,) + tuple(high)
 
 
-def restricted_imaginary_image(n: int) -> Vec:
-    """The restriction of the source imaginary root, in extended target
-    coordinates; equals alpha_0 + highest root for every n."""
-    case = dihedral_case(n)
-    affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
-    return imaginary_restriction(affine)
-
-
 @dataclass(frozen=True)
 class PropositionReport:
     n: int

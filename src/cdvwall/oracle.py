@@ -4,16 +4,20 @@ These deliberately re-derive everything from first principles, sharing
 only the Diagram type with the engine: roots are the lattice vectors of
 squared length two (grown height by height), restriction is a bare
 coordinate projection in a double loop, and chamber location works by
-matching sign vectors against a window of walls.  Slow is fine here; any
-disagreement with the engine is a hard failure.
+matching sign vectors against a window of walls.  The chamber probe runs
+in plain integers: its samples are integer points on the level, and a
+located chamber's containment check is the sign of its ray matrix's
+adjugate (by cofactor expansion, once per chamber) applied to the point.
+Slow is fine here; any disagreement with the engine is a hard failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd
+from operator import add, mul
 
 from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
@@ -145,42 +149,76 @@ class ProbeReport:
 
 def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
                    denominator: int = 97):
-    """Deterministic rational points on the requested unit level, in a box."""
+    """Deterministic integer points on the requested unit level, in a box.
+
+    Each point is the least positive integer multiple of a rational sample
+    (x_0, x_1, ..., x_{m-1}): x_i = a_i / denominator for i >= 1, with a_i
+    drawn by a linear congruential generator from the box, and x_0 =
+    (denominator * sign - sum_i a_i rim_i) / (denominator * rim_0), which
+    puts the sample on the level.  Over the common denominator
+    D = denominator * rim_0 the numerators are y_0 = denominator * sign -
+    sum_i a_i rim_i and y_i = a_i rim_0, and the least multiple is y / g
+    for g = gcd(D, y_0, ..., y_{m-1}).
+    """
     delta = oracle_delta(dtype.diagram)
     rim = [delta[dtype.diagram.index[n]] for n in dtype.kept]
     m = len(dtype.kept)
     span = 2 * box * denominator
+    common = denominator * rim[0]
     state = 123456789
-    produced = 0
-    while produced < count:
-        coords = []
+    for _ in range(count):
+        draws = []
         for _ in range(m):
             state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 63)
-            coords.append(Fraction((state % span) - span // 2, denominator))
-        # project onto the level by adjusting the first kept coordinate
-        rest = sum(c * r for c, r in zip(coords[1:], rim[1:]))
-        coords[0] = Fraction(sign - rest, rim[0])
-        point = tuple(coords)
-        produced += 1
-        yield point
+            draws.append((state % span) - span // 2)
+        # the first draw is replaced by the level's first coordinate
+        nums = [denominator * sign - sum(map(mul, draws[1:], rim[1:]))]
+        nums += [a * rim[0] for a in draws[1:]]
+        g = gcd(common, *nums)
+        yield tuple(y // g for y in nums)
 
 
-def _contains_by_solve(chamber, point) -> bool:
-    """Strict cone membership by solving for the ray coefficients, an
-    independent route from the engine's dual-pairing test."""
+def _det(matrix) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * a * _det(_minor(matrix, 0, j)) for j, a in enumerate(matrix[0]))
+
+
+def _minor(matrix, i: int, j: int) -> tuple:
+    return tuple(row[:j] + row[j + 1:] for r, row in enumerate(matrix) if r != i)
+
+
+def _cone_rows(chamber):
+    """The rows of sign(det M) * adj(M), for M the matrix whose columns are
+    the chamber's signed rays, or None when M is singular.
+
+    M c = point has the solution c = adj(M) point / det(M), so a point is
+    strictly inside the cone exactly when every row pairs positively with
+    it.  This is an independent route from the engine's dual-pairing test.
+    """
     rays = chamber.rays
     m = len(rays)
     matrix = tuple(tuple(chamber.sign * rays[j][i] for j in range(m)) for i in range(m))
-    coeffs = solve(matrix, point)
-    return coeffs is not None and all(c > 0 for c in coeffs)
+    d = _det(matrix)
+    if d == 0:
+        return None
+    s = 1 if d > 0 else -1
+    return tuple(tuple(s * (-1) ** (i + j) * _det(_minor(matrix, j, i)) for j in range(m))
+                 for i in range(m))
+
+
+def _inside(rows, point) -> bool:
+    return rows is not None and all(sum(map(mul, row, point)) > 0 for row in rows)
 
 
 def sign_vector(point, normals) -> tuple:
-    out = []
-    for normal in normals:
-        v = sum(p * c for p, c in zip(point, normal))
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    """The sign (+1, 0 or -1) of the point's pairing with each normal, in
+    order; the pairings are summed column by column over the coordinates."""
+    values = [0] * len(normals)
+    for p, column in zip(point, zip(*normals)):
+        values = map(add, values, map(mul, column, repeat(p)))
+    return tuple([(v > 0) - (v < 0) for v in values])
 
 
 def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
@@ -189,10 +227,15 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
     independently by matching sign vectors over the wall normals of the
     oracle's own affine restricted roots in a window.
 
-    Points land on the requested unit level (positive or negative side).
-    Points on a hyperplane or producing a degenerate segment are skipped.
-    A sample mismatch, an ambiguous sign-vector match, or a located chamber
-    that fails the containment check all count as mismatches.
+    Points land on the requested unit level (positive or negative side);
+    each is the integer point of `_sample_points`, the least positive
+    integer multiple of a rational sample, which lies in the same chambers
+    and on the same sides of every linear wall.  Points on a hyperplane or
+    producing a degenerate segment are skipped.  A sample mismatch, an
+    ambiguous sign-vector match, or a located chamber that fails the
+    containment check (by the adjugate of its ray matrix, computed once per
+    chamber) all count as mismatches, each recorded as (integer point,
+    reason).
     """
     if not dtype.affine:
         raise ValueError("the chamber probe runs on affine types")
@@ -202,13 +245,10 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
     normals = sorted({primitive(r) for r in oracle_affine_restricted_roots(dtype, k_max)})
     graph = ChamberGraph(dtype, sign)
     signatures: dict = {}
+    cones: dict = {}   # chamber key -> _cone_rows of the chamber
     mismatches = []
     located = skipped = 0
-    for sample in _sample_points(dtype, sample_count, box, sign):
-        # a positive multiple of the sample lies in the same chambers and on
-        # the same sides of every linear wall, so work with integers
-        scale = lcm(*(c.denominator for c in sample))
-        point = tuple(c.numerator * (scale // c.denominator) for c in sample)
+    for point in _sample_points(dtype, sample_count, box, sign):
         try:
             chamber = locate_by_walk(graph, point)
         except GeometryError:
@@ -219,18 +259,20 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
             skipped += 1
             continue
         located += 1
-        if not _contains_by_solve(chamber, point):
-            mismatches.append((sample, "walk chamber does not contain the point"))
-            continue
         key = chamber.key()
+        if key not in cones:
+            cones[key] = _cone_rows(chamber)
+        if not _inside(cones[key], point):
+            mismatches.append((point, "walk chamber does not contain the point"))
+            continue
         ref = signatures.get(sig)
         if ref is None:
             # the sign vector must match the chamber's own interior point
             interior_sig = sign_vector(chamber.interior_point(), normals)
             if interior_sig != sig:
-                mismatches.append((sample, "sign vector differs from the chamber's"))
+                mismatches.append((point, "sign vector differs from the chamber's"))
                 continue
             signatures[sig] = key
         elif ref != key:
-            mismatches.append((sample, "two chambers share a windowed sign vector"))
+            mismatches.append((point, "two chambers share a windowed sign vector"))
     return ProbeReport(sample_count, located, skipped, tuple(mismatches))

@@ -5,10 +5,10 @@ matrix of its inverse.  Right multiplication by a simple reflection s_i is
 a rank-one update of both: w . s_i rewrites only the rows of w with a
 nonzero entry in column i, and (w . s_i)^-1 = s_i . w^-1 only row i of the
 inverse.  Reduced words (by descent stripping, which needs no window even
-in the affine case), `from_word`, longest elements of finite parabolics
-(by greedy ascent), coset representatives and group enumeration are all
-walks by this step, and `inverse` swaps the two matrices, so no element is
-ever inverted by elimination.
+in the affine case), `from_word` and longest elements of finite
+parabolics (by greedy ascent) are all walks by this step, and a product
+multiplies the inverses in reverse order, so no element is ever inverted
+by elimination.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class WeylElement:
             raise ValueError("cannot compose elements over different diagrams")
         return WeylElement(self.diagram, mat_mul(self.matrix, other.matrix),
                            mat_mul(other.inverse_matrix, self.inverse_matrix))
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(self.diagram, self.inverse_matrix, self.matrix)
 
     def times_word(self, word: Iterable[int]) -> "WeylElement":
         """w . s_{i_1} ... s_{i_m}, one rank-one step per letter."""
@@ -209,32 +206,3 @@ def iota_permutation(diagram: Diagram, subset: frozenset) -> tuple[tuple[int, in
         pairs.append((n, target))
     return tuple(pairs)
 
-
-def coset_minimal(w: WeylElement, subset: Iterable[int]) -> WeylElement:
-    """Minimal length representative of the coset w * W_subset."""
-    nodes = sorted(set(subset))
-    while True:
-        descent = next((n for n in nodes if w.sends_simple_negative(n)), None)
-        if descent is None:
-            return w
-        w = w.times_simple(descent)
-
-
-def group_elements(diagram: Diagram, subset: Iterable[int] | None = None) -> list[WeylElement]:
-    """Breadth-first enumeration of a finite (parabolic) Weyl group."""
-    nodes = sorted(set(subset)) if subset is not None else list(diagram.nodes)
-    if diagram.affine and set(nodes) == set(diagram.nodes):
-        raise DiagramError("affine Weyl groups are infinite")
-    start = identity(diagram)
-    seen = {start.matrix: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for n in nodes:
-                u = w.times_simple(n)
-                if u.matrix not in seen:
-                    seen[u.matrix] = u
-                    nxt.append(u)
-        frontier = nxt
-    return list(seen.values())

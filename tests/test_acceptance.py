@@ -231,5 +231,9 @@ def test_criterion_8_selftest(capsys):
     assert code == 0, out
     assert "selftest PASS: 0 failures" in out
     assert "0 mismatches" in out
+    # recorded before the probe ran in plain integers: the same samples
+    # locate to the same chambers
+    assert ("[ok] chamber probe A2 affine: 9713 located, 287 skipped, 0 mismatches"
+            in out.splitlines())
     assert elapsed < 30, f"selftest took {elapsed:.1f}s"
     print(f"criterion 8 PASS: oracle selftest clean [{elapsed:.1f}s]")

@@ -6,6 +6,8 @@ from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdvwall import arrangement
 from cdvwall.arrangement import (
@@ -66,6 +68,32 @@ def test_cross_twice_returns(dtype):
         c3, wall2 = cross_wall(c2, back_k)
         assert c3.key() == c.key()
         assert wall2 == wall
+
+
+@pytest.mark.parametrize("dtype,radius", [
+    (A3_ONE, 6),
+    (D4_PAIR, 5),
+    (DynkinType(build_diagram("E", 6, affine=True), frozenset({1, 3, 5})), 4),
+], ids=["A3~{2}", "D4~{3,4}", "E6~{1,3,5}"])
+def test_crossing_a_wall_twice_returns(dtype, radius):
+    # every facet of a BFS ball that is not the imaginary wall
+    graph = ChamberGraph(dtype, 1)
+    chambers, _ = graph.bfs(radius)
+    facets = [(c, k) for c in chambers
+              for k, edge in graph.neighbors(c).items() if edge is not None]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(facets))
+    def check(facet):
+        chamber, k = facet
+        across, wall = cross_wall(chamber, k)
+        shared = {r for j, r in enumerate(chamber.rays) if j != k}
+        back = next(j for j, r in enumerate(across.rays) if r not in shared)
+        returned, wall2 = cross_wall(across, back)
+        assert returned.key() == chamber.key()
+        assert wall2 == wall
+
+    check()
 
 
 @pytest.mark.parametrize("dtype", TYPES)

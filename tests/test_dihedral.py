@@ -4,15 +4,16 @@ from cdvwall.dihedral import (
     _extended_imaginary,
     classify_restricted,
     compound_vectors,
+    dihedral_case,
     mozgovoy_reineke_check,
     proposition_check,
-    restricted_imaginary_image,
     run_case,
     source_type,
     target_diagram,
 )
-from cdvwall.dynkin import enumerate_roots
+from cdvwall.dynkin import build_diagram, enumerate_roots
 from cdvwall.linalg import vec_neg
+from cdvwall.restriction import DynkinType, imaginary_restriction
 
 
 def test_source_type_layout():
@@ -74,9 +75,17 @@ def test_displayed_sum_of_roots():
     assert (left[0], left[1], left[3], left[2]) == right
 
 
+def _restricted_imaginary_image(n):
+    """The restriction of the source imaginary root, in extended target
+    coordinates."""
+    case = dihedral_case(n)
+    affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
+    return imaginary_restriction(affine)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_imaginary_image_is_consistent(n):
-    assert restricted_imaginary_image(n) == _extended_imaginary(n)
+    assert _restricted_imaginary_image(n) == _extended_imaginary(n)
     assert _extended_imaginary(n) == (1, 1) + (2,) * (n - 2) + (1, 1)
 
 

@@ -1,12 +1,23 @@
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
 import pytest
 
+from cdvwall.arrangement import ChamberGraph, GeometryError, locate_by_walk
 from cdvwall.dynkin import build_diagram, enumerate_roots
+from cdvwall.linalg import primitive, solve
 from cdvwall.oracle import (
+    _cone_rows,
+    _inside,
+    _sample_points,
     oracle_affine_restricted_roots,
     oracle_chamber_probe,
+    oracle_delta,
     oracle_gcd_check,
     oracle_positive_roots,
     oracle_restricted_roots,
+    sign_vector,
 )
 from cdvwall.restriction import DynkinType, proper_subsets, restricted_roots
 
@@ -93,3 +104,97 @@ def test_probe_rejects_wide_types():
     dt = DynkinType(build_diagram("D", 4, affine=True), frozenset())
     with pytest.raises(ValueError):
         oracle_chamber_probe(dt, 10)
+
+
+def _fraction_samples(dtype, count, box, sign, denominator=97):
+    """The probe's rational samples, defined with Fractions: the reference
+    the integer generator is checked against."""
+    delta = oracle_delta(dtype.diagram)
+    rim = [delta[dtype.diagram.index[n]] for n in dtype.kept]
+    span = 2 * box * denominator
+    state = 123456789
+    for _ in range(count):
+        coords = []
+        for _ in range(len(dtype.kept)):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 63)
+            coords.append(Fraction((state % span) - span // 2, denominator))
+        rest = sum(c * r for c, r in zip(coords[1:], rim[1:]))
+        coords[0] = Fraction(sign - rest, rim[0])
+        yield tuple(coords)
+
+
+@pytest.mark.parametrize("family,rank,contracted", [
+    ("A", 2, ()),
+    ("A", 3, (2,)),
+    ("D", 4, (0, 1)),             # rim = (2, 1, 1): sample denominators up to 194
+])
+@pytest.mark.parametrize("box", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_samples_are_the_scaled_fraction_samples(family, rank, contracted, box, sign):
+    dt = DynkinType(build_diagram(family, rank, affine=True), frozenset(contracted))
+    expected = []
+    for sample in _fraction_samples(dt, 300, box, sign):
+        scale = lcm(*(c.denominator for c in sample))
+        expected.append(tuple(int(c * scale) for c in sample))
+    assert list(_sample_points(dt, 300, box, sign)) == expected
+
+
+def _solve_contains(chamber, point):
+    """Strict cone membership by solving for the signed-ray coefficients."""
+    rays = chamber.rays
+    m = len(rays)
+    matrix = tuple(tuple(chamber.sign * rays[j][i] for j in range(m)) for i in range(m))
+    coeffs = solve(matrix, point)
+    return coeffs is not None and all(c > 0 for c in coeffs)
+
+
+@pytest.mark.parametrize("family,rank,contracted", [("A", 2, ()), ("D", 4, (3, 4))])
+def test_containment_is_the_solve_verdict(family, rank, contracted):
+    # on every walked sample of a 400-sample probe, for the located chamber
+    # and each of its neighbours; no neighbour holds the located chamber's
+    # interior point, nor the located chamber a neighbour's
+    dt = DynkinType(build_diagram(family, rank, affine=True), frozenset(contracted))
+    graph = ChamberGraph(dt, 1)
+    neighbours = {}
+    walked = 0
+    for point in _sample_points(dt, 400, 1, 1):
+        try:
+            chamber = locate_by_walk(graph, point)
+        except GeometryError:
+            continue
+        walked += 1
+        key = chamber.key()
+        if key not in neighbours:
+            neighbours[key] = [graph.chambers[e[0]] for e in graph.neighbors(chamber).values()
+                               if e is not None]
+            rows = _cone_rows(chamber)
+            assert _inside(rows, chamber.interior_point())
+            for other in neighbours[key]:
+                assert not _inside(rows, other.interior_point())
+                assert not _inside(_cone_rows(other), chamber.interior_point())
+        for c in (chamber, *neighbours[key]):
+            assert _inside(_cone_rows(c), point) == _solve_contains(c, point)
+    assert walked > 300 and len(neighbours) > 5
+
+
+def _per_normal_signs(point, normals):
+    out = []
+    for normal in normals:
+        v = sum(p * c for p, c in zip(point, normal))
+        out.append(0 if v == 0 else (1 if v > 0 else -1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family,rank,contracted", [("A", 2, ()), ("D", 4, (3, 4))])
+def test_sign_vector_is_the_per_normal_sign(family, rank, contracted):
+    dt = DynkinType(build_diagram(family, rank, affine=True), frozenset(contracted))
+    normals = sorted({primitive(r) for r in oracle_affine_restricted_roots(dt, 8)})
+    # small lattice points lie on many walls, samples on none
+    points = list(product(range(-3, 4), repeat=len(dt.kept)))
+    points += list(_sample_points(dt, 200, 1, 1))
+    zeros = 0
+    for point in points:
+        signs = sign_vector(point, normals)
+        assert signs == _per_normal_signs(point, normals)
+        zeros += signs.count(0)
+    assert zeros > 0

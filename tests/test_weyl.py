@@ -7,14 +7,41 @@ from hypothesis import strategies as st
 from cdvwall.dynkin import build_diagram, enumerate_roots, imaginary_root, real_roots_window
 from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
 from cdvwall.weyl import (
-    coset_minimal,
     from_word,
-    group_elements,
     identity,
     iota_permutation,
     longest_element,
     simple_reflection,
 )
+
+
+def group_elements(diagram, subset=None):
+    """Breadth-first enumeration of a finite (parabolic) Weyl group."""
+    nodes = sorted(set(subset)) if subset is not None else list(diagram.nodes)
+    start = identity(diagram)
+    seen = {start.matrix: start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for n in nodes:
+                u = w.times_simple(n)
+                if u.matrix not in seen:
+                    seen[u.matrix] = u
+                    nxt.append(u)
+        frontier = nxt
+    return list(seen.values())
+
+
+def coset_minimal(w, subset):
+    """The representative of w * W_subset with no right descent in the
+    subset, by stripping descents."""
+    nodes = sorted(set(subset))
+    while True:
+        descent = next((n for n in nodes if w.sends_simple_negative(n)), None)
+        if descent is None:
+            return w
+        w = w.times_simple(descent)
 
 
 def test_simple_reflection_is_an_involution():
@@ -205,7 +232,7 @@ def test_inverse_swaps_to_the_eliminated_inverse(diagram):
     @given(_words(diagram))
     def check(word):
         w = from_word(diagram, word)
-        assert w.inverse().matrix == invert_unimodular(w.matrix)
+        assert w.inverse_matrix == invert_unimodular(w.matrix)
 
     check()
 
