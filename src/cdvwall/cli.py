@@ -39,8 +39,8 @@ from .dynkin import (
     DiagramError,
     build_diagram,
     enumerate_roots,
+    expanded_window,
     imaginary_root,
-    real_roots_window,
     root_count_formula,
 )
 from .exports import chamber_graph_dot, groupoid_dot, level_slice_svg
@@ -174,8 +174,16 @@ def _parse_window(text: str) -> tuple[int, int]:
     return chi, beta
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors: exit 2 with one
+    line, like every other bad input, instead of a usage block."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdvwall",
         description="Exact ADE wall-crossing combinatorics and vanishing verdicts",
     )
@@ -382,14 +390,16 @@ def cmd_roots(cfg: JobConfig) -> int:
         }
     else:
         rim = imaginary_root(diagram)
-        window = real_roots_window(diagram, cfg.kmax)
+        window = expanded_window(diagram, cfg.kmax)
         results = {
             "diagram": diagram.to_json(),
             "imaginary_root": list(rim),
+            # the level is the coordinate at node 0, where r_im is 1 and a
+            # lifted finite root is 0
             "real_roots": [
-                {"finite": list(r.finite_part), "level": r.level,
-                 "coeffs": list(r.expand(diagram))}
-                for r in window
+                {"finite": [c - full[0] * h for c, h in zip(full[1:], rim[1:])],
+                 "level": full[0], "coeffs": list(full)}
+                for full, _ in window
             ],
             "count": len(window),
         }
@@ -577,38 +587,21 @@ def cmd_selftest(cfg: JobConfig) -> int:
             failures += not ok
             lines.append(f"[{'ok' if ok else 'FAIL'}] root count {family}{rank}: {got}")
 
-    def sweep(family: str, rank: int, subsets) -> tuple[int, int]:
-        diagram = build_diagram(family, rank)
-
-        def one(subset):
-            dtype = DynkinType(diagram, subset)
-            engine = restricted_roots(dtype).values()
-            agree = oracle_restricted_roots(dtype) == engine
-            return agree, oracle_gcd_check(dtype)
-
-        results = [one(s) for s in subsets]
-        return (sum(1 for a, _ in results if not a),
-                sum(1 for _, g in results if not g))
-
-    e6 = build_diagram("E", 6)
-    bad_rr, bad_gcd = sweep("E", 6, proper_subsets(e6))
-    failures += bad_rr + bad_gcd
-    lines.append(f"[{'ok' if not (bad_rr or bad_gcd) else 'FAIL'}] oracle E6 all subsets: "
-                 f"{bad_rr} set mismatches, {bad_gcd} gcd failures")
-
-    d5 = build_diagram("D", 5)
-    bad_rr, bad_gcd = sweep("D", 5, proper_subsets(d5))
-    failures += bad_rr + bad_gcd
-    lines.append(f"[{'ok' if not (bad_rr or bad_gcd) else 'FAIL'}] oracle D5 all subsets: "
-                 f"{bad_rr} set mismatches, {bad_gcd} gcd failures")
-
     a7 = build_diagram("A", 7)
-    all_subsets = list(proper_subsets(a7))
-    picked = [all_subsets[(17 * i + 5) % len(all_subsets)] for i in range(50)]
-    bad_rr, bad_gcd = sweep("A", 7, picked)
-    failures += bad_rr + bad_gcd
-    lines.append(f"[{'ok' if not (bad_rr or bad_gcd) else 'FAIL'}] oracle A7 50 subsets: "
-                 f"{bad_rr} set mismatches, {bad_gcd} gcd failures")
+    a7_subsets = list(proper_subsets(a7))
+    picked = (a7_subsets[(17 * i + 5) % len(a7_subsets)] for i in range(50))
+    for label, sets in (
+        ("E6 all subsets", restricted_root_sweep(build_diagram("E", 6))),
+        ("D5 all subsets", restricted_root_sweep(build_diagram("D", 5))),
+        ("A7 50 subsets", (restricted_roots(DynkinType(a7, J)) for J in picked)),
+    ):
+        bad_rr = bad_gcd = 0
+        for rr in sets:
+            bad_rr += oracle_restricted_roots(rr.dynkin_type) != rr.values()
+            bad_gcd += not oracle_gcd_check(rr.dynkin_type)
+        failures += bad_rr + bad_gcd
+        lines.append(f"[{'ok' if not (bad_rr or bad_gcd) else 'FAIL'}] oracle {label}: "
+                     f"{bad_rr} set mismatches, {bad_gcd} gcd failures")
 
     a2a = build_diagram("A", 2, affine=True)
     probe = oracle_chamber_probe(DynkinType(a2a, frozenset()), 10_000, box=1)
@@ -666,9 +659,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         return COMMANDS[args.command].handler(cfg)
     except (UsageError, DiagramError, ClassError) as err:

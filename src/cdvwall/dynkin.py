@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Vec, vec_add
+from .linalg import Vec
 
 FAMILIES = ("A", "D", "E")
 
@@ -131,22 +131,6 @@ class RootSystem:
         return self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
 
 
-@dataclass(frozen=True)
-class AffineRealRoot:
-    """A real root of the affine system, as finite part plus im-root level."""
-
-    finite_part: Vec
-    level: int
-
-    def expand(self, diagram: Diagram) -> Vec:
-        rim = imaginary_root(diagram)
-        fin = diagram.finite_part()
-        lifted = tuple(
-            0 if n == 0 else self.finite_part[fin.index[n]] for n in diagram.nodes
-        )
-        return vec_add(lifted, tuple(self.level * c for c in rim))
-
-
 def _chain_edges(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(lo, hi)]
 
@@ -235,31 +219,22 @@ def imaginary_root(diagram: Diagram) -> Vec:
     return tuple(1 if n == 0 else high[fin.index[n]] for n in diagram.nodes)
 
 
-def real_roots_window(diagram: Diagram, k_max: int) -> tuple[AffineRealRoot, ...]:
-    """Real affine roots r + k*r_im with |k| <= k_max, each listed once."""
+def expanded_window(diagram: Diagram, k_max: int) -> tuple[tuple[Vec, int], ...]:
+    """The real affine roots r + k*r_im with |k| <= k_max, each listed once,
+    as (full node coordinates, sign) pairs: level by level from -k_max, and
+    within a level in the order of the finite part's all_roots.  The sign
+    is +1 for positive roots and -1 for negative ones."""
     if not diagram.affine:
-        raise DiagramError("real_roots_window requires an affine diagram")
+        raise DiagramError("expanded_window requires an affine diagram")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    fin = diagram.finite_part()
-    rts = enumerate_roots(fin)
+    rim = imaginary_root(diagram)
+    finite_roots = enumerate_roots(diagram.finite_part()).all_roots
     out = []
     for k in range(-k_max, k_max + 1):
-        for r in rts.all_roots:
-            out.append(AffineRealRoot(r, k))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def expanded_window(diagram: Diagram, k_max: int) -> tuple[tuple[Vec, int], ...]:
-    """The roots of real_roots_window(diagram, k_max), in the same order, as
-    (full node coordinates, sign) pairs; the sign is +1 for positive roots
-    and -1 for negative ones.  Cached, so every contraction subset of one
-    diagram scans the same window."""
-    out = []
-    for root in real_roots_window(diagram, k_max):
-        full = root.expand(diagram)
-        out.append((full, 1 if all(c >= 0 for c in full) else -1))
+        for r in finite_roots:
+            full = tuple(a + k * c for a, c in zip((0, *r), rim))
+            out.append((full, 1 if all(c >= 0 for c in full) else -1))
     return tuple(out)
 
 

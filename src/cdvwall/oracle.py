@@ -1,10 +1,13 @@
 """Definition-level brute-force cross checks.
 
-These deliberately re-derive everything from first principles, sharing
-only the Diagram type with the engine: roots are the lattice vectors of
-squared length two (grown height by height), restriction is a bare
-coordinate projection in a double loop, and chamber location works by
-matching sign vectors against a window of walls.  The chamber probe runs
+These deliberately re-derive the roots and restricted roots from first
+principles: roots are the lattice vectors of squared length two (grown
+height by height), the imaginary root is the kernel vector among them,
+restriction is a bare coordinate projection in a double loop, and
+chamber location works by matching sign vectors against a window of
+walls.  From the engine they take only the Diagram and DynkinType
+records, linalg.primitive to normalise wall normals, and the chamber
+walk and chambers that the probe puts under test.  The chamber probe runs
 in plain integers: its samples are integer points on the level, and a
 located chamber's containment check is the sign of its ray matrix's
 adjugate (by cofactor expansion, once per chamber) applied to the point.
@@ -21,7 +24,7 @@ from operator import add, mul
 
 from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
-from .linalg import primitive, solve
+from .linalg import primitive
 from .restriction import DynkinType
 
 
@@ -68,22 +71,15 @@ def oracle_restricted_roots(dtype: DynkinType) -> frozenset:
 
 
 def oracle_delta(diagram: Diagram) -> tuple:
-    """The positive integer kernel vector of an affine Cartan matrix, delta_0 = 1."""
-    cartan = diagram.cartan
-    rest = [i for i, n in enumerate(diagram.nodes) if n != 0]
-    zero = diagram.index[0]
-    # fix delta_0 = 1 and solve the remaining rows of cartan * delta = 0
-    tail = solve(tuple(tuple(cartan[i][j] for j in rest) for i in rest),
-                 tuple(-cartan[i][zero] for i in rest))
-    delta = [0] * len(diagram.nodes)
-    delta[zero] = 1
-    for i, c in zip(rest, tail):
-        if c.denominator != 1 or c <= 0:
-            raise AssertionError(f"kernel vector is not a positive integer vector: {tail}")
-        delta[i] = int(c)
-    if any(sum(a * d for a, d in zip(row, delta)) != 0 for row in cartan):
-        raise AssertionError("delta is not in the kernel of the affine Cartan matrix")
-    return tuple(delta)
+    """The kernel vector of an affine Cartan matrix with delta_0 = 1: the
+    one vector (1, *r), r a positive root of the finite part, that the
+    matrix sends to 0."""
+    candidates = ((1, *r) for r in oracle_positive_roots(diagram.finite_part()))
+    found = [delta for delta in candidates
+             if all(sum(map(mul, row, delta)) == 0 for row in diagram.cartan)]
+    if len(found) != 1:
+        raise AssertionError(f"expected one kernel vector (1, *r), found {found}")
+    return found[0]
 
 
 def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:

@@ -8,11 +8,12 @@ identity.  Affine sets are infinite, so enumeration takes a level window;
 membership tests are windowless and exact via the translation structure
 of the real restricted roots.
 
-Every set of one diagram is built from one scan of (full root, sign)
-pairs.  restricted_root_sweep builds the sets of all proper subsets at
-once: restriction composes, so each subset's entries come from its
-parent's deduplicated entries with one more coordinate dropped, never
-from a second scan of the roots.
+Every set of one diagram is built from one scan of its roots, cached as
+the entries of the empty subset.  Restriction composes, so a subset's
+entries come from those by dropping its contracted coordinates one at a
+time.  restricted_root_sweep builds the sets of all proper subsets at
+once, each from its parent's deduplicated entries with one more
+coordinate dropped, never from a second scan of the roots.
 """
 
 from __future__ import annotations
@@ -175,41 +176,28 @@ def _window(diagram: Diagram, k_max: Optional[int]) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _scan(diagram: Diagram, window: Optional[int]) -> tuple[tuple[tuple[Vec, int], ...], int]:
-    """The (full root, sign) pairs every restricted-root set of the diagram
-    is built from, in scan order, and the largest absolute coordinate among
-    them.  Finite types scan r, then -r, for each positive root; affine
-    types scan the level window."""
+def _scan(diagram: Diagram, window: Optional[int]) -> tuple[dict, int]:
+    """The scan entries of the empty subset, root -> (its sign class, root),
+    in scan order, and the largest absolute coordinate among the roots.
+    Every restricted-root set of the diagram is built from these by
+    _drop_coordinate.  Finite types scan r, then -r, for each positive
+    root; affine types scan the level window."""
     if window is None:
         pairs = tuple(pair for r in enumerate_roots(diagram).positive_roots
                       for pair in ((r, 1), (vec_neg(r), -1)))
     else:
         pairs = expanded_window(diagram, window)
-    return pairs, max((abs(c) for full, _ in pairs for c in full), default=0)
-
-
-def _scan_entries(dtype: DynkinType, pairs) -> dict:
-    """Nonzero restrictions of the scanned roots, in order of first
-    appearance: coeffs -> (sign classes of the preimages, first preimage)."""
-    take = dtype._take_kept
-    entries: dict[Vec, tuple] = {}
-    for full, sign in pairs:
-        rbar = take(full)
-        entry = entries.get(rbar)
-        if entry is None:
-            if any(rbar):
-                entries[rbar] = (_ONE_SIGN[sign], full)
-        elif sign not in entry[0]:
-            entries[rbar] = (entry[0] | _ONE_SIGN[sign], entry[1])
-    return entries
+    entries = {full: (_ONE_SIGN[sign], full) for full, sign in pairs}
+    return entries, max((abs(c) for full in entries for c in full), default=0)
 
 
 def _drop_coordinate(entries: dict, j: int) -> dict:
     """The scan entries of one more contracted node, whose coordinate is
-    position j of the entries.  Walking the entries in first-appearance
-    order keeps the child's keys in that order too, and the first entry to
-    reach a child vector holds the first scanned root that reaches it, so
-    the witness is the one a direct scan keeps."""
+    position j of the entries: the nonzero restrictions, coeffs -> (sign
+    classes of the preimages, first preimage).  Walking the entries in
+    first-appearance order keeps the child's keys in that order too, and
+    the first entry to reach a child vector holds the first scanned root
+    that reaches it, so the witness is the first scanned preimage."""
     child: dict[Vec, tuple] = {}
     for rbar, (signs, witness) in entries.items():
         c = rbar[:j] + rbar[j + 1:]
@@ -265,8 +253,11 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
     0 < |k| <= k_max are included.
     """
     window = _window(dtype.diagram, k_max)
-    pairs, bound = _scan(dtype.diagram, window)
-    return _root_set(dtype, _scan_entries(dtype, pairs), window, bound)
+    entries, bound = _scan(dtype.diagram, window)
+    # dropping the highest position first leaves the lower ones in place
+    for j in sorted((dtype.diagram.index[n] for n in dtype.contracted), reverse=True):
+        entries = _drop_coordinate(entries, j)
+    return _root_set(dtype, entries, window, bound)
 
 
 def restricted_root_sweep(diagram: Diagram,
@@ -281,13 +272,11 @@ def restricted_root_sweep(diagram: Diagram,
     stack along that chain keeps every parent the sweep still needs.
     """
     window = _window(diagram, k_max)
-    pairs, bound = _scan(diagram, window)
+    entries, bound = _scan(diagram, window)
     stack: list[tuple[int, dict]] = []
     for mask in range(2 ** len(diagram.nodes) - 1):
         dtype = DynkinType(diagram, _subset(diagram, mask))
-        if mask == 0:
-            entries = _scan_entries(dtype, pairs)
-        else:
+        if mask:
             parent = mask & (mask - 1)
             while stack[-1][0] != parent:
                 stack.pop()
@@ -448,19 +437,20 @@ class TwoWayReport:
 def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> TwoWayReport:
     """Real restricted roots built two ways over the same level window.
 
-    set_direct restricts real affine roots directly and removes imaginary-
-    line values.  set_translated translates the finite restricted roots by
-    multiples of pi(r_im), dropping the two vectors +-pi(r_max) exactly when
-    node 0 is contracted.  The two must coincide.
+    set_direct holds the real elements of restricted_roots, the windowed
+    restrictions of real affine roots off the imaginary line.
+    set_translated translates the finite restricted roots by multiples of
+    pi(r_im), dropping the two vectors +-pi(r_max) exactly when node 0 is
+    contracted.  The two must coincide.
     """
     if not dtype.affine:
         raise DiagramError("real_restricted_two_ways requires an affine type")
     rim_bar = imaginary_restriction(dtype)
+    direct = {e.coeffs for e in restricted_roots(dtype, k_max).elements
+              if e.reality == "real"}
     # the window holds theta + k_max * delta, so the scan bound also caps
     # the translates below, whose coordinates are at most (k_max + 1) * h
-    pairs, bound = _scan(dtype.diagram, k_max)
-    line = _imaginary_line(rim_bar, bound)
-    direct = set(_scan_entries(dtype, pairs)) - line
+    line = _imaginary_line(rim_bar, _scan(dtype.diagram, k_max)[1])
 
     kept = dtype.kept
     fin_kept, fin_values = finite_companion_data(dtype)

@@ -415,12 +415,20 @@ def test_gv_map_marks_vacuous_rows(capsys):
     ["vanishing-table", "--family", "A", "--rank", "2", "--format", "dot"],
     ["check-gcd", "--family", "A", "--rank", "2", "--format", "csv"],
     ["vanishing-table", "--family", "D", "--rank", "4", "--non-flop", "7"],
+    ["roots", "--rank", "x"],
+    ["roots", "--family", "B"],
+    ["roots", "--format", "xml"],
+    ["roots", "--no-such-flag"],
+    ["no-such-command"],
+    [],
 ], ids=["maxlen", "kmax", "window", "gallery-finite", "dihedral-n", "gv-map-non-flop",
         "missing-config", "unwritable-out", "config-not-json", "config-list",
         "config-rank-string", "duplicate-contracted", "duplicate-non-flop",
         "config-format-xml", "config-unknown-key", "config-unknown-window-key",
         "chambers-csv", "vanishing-table-dot", "check-gcd-csv",
-        "vanishing-table-non-flop"])
+        "vanishing-table-non-flop", "argparse-rank", "argparse-family",
+        "argparse-format", "argparse-unknown-flag", "argparse-unknown-command",
+        "argparse-no-command"])
 def test_invalid_input_is_a_usage_error(args, tmp_path):
     for name, text in (("not-json.json", '{"family": "A",'), ("list.json", "[1, 2]"),
                        ("rank-string.json", '{"family": "A", "rank": "3"}'),

@@ -7,7 +7,6 @@ from cdvwall.dynkin import (
     enumerate_roots,
     expanded_window,
     imaginary_root,
-    real_roots_window,
     reflect,
     root_count_formula,
 )
@@ -110,44 +109,63 @@ def test_imaginary_root_is_alpha0_plus_highest():
         assert tuple(rim[da.index[n]] for n in fin.nodes) == high
 
 
+def _window_by_definition(d, k_max):
+    """The real affine roots r + k * r_im, |k| <= k_max, as (full, level,
+    finite part) triples: levels upward from -k_max, and within a level the
+    finite part's all_roots, each lifted by its node labels."""
+    rim = dict(zip(d.nodes, imaginary_root(d)))
+    fin = d.finite_part()
+    out = []
+    for k in range(-k_max, k_max + 1):
+        for r in enumerate_roots(fin).all_roots:
+            lifted = dict(zip(fin.nodes, r))
+            out.append((tuple(lifted.get(n, 0) + k * rim[n] for n in d.nodes), k, r))
+    return out
+
+
 def test_real_root_windows():
     a1 = build_diagram("A", 1, affine=True)
-    assert len(real_roots_window(a1, 0)) == 2
-    assert len(real_roots_window(a1, 1)) == 6
+    assert len(expanded_window(a1, 0)) == 2
+    assert len(expanded_window(a1, 1)) == 6
     d4 = build_diagram("D", 4, affine=True)
-    assert len(real_roots_window(d4, 2)) == 120
-    window = real_roots_window(d4, 1)
-    assert len(set(window)) == len(window)
+    assert len(expanded_window(d4, 2)) == 120
+    window = expanded_window(d4, 1)
+    assert len({full for full, _ in window}) == len(window)
 
 
 def test_affine_expansion_round_trip():
+    # the level and finite part are read back off the full coordinates:
+    # r_im is 1 at node 0, where a lifted finite root is 0
     d4 = build_diagram("D", 4, affine=True)
     rim = imaginary_root(d4)
-    for aroot in real_roots_window(d4, 2):
-        full = aroot.expand(d4)
-        assert full[0] == aroot.level * rim[0]
+    for (full, _), (_, level, r) in zip(expanded_window(d4, 2), _window_by_definition(d4, 2)):
+        assert full[0] == level * rim[0] == level
+        assert tuple(c - level * h for c, h in zip(full[1:], rim[1:])) == r
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("D", 5), ("E", 7)])
-def test_expanded_window_matches_expand(family, rank):
+def test_expanded_window_matches_the_definition(family, rank):
     d = build_diagram(family, rank, affine=True)
     for k_max in (0, 2):
-        roots = real_roots_window(d, k_max)
         window = expanded_window(d, k_max)
-        assert [full for full, _ in window] == [r.expand(d) for r in roots]
-        for r, (full, sign) in zip(roots, window):
-            positive = r.level > 0 or (r.level == 0 and all(c >= 0 for c in r.finite_part))
+        reference = _window_by_definition(d, k_max)
+        assert [full for full, _ in window] == [full for full, _, _ in reference]
+        for (full, sign), (_, level, r) in zip(window, reference):
+            positive = level > 0 or (level == 0 and all(c >= 0 for c in r))
             assert sign == (1 if positive else -1)
             assert all(sign * c >= 0 for c in full)
     with pytest.raises(ValueError):
         expanded_window(d, -1)
+    with pytest.raises(DiagramError):
+        expanded_window(d.finite_part(), 1)
 
 
 def test_window_zero_is_the_finite_slice():
     d4 = build_diagram("D", 4, affine=True)
     fin = enumerate_roots(d4.finite_part())
-    level0 = {a.finite_part for a in real_roots_window(d4, 0)}
-    assert level0 == set(fin.all_roots)
+    level0 = expanded_window(d4, 0)
+    assert all(full[0] == 0 for full, _ in level0)
+    assert {full[1:] for full, _ in level0} == set(fin.all_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("D", 3), ("E", 9), ("A", 0), ("F", 4)])

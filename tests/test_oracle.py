@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from cdvwall.arrangement import ChamberGraph, GeometryError, locate_by_walk
-from cdvwall.dynkin import build_diagram, enumerate_roots
+from cdvwall.dynkin import build_diagram, enumerate_roots, imaginary_root
 from cdvwall.linalg import primitive, solve
 from cdvwall.oracle import (
     _cone_rows,
@@ -26,6 +26,15 @@ from cdvwall.restriction import DynkinType, proper_subsets, restricted_roots
 def test_length_two_roots_match_reflection_closure(family, rank):
     d = build_diagram(family, rank)
     assert oracle_positive_roots(d) == frozenset(enumerate_roots(d).positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", [("A", n) for n in range(1, 9)]
+                         + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)])
+def test_oracle_delta_is_the_imaginary_root(family, rank):
+    d = build_diagram(family, rank, affine=True)
+    delta = oracle_delta(d)
+    assert all(sum(a * c for a, c in zip(row, delta)) == 0 for row in d.cartan)
+    assert delta == imaginary_root(d)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("D", 5)])

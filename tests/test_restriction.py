@@ -1,7 +1,15 @@
+from math import gcd
+
 import pytest
 
 from cdvwall import restriction
-from cdvwall.dynkin import DiagramError, build_diagram, enumerate_roots
+from cdvwall.dynkin import (
+    DiagramError,
+    build_diagram,
+    enumerate_roots,
+    expanded_window,
+    imaginary_root,
+)
 from cdvwall.restriction import (
     DynkinType,
     check_gcd_closure,
@@ -138,19 +146,61 @@ def test_finite_gcd_report_builds_each_set_once(monkeypatch):
     assert len(calls) == 2 ** 6 - 1
 
 
+def _set_by_definition(diagram, J, k_max) -> dict:
+    """A restricted-root set's to_json() from the definition: restrict
+    every scanned root (r, then -r, for each positive root of a finite
+    diagram; the level window of an affine one), keep the first preimage of
+    each nonzero image as its witness and unite the sign classes of its
+    preimages.  An affine set adds k * pi(r_im), 0 < |k| <= k_max, and the
+    multiples of pi(r_im) are its imaginary elements."""
+    keep = [diagram.index[n] for n in diagram.nodes if n not in J]
+    if diagram.affine:
+        scanned = [full for full, _ in expanded_window(diagram, k_max)]
+        rim = imaginary_root(diagram)
+        extra = [tuple(s * k * c for c in rim) for k in range(1, k_max + 1) for s in (1, -1)]
+    else:
+        scanned = [v for r in enumerate_roots(diagram).positive_roots
+                   for v in (r, tuple(-c for c in r))]
+        extra = []
+    images: dict = {}
+    for root in scanned + extra:
+        image = tuple(root[j] for j in keep)
+        if any(image):
+            sign = "+" if all(c >= 0 for c in root) else "-"
+            images.setdefault(image, (root, set()))[1].add(sign)
+
+    def reality(image):
+        if not diagram.affine:
+            return None
+        rim_bar = tuple(rim[j] for j in keep)
+        m = image[0] // rim_bar[0]
+        return "imaginary" if image == tuple(m * c for c in rim_bar) else "real"
+
+    return {
+        "type": {"family": diagram.family, "rank": diagram.rank, "affine": diagram.affine,
+                 "contracted": sorted(J)},
+        "window": k_max if diagram.affine else None,
+        "elements": [{"coeffs": list(image), "mult": gcd(*image), "witness": list(root),
+                      "signs": sorted(signs), "reality": reality(image)}
+                     for image, (root, signs) in sorted(images.items())],
+    }
+
+
 @pytest.mark.parametrize("family,rank,affine,k_max", [
     ("E", 6, True, 3), ("D", 6, True, 2), ("A", 3, True, 1), ("E", 8, False, None),
 ])
 def test_sweep_equals_direct_builds(family, rank, affine, k_max):
-    # each swept set derives from its parent's entries; a direct build
-    # scans the roots again, and the two agree on every field, witness,
-    # signs, reality and mult included, and in proper_subsets order
+    # the swept sets, and the direct builds, agree with the definition on
+    # every field, witness, signs, reality and mult included, and the sweep
+    # runs in proper_subsets order
     diagram = build_diagram(family, rank, affine)
     subsets = list(proper_subsets(diagram))
     swept = list(restricted_root_sweep(diagram, k_max))
     assert [rr.dynkin_type.contracted for rr in swept] == subsets
     for rr, J in zip(swept, subsets):
-        assert rr.to_json() == restricted_roots(DynkinType(diagram, J), k_max).to_json(), J
+        want = _set_by_definition(diagram, J, k_max)
+        assert rr.to_json() == want, J
+        assert restricted_roots(DynkinType(diagram, J), k_max).to_json() == want, J
 
 
 def test_dropping_a_coordinate_keeps_the_first_witness_and_unites_signs():

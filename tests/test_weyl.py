@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdvwall.dynkin import build_diagram, enumerate_roots, imaginary_root, real_roots_window
+from cdvwall.dynkin import build_diagram, enumerate_roots, expanded_window, imaginary_root
 from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
 from cdvwall.weyl import (
     from_word,
@@ -94,10 +94,8 @@ def test_affine_length_is_windowed_inversion_count():
     rng = random.Random(9)
     for _ in range(10):
         w = from_word(da, [rng.choice(da.nodes) for _ in range(5)])
-        window = real_roots_window(da, w.length + 1)
         inversions = 0
-        for aroot in window:
-            full = aroot.expand(da)
+        for full, _ in expanded_window(da, w.length + 1):
             if all(c >= 0 for c in full) and any(c != 0 for c in full):
                 if any(c < 0 for c in w.apply(full)):
                     inversions += 1
