@@ -8,12 +8,13 @@ identity.  Affine sets are infinite, so enumeration takes a level window;
 membership tests are windowless and exact via the translation structure
 of the real restricted roots.
 
-Every set of one diagram is built from one scan of its roots, cached as
-the entries of the empty subset.  Restriction composes, so a subset's
-entries come from those by dropping its contracted coordinates one at a
-time.  restricted_root_sweep builds the sets of all proper subsets at
-once, each from its parent's deduplicated entries with one more
-coordinate dropped, never from a second scan of the roots.
+Every set of one diagram is built from one scan of its roots, the
+entries of the empty subset.  Restriction composes, so the entries of a
+subset are those of its parent, the subset without its lowest node, with
+one more coordinate dropped.  One chain of parents is kept per diagram
+and window, from the empty subset to the last subset built, and the next
+build extends it from their longest common prefix, so a sweep in subset
+order drops one coordinate per subset.
 """
 
 from __future__ import annotations
@@ -218,7 +219,30 @@ def _imaginary_line(rim_bar: Vec, bound: int) -> frozenset:
                      for k in range(-bound, bound + 1) if k)
 
 
-def _root_set(dtype: DynkinType, entries: dict, window: Optional[int],
+_CHAINS: dict = {}
+
+
+def _entries(dtype: DynkinType, window: Optional[int]) -> tuple[dict, int]:
+    """The scan entries of dtype, its parent's with position j dropped for
+    its lowest contracted node j (every node below j is kept in the parent),
+    and the scan bound.  _CHAINS keeps the masks and entries from the empty
+    subset to the last subset built; a build keeps the longest common prefix
+    of that chain and its own, then drops.  Callers must not mutate them."""
+    diagram = dtype.diagram
+    scan, bound = _scan(diagram, window)
+    chain = _CHAINS.setdefault((diagram, window), [(0, scan)])
+    mask = 0
+    for depth, j in enumerate(sorted((diagram.index[n] for n in dtype.contracted),
+                                     reverse=True), 1):
+        mask |= 1 << j
+        if depth < len(chain) and chain[depth][0] != mask:
+            del chain[depth:]
+        if depth == len(chain):
+            chain.append((mask, _drop_coordinate(chain[-1][1], j)))
+    return chain[len(dtype.contracted)][1], bound
+
+
+def _root_set(dtype: DynkinType, window: Optional[int], entries: dict,
               bound: int) -> RestrictedRootSet:
     """The set of the scan entries, sorted by coefficients.  Affine sets
     add the imaginary multiples k * pi(r_im), 0 < |k| <= window, to a copy
@@ -253,36 +277,15 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
     0 < |k| <= k_max are included.
     """
     window = _window(dtype.diagram, k_max)
-    entries, bound = _scan(dtype.diagram, window)
-    # dropping the highest position first leaves the lower ones in place
-    for j in sorted((dtype.diagram.index[n] for n in dtype.contracted), reverse=True):
-        entries = _drop_coordinate(entries, j)
-    return _root_set(dtype, entries, window, bound)
+    return _root_set(dtype, window, *_entries(dtype, window))
 
 
 def restricted_root_sweep(diagram: Diagram,
                           k_max: Optional[int] = None) -> Iterator[RestrictedRootSet]:
-    """restricted_roots of every proper subset, in proper_subsets order.
-
-    Restriction composes, so the subset of mask m is built from the scan
-    entries of its parent m & (m - 1), the subset without m's lowest node
-    j, by dropping one coordinate.  Every node below j is kept in the
-    parent, so j is also the coordinate's position there.  The parent is
-    on the chain m - 1, (m - 1) & (m - 2), ..., 0 of the mask before, so a
-    stack along that chain keeps every parent the sweep still needs.
-    """
-    window = _window(diagram, k_max)
-    entries, bound = _scan(diagram, window)
-    stack: list[tuple[int, dict]] = []
-    for mask in range(2 ** len(diagram.nodes) - 1):
-        dtype = DynkinType(diagram, _subset(diagram, mask))
-        if mask:
-            parent = mask & (mask - 1)
-            while stack[-1][0] != parent:
-                stack.pop()
-            entries = _drop_coordinate(stack[-1][1], (mask & -mask).bit_length() - 1)
-        stack.append((mask, entries))
-        yield _root_set(dtype, entries, window, bound)
+    """restricted_roots of every proper subset, in proper_subsets order; each
+    parent is on the chain of the subset before, so each costs one drop."""
+    for J in proper_subsets(diagram):
+        yield restricted_roots(DynkinType(diagram, J), k_max)
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +293,7 @@ def finite_restricted_values(dtype: DynkinType) -> frozenset:
     """Coefficient tuples of the finite restricted-root set (cached)."""
     if dtype.affine:
         raise DiagramError("finite_restricted_values requires a finite type")
-    return restricted_roots(dtype).values()
+    return frozenset(_entries(dtype, None)[0])
 
 
 @lru_cache(maxsize=None)
@@ -446,11 +449,12 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     if not dtype.affine:
         raise DiagramError("real_restricted_two_ways requires an affine type")
     rim_bar = imaginary_restriction(dtype)
-    direct = {e.coeffs for e in restricted_roots(dtype, k_max).elements
-              if e.reality == "real"}
+    entries, bound = _entries(dtype, _window(dtype.diagram, k_max))
     # the window holds theta + k_max * delta, so the scan bound also caps
     # the translates below, whose coordinates are at most (k_max + 1) * h
-    line = _imaginary_line(rim_bar, _scan(dtype.diagram, k_max)[1])
+    line = _imaginary_line(rim_bar, bound)
+    # _root_set adds only imaginary multiples, so the real elements are off it
+    direct = {c for c in entries if c not in line}
 
     kept = dtype.kept
     fin_kept, fin_values = finite_companion_data(dtype)
@@ -477,12 +481,8 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     )
 
 
-def _subset(diagram: Diagram, mask: int) -> frozenset:
-    """The nodes at the set bits of mask, bit i standing for the i-th node."""
-    return frozenset(n for i, n in enumerate(diagram.nodes) if mask >> i & 1)
-
-
 def proper_subsets(diagram: Diagram) -> Iterable[frozenset]:
-    """All proper contraction subsets, in order of their bit masks."""
+    """All proper contraction subsets, in order of their bit masks, bit i
+    standing for the i-th node."""
     for mask in range(2 ** len(diagram.nodes) - 1):
-        yield _subset(diagram, mask)
+        yield frozenset(n for i, n in enumerate(diagram.nodes) if mask >> i & 1)

@@ -192,6 +192,20 @@ def test_check_gcd_sweep_matches_a_per_subset_loop(capsys):
     assert [gcd_report(rr) for rr in restricted_root_sweep(diagram, 3)] == reports
 
 
+def test_selftest_a7_line_checks_fifty_distinct_subsets(monkeypatch, capsys):
+    # A7 has 127 proper subsets and 17 is prime to 127, so (17 i + 5) % 127
+    # picks 50 distinct subsets for i < 50
+    checked = []
+    oracle = cli.oracle_restricted_roots
+    monkeypatch.setattr(cli, "oracle_restricted_roots",
+                        lambda dtype: checked.append(dtype) or oracle(dtype))
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 0
+    assert "[ok] oracle A7 50 subsets: 0 set mismatches, 0 gcd failures\n" in out
+    a7 = [dt for dt in checked if dt.diagram == build_diagram("A", 7)]
+    assert len(a7) == 50 and len(set(a7)) == 50
+
+
 def test_restricted_roots_d5_example(capsys):
     code, out, _ = run_cli(
         ["restricted-roots", "--family", "D", "--rank", "5", "--contracted", "1,4,5"],

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from cdvwall.restriction import (
     DynkinType,
     check_gcd_closure,
     classify_value,
+    finite_restricted_values,
     imaginary_restriction,
     is_restricted_root,
     proper_subsets,
@@ -201,6 +203,82 @@ def test_sweep_equals_direct_builds(family, rank, affine, k_max):
         want = _set_by_definition(diagram, J, k_max)
         assert rr.to_json() == want, J
         assert restricted_roots(DynkinType(diagram, J), k_max).to_json() == want, J
+
+
+def test_builds_in_any_order_equal_the_definition(monkeypatch):
+    # the parent chain serves subsets in any order: every subset of D5~ at
+    # k = 2, of finite E6 and of D5~ at k = 1, in one seeded shuffle, so
+    # each chain is entered at random and the three interleave
+    monkeypatch.setattr(restriction, "_CHAINS", {})
+    d5a, e6 = build_diagram("D", 5, affine=True), build_diagram("E", 6)
+    cases = [(diagram, J, k_max) for diagram, k_max in ((d5a, 2), (e6, None), (d5a, 1))
+             for J in proper_subsets(diagram)]
+    random.Random(16).shuffle(cases)
+    for diagram, J, k_max in cases:
+        want = _set_by_definition(diagram, J, k_max)
+        assert restricted_roots(DynkinType(diagram, J), k_max).to_json() == want, (J, k_max)
+
+
+def _count_drops(monkeypatch) -> list:
+    """Empty the parent chains and record the position of every dropped
+    coordinate from here on."""
+    monkeypatch.setattr(restriction, "_CHAINS", {})
+    drops = []
+    drop = restriction._drop_coordinate
+    monkeypatch.setattr(restriction, "_drop_coordinate",
+                        lambda entries, j: drops.append(j) or drop(entries, j))
+    return drops
+
+
+@pytest.mark.parametrize("family,rank,affine,k_max", [("E", 7, True, 3), ("E", 8, False, None)])
+def test_a_sweep_drops_one_coordinate_per_subset(monkeypatch, family, rank, affine, k_max):
+    drops = _count_drops(monkeypatch)
+    diagram = build_diagram(family, rank, affine)
+    for _ in restricted_root_sweep(diagram, k_max):
+        pass
+    assert len(drops) == 2 ** len(diagram.nodes) - 2
+
+
+def test_a_two_way_sweep_drops_within_both_chains(monkeypatch):
+    # criterion 3's loop on E6~: at most one drop per affine subset and one
+    # per subset of the finite companion
+    drops = _count_drops(monkeypatch)
+    restriction.finite_restricted_values.cache_clear()
+    restriction.finite_companion_data.cache_clear()
+    diagram = build_diagram("E", 6, affine=True)
+    for J in proper_subsets(diagram):
+        assert real_restricted_two_ways(DynkinType(diagram, J), 3).equal, J
+    assert len(drops) <= (2 ** 7 - 2) + (2 ** 6 - 2)
+
+
+@pytest.mark.parametrize("family,rank", [("E", 6), ("D", 5)])
+def test_finite_values_are_the_set_values(family, rank):
+    diagram = build_diagram(family, rank)
+    for J in proper_subsets(diagram):
+        dt = DynkinType(diagram, J)
+        assert finite_restricted_values(dt) == restricted_roots(dt).values(), J
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_direct_real_set_is_the_real_elements(family, rank):
+    diagram = build_diagram(family, rank, affine=True)
+    for J in proper_subsets(diagram):
+        dt = DynkinType(diagram, J)
+        real = {e.coeffs for e in restricted_roots(dt, 3).elements if e.reality == "real"}
+        assert real_restricted_two_ways(dt, 3).set_direct == real, J
+
+
+def test_coefficient_readers_build_no_records(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a RestrictedRoot was built")
+
+    monkeypatch.setattr(restriction, "RestrictedRoot", refuse)
+    restriction.finite_restricted_values.cache_clear()
+    restriction.finite_companion_data.cache_clear()
+    diagram = build_diagram("D", 4, affine=True)
+    for J in proper_subsets(diagram):
+        assert real_restricted_two_ways(DynkinType(diagram, J)).equal, J
+    assert finite_restricted_values(DynkinType(build_diagram("E", 6), frozenset({2})))
 
 
 def test_dropping_a_coordinate_keeps_the_first_witness_and_unites_signs():
