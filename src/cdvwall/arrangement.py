@@ -17,13 +17,12 @@ and builds galleries through two given walls (`gallery_through_wall`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from typing import Iterable
 
-from .dynkin import DiagramError
+from .dynkin import DiagramError, Frozen
 from .groupoid import GroupoidArrow, mutate
 from .linalg import (
     Vec,
@@ -61,8 +60,7 @@ class SimultaneousCrossing(GeometryError):
     """A walked segment meets two facet hyperplanes of a chamber at one point."""
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Frozen):
     """A wall {theta : theta(normal) = offset}.
 
     Linear walls have offset 0 and a primitive sign-normalised normal;
@@ -70,15 +68,16 @@ class Hyperplane:
     (gcd of all entries including the offset is 1, leading normal entry
     positive)."""
 
-    normal: Vec
-    offset: int = 0
-
-    def __post_init__(self):
-        if vec_gcd((*self.normal, self.offset)) != 1:
+    def __init__(self, normal: Vec, offset: int = 0):
+        self.__dict__.update(normal=normal, offset=offset)
+        if vec_gcd((*normal, offset)) != 1:
             raise ValueError("hyperplane data must be jointly primitive")
-        lead = next((c for c in self.normal if c != 0), None)
+        lead = next((c for c in normal if c != 0), None)
         if lead is None or lead < 0:
             raise ValueError("hyperplane normal must be sign-normalised and nonzero")
+
+    def _key(self) -> tuple:
+        return (self.normal, self.offset)
 
     def to_json(self) -> dict:
         return {"normal": list(self.normal), "offset": self.offset}
@@ -101,13 +100,13 @@ def _chamber_key(sign: int, subset: frozenset, weyl: WeylElement) -> tuple:
     return (sign, tuple(sorted(subset)), weyl.matrix)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    dtype: DynkinType
-    sign: int
-    weyl: WeylElement
-    subset: frozenset
-    rays: tuple[Vec, ...]
+class Chamber(Frozen):
+    def __init__(self, dtype: DynkinType, sign: int, weyl: WeylElement, subset: frozenset,
+                 rays: tuple[Vec, ...]):
+        self.__dict__.update(dtype=dtype, sign=sign, weyl=weyl, subset=subset, rays=rays)
+
+    def _key(self) -> tuple:
+        return (self.dtype, self.sign, self.weyl, self.subset, self.rays)
 
     @property
     def kept_of_subset(self) -> tuple[int, ...]:
@@ -249,14 +248,14 @@ def cross_wall(chamber: Chamber, k: int,
     return c2, Hyperplane(primitive(raw))
 
 
-@dataclass(frozen=True)
-class Gallery:
-    chambers: tuple[Chamber, ...]
-    walls: tuple[Hyperplane, ...]
-
-    def __post_init__(self):
-        if len(self.walls) != len(self.chambers) - 1:
+class Gallery(Frozen):
+    def __init__(self, chambers: tuple[Chamber, ...], walls: tuple[Hyperplane, ...]):
+        self.__dict__.update(chambers=chambers, walls=walls)
+        if len(walls) != len(chambers) - 1:
             raise ValueError("a gallery needs one wall per adjacent chamber pair")
+
+    def _key(self) -> tuple:
+        return (self.chambers, self.walls)
 
     @property
     def length(self) -> int:

@@ -11,12 +11,11 @@ mean "not forced to vanish", never "nonzero".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .dynkin import build_diagram
+from .dynkin import Frozen, build_diagram
 from .groupoid import compose, induced_root_map, self_mutation_identification, step_relabelling
 from .linalg import Vec, is_colinear, mat_vec, vec_gcd
 from .restriction import (
@@ -41,8 +40,7 @@ class ClassError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """A class (chi, beta) with beta in curve-class coordinates."""
 
     chi: int
@@ -69,8 +67,7 @@ class CurveClass:
         return {"chi": self.chi, "beta": list(self.beta)}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     forced_zero: bool
     rule: str
     mult: int
@@ -89,8 +86,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     rule: str
     level: str                       # "motivic" | "numeric"
     params: tuple[tuple[str, int], ...] = ()
@@ -99,8 +95,7 @@ class Certificate:
         return {"paper_ref": self.rule, "level": self.level, "params": dict(self.params)}
 
 
-@dataclass(frozen=True)
-class SymmetryConfig:
+class SymmetryConfig(NamedTuple):
     rigidified: bool = False
     weighted_homogeneous: bool = False
     non_flop_nodes: frozenset = frozenset()
@@ -205,15 +200,17 @@ def geometric_verdict(dtype: DynkinType, cc: CurveClass,
     return Verdict(True, RULE_GEOM_VANISHING, d, global_scope=weighted_homogeneous)
 
 
-@dataclass(frozen=True)
-class ClassGenerator:
+class ClassGenerator(Frozen):
     """A partial self-map on classes with its certificate data.  act gives
-    the image and its certificate parameters, or None off the domain."""
+    the image and its certificate parameters, or None off the domain; it
+    takes no part in comparison."""
 
-    name: str
-    rule: str
-    level: str
-    act: Callable[[CurveClass], Optional[tuple[CurveClass, tuple]]] = field(compare=False)
+    def __init__(self, name: str, rule: str, level: str,
+                 act: Callable[[CurveClass], Optional[tuple[CurveClass, tuple]]]):
+        self.__dict__.update(name=name, rule=rule, level=level, act=act)
+
+    def _key(self) -> tuple:
+        return (self.name, self.rule, self.level)
 
     def defined(self, cc: CurveClass) -> bool:
         return self.act(cc) is not None
@@ -360,8 +357,7 @@ class UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     dtype: DynkinType
     config: SymmetryConfig
     orbits: tuple[tuple[tuple, ...], ...]          # sorted members per orbit
@@ -452,8 +448,7 @@ def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
     return (not offenders), tuple(offenders)
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(NamedTuple):
     source_beta: Vec
     node: int
     flop: bool

@@ -13,9 +13,8 @@ import shutil
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
 from .arrangement import (
@@ -66,8 +65,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     family: str = "A"
     rank: int = 2
     affine: bool = False
@@ -83,7 +81,10 @@ class JobConfig:
     out: Optional[str] = None
     n: int = 2
 
-    def __post_init__(self):
+    def validated(self) -> "JobConfig":
+        """This config, once every field has passed its check; the first
+        field that fails raises UsageError.  Every config a command runs
+        with, from the defaults, --config and the flags, comes through here."""
         for name, label in (("family", "family"), ("fmt", "format")):
             if not isinstance(getattr(self, name), str):
                 raise UsageError(f"{label} must be a string, got {getattr(self, name)!r}")
@@ -108,12 +109,12 @@ class JobConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise UsageError(f"{label} must be an integer >= {low}, got {value!r}")
+        return self
 
     def to_json(self) -> dict:
         data = {}
-        for f in fields(self):
-            *outer, key = JSON_PATHS.get(f.name, (f.name,))
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
+            *outer, key = JSON_PATHS.get(name, (name,))
             node = data.setdefault(outer[0], {}) if outer else data
             node[key] = list(value) if isinstance(value, tuple) else value
         return data
@@ -132,15 +133,15 @@ class JobConfig:
             if unknown:
                 raise UsageError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
         values = {}
-        for f in fields(JobConfig):
-            *outer, key = JSON_PATHS.get(f.name, (f.name,))
+        for name, default in JobConfig._field_defaults.items():
+            *outer, key = JSON_PATHS.get(name, (name,))
             source = window if outer else data
             if key in source:
                 value = source[key]
                 # node lists arrive as JSON arrays
-                is_nodes = isinstance(f.default, tuple) and isinstance(value, list)
-                values[f.name] = tuple(value) if is_nodes else value
-        return JobConfig(**values)
+                is_nodes = isinstance(default, tuple) and isinstance(value, list)
+                values[name] = tuple(value) if is_nodes else value
+        return JobConfig(**values).validated()
 
 
 def _is_int(value) -> bool:
@@ -220,15 +221,15 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             raise UsageError(f"--config is not valid JSON: {err}") from None
         cfg = JobConfig.from_json(data)
     updates = {}
-    for f in fields(JobConfig):
-        value = getattr(args, f.name, None)
+    for name, default in JobConfig._field_defaults.items():
+        value = getattr(args, name, None)
         if value is not None:
-            if isinstance(f.default, tuple):   # node lists arrive as i,j,... text
-                value = _parse_int_list(value, f.name.replace("_", "-"))
-            updates[f.name] = value
+            if isinstance(default, tuple):   # node lists arrive as i,j,... text
+                value = _parse_int_list(value, name.replace("_", "-"))
+            updates[name] = value
     if args.window is not None:
         updates["chi_max"], updates["beta_max"] = _parse_window(args.window)
-    cfg = replace(cfg, **updates)
+    cfg = cfg._replace(**updates).validated()
     command = COMMANDS[args.command]
     if cfg.fmt not in command.formats:
         writes = " or ".join(command.formats)
@@ -301,8 +302,9 @@ def write_json(obj, write: Callable[[str], None]) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2), byte for byte, in
     blocks of BLOCK_PARTS joined parts.  Any iterator is written as a JSON
     array, so a long list can be produced while it is written.  Values are
-    str, int, bool, None, str-keyed dicts and arrays; the program writes no
-    floats, and anything else raises TypeError."""
+    str, int, bool, None, str-keyed dicts, and arrays: exact lists and
+    tuples, so a record that is a tuple subclass is not one.  The program
+    writes no floats, and anything else raises TypeError."""
     parts: list[str] = []
     append = parts.append
     encode = encode_basestring_ascii
@@ -337,10 +339,10 @@ def write_json(obj, write: Callable[[str], None]) -> None:
                 sep = comma
                 value(o[key], depth + 1)
             append(newline(depth) + "}")
-        elif isinstance(o, (list, tuple)) and o and all(type(x) is int for x in o):
+        elif type(o) in (list, tuple) and o and all(type(x) is int for x in o):
             inner = newline(depth + 1)
             append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline(depth) + "]")
-        elif isinstance(o, (list, tuple, Iterator)):
+        elif type(o) in (list, tuple) or isinstance(o, Iterator):
             inner = newline(depth + 1)
             sep, comma = "[" + inner, "," + inner
             for item in o:
@@ -632,8 +634,7 @@ def cmd_export(cfg: JobConfig) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A subcommand: its handler, the --format values it writes (selftest
     prints text for both), and whether it needs an affine type (True),
     refuses one (False) or takes either (None)."""

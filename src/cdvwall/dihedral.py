@@ -13,7 +13,7 @@ compounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bps import vanishing_verdict
 from .dynkin import Diagram, build_diagram, enumerate_roots
@@ -35,8 +35,7 @@ def source_type(n: int) -> DynkinType:
     return DynkinType(build_diagram("D", 2 * n), frozenset(range(2, 2 * n - 1, 2)))
 
 
-@dataclass(frozen=True)
-class DihedralCase:
+class DihedralCase(NamedTuple):
     n: int
     source: DynkinType
     target: Diagram
@@ -60,8 +59,7 @@ def compound_vectors(n: int) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     n: int
     image: frozenset
     root_part: frozenset
@@ -102,8 +100,7 @@ def _extended_imaginary(n: int) -> Vec:
     return (1,) + tuple(high)
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     n: int
     window: int
     checked: int
@@ -150,8 +147,7 @@ def proposition_check(n: int, coeff_max: int = 2) -> PropositionReport:
     return PropositionReport(n, coeff_max, checked, tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     n: int
     window: int
     parity_roots: int
@@ -210,8 +206,7 @@ def mozgovoy_reineke_check(n: int, k_window: int = 3) -> ParityReport:
                         nonparity_producing, covered == compounds)
 
 
-@dataclass(frozen=True)
-class DihedralReport:
+class DihedralReport(NamedTuple):
     n: int
     split: SplitReport
     proposition: PropositionReport

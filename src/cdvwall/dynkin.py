@@ -9,8 +9,8 @@ Coefficient vectors are plain integer tuples in ascending node-label order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .linalg import Vec
 
@@ -21,21 +21,42 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Frozen:
+    """Base of the records that validate or cache at construction: __init__
+    sets the fields once, and they cannot be assigned or deleted after.
+    Records compare equal, and hash, as the tuple _key() of their compared
+    fields, and only to records of their own class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class Diagram(Frozen):
     """A simply laced diagram: nodes, edges, and a family tag.
 
     The doubled edge of the rank-1 affine diagram is stored as a repeated
     pair, so the Cartan matrix below is correct in that case too.
     """
 
-    family: str
-    rank: int
-    affine: bool
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
+    def __init__(self, family: str, rank: int, affine: bool, nodes: tuple[int, ...],
+                 edges: tuple[tuple[int, int], ...]):
+        self.__dict__.update(family=family, rank=rank, affine=affine, nodes=nodes, edges=edges)
         if tuple(sorted(set(self.nodes))) != self.nodes:
             raise DiagramError("nodes must be sorted and unique")
         for a, b in self.edges:
@@ -63,14 +84,17 @@ class Diagram:
             if sum(1 for d in deg.values() if d == 3) > 1:
                 raise DiagramError("more than one trivalent node in a finite diagram")
 
+    def _key(self) -> tuple:
+        return (self.family, self.rank, self.affine, self.nodes, self.edges)
+
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The field hash the dataclass would compute, computed once: a
-        diagram keys every per-diagram cache and is hashed on each lookup."""
-        return hash((self.family, self.rank, self.affine, self.nodes, self.edges))
+        """The hash of the fields, computed once: a diagram keys every
+        per-diagram cache and is hashed on each lookup."""
+        return hash(self._key())
 
     def degrees(self) -> dict[int, int]:
         deg = {n: 0 for n in self.nodes}
@@ -119,8 +143,7 @@ class Diagram:
         }
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     diagram: Diagram
     positive_roots: tuple[Vec, ...]
     highest_root: Vec

@@ -16,9 +16,8 @@ against the chamber geometry (`cross_wall`, `path_to_gallery`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dynkin import Diagram
 from .linalg import Mat, Vec, identity_matrix, mat_mul, mat_vec
@@ -58,8 +57,7 @@ def mutate(weyl: WeylElement, subset: frozenset, node: int) -> tuple[WeylElement
     return weyl.times_word(omega.word), new_subset
 
 
-@dataclass(frozen=True)
-class GroupoidArrow:
+class GroupoidArrow(NamedTuple):
     source: DynkinType
     target_subset: frozenset
     weyl: WeylElement
@@ -84,8 +82,7 @@ def compose(dtype: DynkinType, nodes: tuple[int, ...]) -> GroupoidArrow:
     return GroupoidArrow(dtype, subset, weyl, tuple(word))
 
 
-@dataclass(frozen=True)
-class InducedRootMap:
+class InducedRootMap(NamedTuple):
     """The lattice map Z(target kept) -> Z(source kept) of an arrow and its
     inverse.  w carries span{alpha_j : j in T} onto span{alpha_j : j in S},
     so it induces an isomorphism between the quotients by these spans:

@@ -16,11 +16,11 @@ Slow is fine here; any disagreement with the engine is a hard failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, mul
+from typing import NamedTuple
 
 from .arrangement import ChamberGraph, GeometryError, locate_by_walk
 from .dynkin import Diagram
@@ -131,8 +131,7 @@ def oracle_gcd_check(dtype: DynkinType) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     samples: int
     located: int
     skipped_degenerate: int

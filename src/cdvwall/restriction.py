@@ -19,14 +19,14 @@ order drops one coordinate per subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .dynkin import (
     Diagram,
     DiagramError,
+    Frozen,
     build_diagram,
     enumerate_roots,
     expanded_window,
@@ -43,27 +43,26 @@ from .linalg import (
 DEFAULT_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Frozen):
     """A diagram with a proper subset of contracted nodes."""
 
-    diagram: Diagram
-    contracted: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "contracted", frozenset(self.contracted))
-        if not self.contracted <= set(self.diagram.nodes):
+    def __init__(self, diagram: Diagram, contracted: Iterable[int]):
+        self.__dict__.update(diagram=diagram, contracted=frozenset(contracted))
+        if not self.contracted <= set(diagram.nodes):
             raise DiagramError("contracted set contains unknown nodes")
-        if self.contracted == set(self.diagram.nodes):
+        if self.contracted == set(diagram.nodes):
             raise DiagramError("contracted set must be a proper subset")
+
+    def _key(self) -> tuple:
+        return (self.diagram, self.contracted)
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The field hash the dataclass would compute, computed once."""
-        return hash((self.diagram, self.contracted))
+        """The hash of the fields, computed once."""
+        return hash(self._key())
 
     @cached_property
     def kept(self) -> tuple[int, ...]:
@@ -122,8 +121,7 @@ def imaginary_restriction(dtype: DynkinType) -> Vec:
     return restrict(dtype, imaginary_root(dtype.diagram))
 
 
-@dataclass(frozen=True)
-class RestrictedRoot:
+class RestrictedRoot(NamedTuple):
     coeffs: Vec
     signs: frozenset          # subset of {+1, -1}: sign classes of the preimages
     reality: Optional[str]    # "real" | "imaginary" for affine types, None finite
@@ -140,11 +138,13 @@ class RestrictedRoot:
         }
 
 
-@dataclass(frozen=True)
-class RestrictedRootSet:
-    dynkin_type: DynkinType
-    elements: tuple[RestrictedRoot, ...]
-    window: Optional[int]
+class RestrictedRootSet(Frozen):
+    def __init__(self, dynkin_type: DynkinType, elements: tuple[RestrictedRoot, ...],
+                 window: Optional[int]):
+        self.__dict__.update(dynkin_type=dynkin_type, elements=elements, window=window)
+
+    def _key(self) -> tuple:
+        return (self.dynkin_type, self.elements, self.window)
 
     def values(self) -> frozenset:
         return frozenset(e.coeffs for e in self.elements)
@@ -366,15 +366,13 @@ def is_restricted_root(dtype: DynkinType, v: Vec) -> bool:
     return v in finite_restricted_values(dtype)
 
 
-@dataclass(frozen=True)
-class GcdViolation:
+class GcdViolation(NamedTuple):
     coeffs: Vec
     mult: int
     missing_numerator: int
 
 
-@dataclass(frozen=True)
-class GcdReport:
+class GcdReport(NamedTuple):
     dynkin_type: DynkinType
     n_elements: int
     n_nontrivial: int
@@ -429,8 +427,7 @@ def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdRepo
     return gcd_report(restricted_roots(dtype, k_max if dtype.affine else None))
 
 
-@dataclass(frozen=True)
-class TwoWayReport:
+class TwoWayReport(NamedTuple):
     set_direct: frozenset
     set_translated: frozenset
     equal: bool

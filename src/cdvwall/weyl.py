@@ -4,11 +4,12 @@ An element is an integer matrix in the simple-root basis together with the
 matrix of its inverse.  Right multiplication by a simple reflection s_i is
 a rank-one update of both: w . s_i rewrites only the rows of w with a
 nonzero entry in column i, and (w . s_i)^-1 = s_i . w^-1 only row i of the
-inverse.  Reduced words (by descent stripping, which needs no window even
-in the affine case), `from_word` and longest elements of finite
-parabolics (by greedy ascent) are all walks by this step, and a product
-multiplies the inverses in reverse order, so no element is ever inverted
-by elimination.
+inverse.  `from_word` and longest elements of finite parabolics (by
+greedy ascent) are walks by this step, and a product multiplies the
+inverses in reverse order, so no element is ever inverted by elimination.
+Reduced words strip descents by the numbers game on w^-1 rho, which needs
+no window even in the affine case and steps one vector instead of the
+matrices.
 """
 
 from __future__ import annotations
@@ -120,15 +121,25 @@ class WeylElement:
     @property
     def word(self) -> tuple[int, ...]:
         """A reduced word, computed once by descent stripping: strip the
-        first right descent in node order until none is left."""
+        first right descent in node order until none is left.
+
+        The descents are read off mu = w^-1 rho in fundamental-weight
+        coordinates (the numbers game).  mu_j is the height of w . alpha_j,
+        the sum of column j of w, so node j is a right descent exactly when
+        mu_j < 0, and stripping it (w -> w . s_j) moves mu_i to
+        mu_i - A_ji mu_j."""
         if self._word is None:
-            w, rev = self, []
+            nodes, rows = self.diagram.nodes, _cartan_rows(self.diagram)
+            mu = [sum(column) for column in zip(*self.matrix)]
+            rev = []
             while True:
-                node = next((n for n in self.diagram.nodes if w.sends_simple_negative(n)), None)
-                if node is None:
+                j = next((j for j, m in enumerate(mu) if m < 0), None)
+                if j is None:
                     break
-                rev.append(node)
-                w = w.times_simple(node)
+                rev.append(nodes[j])
+                m = mu[j]
+                for i, a in rows[nodes[j]][1]:
+                    mu[i] -= a * m
             self._word = tuple(reversed(rev))
         return self._word
 

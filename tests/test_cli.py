@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -11,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdvwall import cli
-from cdvwall.bps import ClassError
+from cdvwall.bps import ClassError, Verdict
 from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main, write_json
 from cdvwall.dynkin import build_diagram
 from cdvwall.restriction import (
     DynkinType,
+    RestrictedRoot,
     check_gcd_closure,
     gcd_report,
     proper_subsets,
@@ -80,7 +80,7 @@ FIELD_CASES = {
 
 
 def test_field_cases_cover_every_field():
-    assert set(FIELD_CASES) == {f.name for f in fields(JobConfig)}
+    assert set(FIELD_CASES) == set(JobConfig._fields)
 
 
 @pytest.mark.parametrize("field", sorted(FIELD_CASES))
@@ -94,7 +94,7 @@ def test_flag_and_config_file_set_a_field_alike(field, tmp_path):
     assert by_flag == by_file
     default = getattr(JobConfig(), field)
     assert getattr(by_flag, field) != default
-    assert replace(by_flag, **{field: default}) == JobConfig()
+    assert by_flag._replace(**{field: default}) == JobConfig()
 
 
 class Lazy(list):
@@ -156,7 +156,9 @@ def test_write_json_writes_rows_while_they_are_produced():
     assert len(written_at) > 10 and written_at[0] < 10
 
 
-@pytest.mark.parametrize("bad", [{1: "int key"}, [1.5], {"x": object()}])
+@pytest.mark.parametrize("bad", [
+    {1: "int key"}, [1.5], {"x": object()}, Verdict(False, "rule", 1),
+    {"x": [RestrictedRoot((1,), frozenset({1}), None, 1, (1,))]}])
 def test_write_json_takes_only_integer_json(bad):
     with pytest.raises(TypeError):
         write_json(bad, lambda text: None)
@@ -494,6 +496,13 @@ def test_closed_pipe_is_a_usage_error():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    code = "import sys, cdvwall.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -1,5 +1,7 @@
 import pytest
 
+from cdvwall.arrangement import Chamber, Gallery, Hyperplane, fundamental_chamber
+from cdvwall.bps import ClassGenerator
 from cdvwall.dynkin import (
     Diagram,
     DiagramError,
@@ -11,7 +13,8 @@ from cdvwall.dynkin import (
     root_count_formula,
 )
 from cdvwall.oracle import oracle_positive_roots
-from cdvwall.restriction import DynkinType
+from cdvwall.restriction import DynkinType, restricted_roots
+from cdvwall.weyl import WeylElement
 
 ALL_FINITE = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + \
     [("E", n) for n in (6, 7, 8)]
@@ -193,9 +196,43 @@ def test_separately_built_equal_diagrams_hash_and_compare_equal():
     twin = Diagram(d.family, d.rank, d.affine, tuple(list(d.nodes)),
                    tuple(tuple(list(e)) for e in d.edges))
     assert twin is not d and twin == d and hash(twin) == hash(d)
-    # the cached hash is the dataclass field hash, so set and dict orders keep
+    # a record hashes as the tuple of its fields, so set and dict orders,
+    # and with them the output bytes, stay what they were
     assert hash(d) == hash((d.family, d.rank, d.affine, d.nodes, d.edges))
     t, t_twin = DynkinType(d, frozenset({1, 3})), DynkinType(twin, frozenset([3, 1]))
     assert t_twin == t and hash(t_twin) == hash(t) == hash((d, frozenset({1, 3})))
     assert len({d, twin}) == 1 and len({t, t_twin}) == 1
     assert DynkinType(d, frozenset({1})) != t
+    wall, wall_twin = Hyperplane((1, 2, 0), 1), Hyperplane(tuple([1, 2, 0]), 1)
+    assert wall_twin == wall and hash(wall_twin) == hash(wall) == hash(((1, 2, 0), 1))
+    c = fundamental_chamber(t)
+    w = WeylElement(twin, tuple(map(tuple, c.weyl.matrix)), c.weyl.inverse_matrix)
+    c_twin = Chamber(t_twin, c.sign, w, frozenset(c.subset), tuple(map(tuple, c.rays)))
+    assert c_twin is not c and c_twin == c
+    assert hash(c_twin) == hash(c) == hash((t, c.sign, c.weyl, c.subset, c.rays))
+    # equal fields do not make records of other classes, or tuples, equal
+    assert wall != ((1, 2, 0), 1) and t != (d, frozenset({1, 3}))
+    assert c.__eq__(wall) is NotImplemented
+
+
+def test_hand_written_records_are_immutable():
+    d = build_diagram("A", 2, affine=True)
+    t = DynkinType(d, frozenset({0}))
+    c = fundamental_chamber(t)
+    records = [
+        (d, ("family", "rank", "affine", "nodes", "edges")),
+        (t, ("diagram", "contracted")),
+        (restricted_roots(t, 1), ("dynkin_type", "elements", "window")),
+        (Hyperplane((1, 0)), ("normal", "offset")),
+        (c, ("dtype", "sign", "weyl", "subset", "rays")),
+        (Gallery((c,), ()), ("chambers", "walls")),
+        (ClassGenerator("g", "rule", "numeric", lambda cc: None),
+         ("name", "rule", "level", "act")),
+    ]
+    for record, names in records:
+        for name in (*names, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert all(hasattr(record, name) for name in names)

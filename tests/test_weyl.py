@@ -15,13 +15,15 @@ from cdvwall.weyl import (
 )
 
 
-def group_elements(diagram, subset=None):
-    """Breadth-first enumeration of a finite (parabolic) Weyl group."""
+def group_elements(diagram, subset=None, radius=-1):
+    """Breadth-first enumeration of a finite (parabolic) Weyl group, or of
+    its elements of length at most radius when radius >= 0."""
     nodes = sorted(set(subset)) if subset is not None else list(diagram.nodes)
     start = identity(diagram)
     seen = {start.matrix: start}
     frontier = [start]
-    while frontier:
+    while frontier and radius != 0:
+        radius -= 1
         nxt = []
         for w in frontier:
             for n in nodes:
@@ -42,6 +44,27 @@ def coset_minimal(w, subset):
         if descent is None:
             return w
         w = w.times_simple(descent)
+
+
+def stripped_word(w):
+    """The reference for WeylElement.word, by matrix stripping: while w
+    has a right descent (a column with a negative entry), strip the first
+    in node order by a rank-one step of both matrices."""
+    rev = []
+    while True:
+        node = next((n for n in w.diagram.nodes if w.sends_simple_negative(n)), None)
+        if node is None:
+            return tuple(reversed(rev))
+        rev.append(node)
+        w = w.times_simple(node)
+
+
+@pytest.mark.parametrize("family, rank, affine, radius", [
+    ("A", 4, False, -1), ("D", 4, False, -1), ("A", 1, True, 9),
+    ("D", 5, True, 4), ("E", 6, True, 4), ("E", 8, True, 3)])
+def test_word_is_the_stripped_word_on_balls(family, rank, affine, radius):
+    for w in group_elements(build_diagram(family, rank, affine), radius=radius):
+        assert w.word == stripped_word(w)
 
 
 def test_simple_reflection_is_an_involution():
@@ -243,6 +266,17 @@ def test_reduced_word_round_trip(diagram):
         w = from_word(diagram, word)
         assert from_word(diagram, w.word) == w
         assert len(w.word) <= len(word) and len(w.word) % 2 == len(word) % 2
+
+    check()
+
+
+@pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
+def test_word_is_the_stripped_word(diagram):
+    @PROPERTY
+    @given(_words(diagram))
+    def check(word):
+        w = from_word(diagram, word)
+        assert w.word == stripped_word(w)
 
     check()
 
