@@ -36,8 +36,7 @@ from .linalg import (
 )
 from .restriction import (
     DynkinType,
-    embed_finite,
-    finite_companion_data,
+    finite_companion_values,
     imaginary_restriction,
     is_restricted_root,
     restrict,
@@ -403,8 +402,6 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
     """
     p, q = a.interior_point(), b.interior_point()
     rim_bar = imaginary_restriction(dtype)
-    fin_kept, fin_values = finite_companion_data(dtype)
-    kept = dtype.kept
     separating = set()
 
     def check(normal: Vec):
@@ -416,8 +413,7 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
 
     check(rim_bar)
     p_rim, q_rim = dot(p, rim_bar), dot(q, rim_bar)
-    for rbar_fin in fin_values:
-        base = embed_finite(kept, fin_kept, rbar_fin)
+    for base in finite_companion_values(dtype):
         if is_colinear(base, rim_bar):
             continue
         pb, qb = dot(p, base), dot(q, base)
@@ -448,11 +444,11 @@ def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False)
         return tuple(seen[k] for k in sorted(seen))
     if 0 in dtype.contracted:
         raise DiagramError("slice coordinates need node 0 kept")
-    _, fin_values = finite_companion_data(dtype)
     walls = set()
-    for rbar in fin_values:
+    for rbar in finite_companion_values(dtype):
+        normal = rbar[1:]   # node 0 is the first coordinate
         for k in range(-k_max, k_max + 1):
-            walls.add(wall_through(rbar, k))
+            walls.add(wall_through(normal, k))
     return tuple(sorted(walls, key=lambda h: (h.normal, h.offset)))
 
 

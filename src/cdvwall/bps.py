@@ -60,9 +60,6 @@ class CurveClass(NamedTuple):
     def is_effective(self) -> bool:
         return any(b != 0 for b in self.beta) and all(b >= 0 for b in self.beta)
 
-    def key(self) -> tuple:
-        return (self.chi, self.beta)
-
     def to_json(self) -> dict:
         return {"chi": self.chi, "beta": list(self.beta)}
 
@@ -122,24 +119,28 @@ def affine_companion(dtype: DynkinType) -> DynkinType:
     return DynkinType(diagram, dtype.contracted)
 
 
+def _finite_rim(aff: DynkinType) -> Vec:
+    """pi(r_im) at the kept finite nodes of an affine type that keeps node
+    0, its first coordinate, where pi(r_im) reads 1."""
+    if 0 in aff.contracted:
+        raise ClassError("curve classes need node 0 kept")
+    return imaginary_restriction(aff)[1:]
+
+
 def class_to_vector(aff: DynkinType, cc: CurveClass) -> Vec:
-    """beta + chi * pi(r_im) in the affine kept coordinates (node 0 first)."""
-    rim_bar = imaginary_restriction(aff)
-    # nodes are sorted, so node 0, when kept, is the first coordinate
-    beta = (0, *cc.beta) if aff.kept[0] == 0 else cc.beta
-    if len(beta) != len(rim_bar):
+    """beta + chi * pi(r_im) in the affine kept coordinates: chi at node 0,
+    then beta_i + chi * pi(r_im)_i at the kept finite nodes."""
+    rim_fin = _finite_rim(aff)
+    if len(cc.beta) != len(rim_fin):
         raise ClassError("beta length does not match the kept finite nodes")
     chi = cc.chi
-    return tuple(b + chi * r for b, r in zip(beta, rim_bar))
+    return (chi, *(b + chi * r for b, r in zip(cc.beta, rim_fin)))
 
 
 def vector_to_class(aff: DynkinType, delta: Vec) -> CurveClass:
-    rim_bar = imaginary_restriction(aff)
-    kept = aff.kept
-    zero = kept.index(0)
-    chi = delta[zero]
-    beta = tuple(delta[i] - chi * rim_bar[i] for i, n in enumerate(kept) if n != 0)
-    return CurveClass(chi, beta)
+    """The class of a dimension vector: chi is its node 0 coordinate."""
+    chi = delta[0]
+    return CurveClass(chi, tuple(d - chi * r for d, r in zip(delta[1:], _finite_rim(aff))))
 
 
 def vanishing_verdict(dtype: DynkinType, delta: Vec,
@@ -164,9 +165,8 @@ def vanishing_verdict(dtype: DynkinType, delta: Vec,
     rule = RULE_NC_VANISHING_GLOBAL if weighted_homogeneous else RULE_NC_VANISHING
     if hit is None:
         return Verdict(True, rule, d, global_scope=weighted_homogeneous)
-    kind, data = hit
-    base = imaginary_restriction(dtype) if kind == "imaginary" else v
-    return Verdict(False, rule, d, kind=kind, base=base,
+    base = imaginary_restriction(dtype) if hit == "imaginary" else v
+    return Verdict(False, rule, d, kind=hit, base=base,
                    global_scope=weighted_homogeneous)
 
 
@@ -218,7 +218,7 @@ class ClassGenerator(Frozen):
     def image(self, cc: CurveClass) -> tuple[CurveClass, tuple]:
         out = self.act(cc)
         if out is None:
-            raise ClassError(f"{self.name} is not defined at {cc.key()}")
+            raise ClassError(f"{self.name} is not defined at {tuple(cc)}")
         return out
 
     def certificate(self, params: tuple) -> Certificate:
@@ -228,23 +228,14 @@ class ClassGenerator(Frozen):
 def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
     """The smallest n >= 0 for which (n*d - chi, -beta) maps into the
     non-negative dimension vectors, d the beta multiplicity."""
-    aff = affine_companion(dtype)
-    rim_bar = imaginary_restriction(aff)
-    kept = aff.kept
-    fin_kept = tuple(n for n in kept if n != 0)
     d = cc.d_beta
     if d == 0:
         raise ClassError("duality needs beta nonzero")
-    beta_at = dict(zip(fin_kept, cc.beta))
     t_min = 0
-    for i, n in enumerate(kept):
-        if n == 0:
-            continue
+    for b, r in zip(cc.beta, _finite_rim(affine_companion(dtype))):
         # need (n*d - chi) * rim_i - beta_i >= 0
-        b, r = beta_at[n], rim_bar[i]
         t_min = max(t_min, -(-b // r))
-    n = max(0, -(-(t_min + cc.chi) // d))
-    return n
+    return max(0, -(-(t_min + cc.chi) // d))
 
 
 def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
@@ -311,8 +302,7 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
         if not any(delta) or is_colinear(delta, rim_bar):
             return None
         if level == "motivic":
-            hit = classify_value(aff, delta)
-            if hit is None or hit[0] != "real":
+            if classify_value(aff, delta) != "real":
                 return None
         elif vec_gcd(delta) != 1:
             return None
@@ -360,8 +350,8 @@ class UnionFind:
 class OrbitPartition(NamedTuple):
     dtype: DynkinType
     config: SymmetryConfig
-    orbits: tuple[tuple[tuple, ...], ...]          # sorted members per orbit
-    edges: tuple[tuple[tuple, tuple, Certificate], ...]
+    orbits: tuple[tuple[CurveClass, ...], ...]     # sorted members per orbit
+    edges: tuple[tuple[CurveClass, CurveClass, Certificate], ...]
 
     def to_json(self) -> dict:
         """The document with its orbits and certificates as generators, so
@@ -371,17 +361,13 @@ class OrbitPartition(NamedTuple):
             "config": self.config.to_json(),
             "orbits": (
                 {
-                    "representative": {"chi": o[0][0], "beta": list(o[0][1])},
-                    "members": [{"chi": m[0], "beta": list(m[1])} for m in o],
+                    "representative": o[0].to_json(),
+                    "members": [m.to_json() for m in o],
                 }
                 for o in self.orbits
             ),
             "certificates": (
-                {
-                    "from": {"chi": a[0], "beta": list(a[1])},
-                    "to": {"chi": b[0], "beta": list(b[1])},
-                    **cert.to_json(),
-                }
+                {"from": a.to_json(), "to": b.to_json(), **cert.to_json()}
                 for a, b, cert in self.edges
             ),
         }
@@ -395,7 +381,7 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
     beta_i + chi * pi(r_im)_i, so each beta_i starts at the larger of
     -beta_max and -chi * pi(r_im)_i; no class outside the cone is built."""
     aff = affine_companion(dtype)
-    rim_fin = [r for n, r in zip(aff.kept, imaginary_restriction(aff)) if n != 0]
+    rim_fin = _finite_rim(aff)
     b_max = config.beta_max
     for chi in range(config.chi_max + 1):
         betas = itertools.product(*(range(max(-b_max, -chi * r), b_max + 1) for r in rim_fin))
@@ -408,28 +394,26 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
 def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition:
     """Union-find closure of the configured generators on the window."""
     classes = tuple(window_classes(dtype, config))
-    keys = [cc.key() for cc in classes]
-    index = set(keys)
-    uf = UnionFind(keys)
+    index = set(classes)
+    uf = UnionFind(classes)
     edges = []
     seen_edges = set()
     for gen in symmetry_generators(dtype, config):
-        for cc, key in zip(classes, keys):
+        for cc in classes:
             hit = gen.act(cc)
             if hit is None:
                 continue
             img, params = hit
-            img_key = img.key()
-            if img_key not in index or img_key == key:
+            if img not in index or img == cc:
                 continue
-            uf.union(key, img_key)
-            tag = (key, img_key, gen.rule, params)
+            uf.union(cc, img)
+            tag = (cc, img, gen.rule, params)
             if tag not in seen_edges:
                 seen_edges.add(tag)
-                edges.append((key, img_key, gen.certificate(params)))
+                edges.append((cc, img, gen.certificate(params)))
     grouped: dict = {}
-    for key in keys:
-        grouped.setdefault(uf.find(key), []).append(key)
+    for cc in classes:
+        grouped.setdefault(uf.find(cc), []).append(cc)
     orbits = tuple(tuple(sorted(members)) for _, members in sorted(grouped.items()))
     return OrbitPartition(dtype, config, orbits, tuple(edges))
 
@@ -441,8 +425,7 @@ def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
     """
     offenders = []
     for orbit in partition.orbits:
-        flags = {geometric_verdict(dtype, CurveClass(chi, beta)).forced_zero
-                 for chi, beta in orbit}
+        flags = {geometric_verdict(dtype, cc).forced_zero for cc in orbit}
         if len(flags) > 1:
             offenders.append(orbit)
     return (not offenders), tuple(offenders)
@@ -493,14 +476,12 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
     arrow = compose(aff, (node,))
     delta = class_to_vector(aff, CurveClass(1, beta))
     image = induced_root_map(arrow).inverse_apply(delta)
+    # the target contracts only nodes of S and the node itself, all finite,
+    # so it keeps node 0
     target_dtype = DynkinType(aff.diagram, arrow.target_subset)
-    target_kept = target_dtype.kept
-    rim_target = imaginary_restriction(target_dtype)
-    zero = target_kept.index(0)
-    chi = image[zero]
+    chi, beta_img = vector_to_class(target_dtype, image)
     if chi != 1:
         raise ClassError("transport did not preserve the point class")
-    beta_img = tuple(image[i] - rim_target[i] for i, n in enumerate(target_kept) if n != 0)
 
     if flop:
         if any(b < 0 for b in beta_img):
@@ -508,8 +489,7 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
         return TransportResult(beta, node, True, beta_img, "flopped space",
                                tuple(sorted(n for n in arrow.target_subset)))
     relabel = step_relabelling(arrow)
-    fin_target = tuple(n for n in target_kept if n != 0)
-    back = {relabel[t]: b for t, b in zip(fin_target, beta_img)}
+    back = {relabel[t]: b for t, b in zip(target_dtype.kept[1:], beta_img)}
     beta_same = tuple(back[n] for n in dtype.kept)
     if any(b < 0 for b in beta_same):
         raise ClassError("transported class is not effective")

@@ -52,6 +52,7 @@ from .restriction import (
     gcd_report,
     imaginary_restriction,
     proper_subsets,
+    restrict,
     restricted_root_sweep,
     restricted_roots,
 )
@@ -465,8 +466,7 @@ def cmd_gallery(cfg: JobConfig) -> int:
     graph = ChamberGraph(dtype)
     rows = []
     for node in dtype.kept:
-        alpha = tuple(dtype.diagram.simple_root(node)[dtype.diagram.index[m]]
-                      for m in dtype.kept)
+        alpha = restrict(dtype, dtype.diagram.simple_root(node))
         for rbar in positives:
             if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
                 continue

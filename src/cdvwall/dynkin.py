@@ -41,6 +41,12 @@ class Frozen:
         return self._key() == other._key()
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once: diagrams and types key
+        the per-diagram and per-type caches and are hashed on each lookup."""
         return hash(self._key())
 
     def __repr__(self):
@@ -86,15 +92,6 @@ class Diagram(Frozen):
 
     def _key(self) -> tuple:
         return (self.family, self.rank, self.affine, self.nodes, self.edges)
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, computed once: a diagram keys every
-        per-diagram cache and is hashed on each lookup."""
-        return hash(self._key())
 
     def degrees(self) -> dict[int, int]:
         deg = {n: 0 for n in self.nodes}

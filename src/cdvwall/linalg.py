@@ -67,19 +67,6 @@ def det(m: Mat) -> int:
     return _eliminate(m)[0]
 
 
-def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
-
-    The engine never calls this: Weyl elements carry their inverses and
-    induced root maps read theirs off them.  It stays as the elimination
-    reference that the Weyl, linear-algebra and groupoid tests compare the
-    carried inverses against."""
-    d, adj = _eliminate(m, identity_matrix(len(m)))
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
-
-
 def clear_denominators(v: Sequence) -> tuple[Vec, int]:
     """The integer vector scale * v and the least positive integer scale
     that makes it one, for a vector of ints or Fractions."""

@@ -6,7 +6,10 @@ drops the contracted coordinates.  Deduplication is by coefficient tuple;
 sign and reality classes are annotations on the tuple, not part of its
 identity.  Affine sets are infinite, so enumeration takes a level window;
 membership tests are windowless and exact via the translation structure
-of the real restricted roots.
+of the real restricted roots.  Kept coordinates follow node order, so an
+affine type that keeps node 0 has it first, where pi(r_im) reads 1; the
+values of its finite companion are given in the same coordinates, reading
+0 there.
 
 Every set of one diagram is built from one scan of its roots, the
 entries of the empty subset.  Restriction composes, so the entries of a
@@ -56,14 +59,6 @@ class DynkinType(Frozen):
     def _key(self) -> tuple:
         return (self.diagram, self.contracted)
 
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, computed once."""
-        return hash(self._key())
-
     @cached_property
     def kept(self) -> tuple[int, ...]:
         return tuple(n for n in self.diagram.nodes if n not in self.contracted)
@@ -84,13 +79,6 @@ class DynkinType(Frozen):
     @property
     def affine(self) -> bool:
         return self.diagram.affine
-
-    def finite_type(self) -> "DynkinType":
-        """The finite companion (finite part, contracted intersected with it)."""
-        if not self.affine:
-            return self
-        fin = self.diagram.finite_part()
-        return DynkinType(fin, frozenset(self.contracted - {0}))
 
     def to_json(self) -> dict:
         return {
@@ -297,36 +285,30 @@ def finite_restricted_values(dtype: DynkinType) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def finite_companion_data(dtype: DynkinType) -> tuple[tuple[int, ...], frozenset]:
-    """Kept finite nodes and the finite restricted-root values of an affine
-    type's companion.  Both are empty when every finite node is contracted,
-    a degenerate but legal affine type whose companion has no kept nodes."""
+def finite_companion_values(dtype: DynkinType) -> frozenset:
+    """The finite restricted-root values of an affine type's companion (the
+    finite part, with the contracted finite nodes), in the type's own kept
+    coordinates: node 0, when kept, is the first coordinate and reads 0 on
+    every value.  Empty when node 0 is the only kept node."""
     if not dtype.affine:
-        raise DiagramError("finite_companion_data requires an affine type")
-    fin_diagram = dtype.diagram.finite_part()
-    fin_kept = tuple(n for n in fin_diagram.nodes if n not in dtype.contracted)
-    if not fin_kept:
-        return (), frozenset()
-    fin = dtype.finite_type()
-    return fin.kept, finite_restricted_values(fin)
+        raise DiagramError("finite_companion_values requires an affine type")
+    if dtype.kept == (0,):
+        return frozenset()
+    values = finite_restricted_values(
+        DynkinType(dtype.diagram.finite_part(), dtype.contracted - {0}))
+    if 0 in dtype.contracted:
+        return values
+    return frozenset((0, *v) for v in values)
 
 
-def embed_finite(kept: tuple[int, ...], fin_kept: tuple[int, ...], rbar_fin: Vec) -> Vec:
-    """Place finite kept-node coordinates into the affine type's kept
-    coordinates, with 0 at every node outside fin_kept."""
-    vals = dict(zip(fin_kept, rbar_fin))
-    return tuple(vals.get(n, 0) for n in kept)
-
-
-def classify_value(dtype: DynkinType, v: Vec):
+def classify_value(dtype: DynkinType, v: Vec) -> Optional[str]:
     """Exact membership of a vector in the affine restricted-root set.
 
-    Returns None if v is not a restricted root, ("imaginary", k) when
-    v = k * pi(r_im), and ("real", (rbar, k)) for a decomposition
-    v = rbar + k * pi(r_im), with rbar a finite restricted root and v off
-    the imaginary line; several decompositions can exist, and this is one.
-    No window is involved: real membership reduces to the finite set plus
-    integer translation along the imaginary direction.
+    Returns None if v is not a restricted root, "imaginary" when
+    v = k * pi(r_im) for some k != 0, and "real" when v = rbar + k * pi(r_im)
+    off the imaginary line, with rbar a finite restricted root.  No window
+    is involved: real membership reduces to the finite set plus integer
+    translation along the imaginary direction.
     """
     if not dtype.affine:
         raise DiagramError("classify_value requires an affine type")
@@ -335,27 +317,21 @@ def classify_value(dtype: DynkinType, v: Vec):
     rim_bar = imaginary_restriction(dtype)
     k = integer_multiple_of(v, rim_bar)
     if k is not None:
-        return ("imaginary", k) if k != 0 else None
-    kept = dtype.kept
-    fin_kept, fin_values = finite_companion_data(dtype)
-    if 0 in kept:
-        # pi(r_im) has coefficient 1 at node 0 and finite values have 0,
-        # so the translation level is read off directly
-        zero_idx = kept.index(0)
-        k = v[zero_idx]
-        shifted = vec_sub(v, tuple(k * c for c in rim_bar))
-        cand = tuple(shifted[kept.index(n)] for n in fin_kept)
-        if cand in fin_values:
-            return ("real", (cand, k))
-        return None
+        return "imaginary" if k != 0 else None
+    fin_values = finite_companion_values(dtype)
+    if 0 not in dtype.contracted:
+        # pi(r_im) reads 1 at node 0, the first coordinate, and finite
+        # values read 0, so the translation level is v[0]
+        k = v[0]
+        shifted = tuple(a - k * c for a, c in zip(v, rim_bar))
+        return "real" if shifted in fin_values else None
     # node 0 is contracted, so the kept nodes are finite ones: a finite
     # root's coefficient is at most the highest root's, which is pi(r_im)'s,
     # so |rbar_0| <= h_0 and k is within one of v_0 / h_0
     h, v0 = rim_bar[0], v[0]
     for k in range(-((h - v0) // h), (v0 + h) // h + 1):
-        cand = vec_sub(v, tuple(k * c for c in rim_bar))
-        if cand in fin_values:
-            return ("real", (cand, k))
+        if vec_sub(v, tuple(k * c for c in rim_bar)) in fin_values:
+            return "real"
     return None
 
 
@@ -453,21 +429,13 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     # _root_set adds only imaginary multiples, so the real elements are off it
     direct = {c for c in entries if c not in line}
 
-    kept = dtype.kept
-    fin_kept, fin_values = finite_companion_data(dtype)
     zero_contracted = 0 in dtype.contracted
-    excluded = set()
-    if zero_contracted and fin_kept:
-        fin_diagram = dtype.diagram.finite_part()
-        high = enumerate_roots(fin_diagram).highest_root
-        hbar = tuple(high[fin_diagram.index[n]] for n in fin_kept)
-        excluded = {hbar, vec_neg(hbar)}
-
+    # with node 0 contracted, pi(r_max) = pi(r_im - alpha_0) = pi(r_im)
+    excluded = {rim_bar, vec_neg(rim_bar)} if zero_contracted else set()
     translated = set()
-    for rbar_fin in fin_values:
-        if rbar_fin in excluded:
+    for base in finite_companion_values(dtype):
+        if base in excluded:
             continue
-        base = embed_finite(kept, fin_kept, rbar_fin)
         for k in range(-k_max, k_max + 1):
             v = tuple(b + k * c for b, c in zip(base, rim_bar))
             if v not in line:

@@ -12,9 +12,10 @@ from cdvwall.groupoid import (
     self_mutation_identification,
     step_relabelling,
 )
-from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
+from cdvwall.linalg import identity_matrix, mat_mul
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
 from cdvwall.weyl import identity, longest_element, simple_reflection
+from test_linalg import invert_unimodular
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
 A3_ONE = DynkinType(build_diagram("A", 3, affine=True), frozenset({2}))

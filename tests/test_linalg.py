@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from cdvwall.dynkin import build_diagram
 from cdvwall.linalg import (
+    _eliminate,
     det,
     identity_matrix,
     integer_multiple_of,
-    invert_unimodular,
     is_colinear,
     mat_mul,
     mat_vec,
@@ -43,6 +43,18 @@ def leibniz_det(m):
                          for j in range(i + 1, len(perm)))
         total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
     return total
+
+
+def invert_unimodular(m):
+    """Inverse of an integer matrix with determinant +-1, as an integer
+    matrix, from the adjugate that one elimination of [m | I] gives.  The
+    engine never inverts: Weyl elements carry their inverses and induced
+    root maps read theirs off them.  This is the elimination reference that
+    the Weyl, linear-algebra and groupoid tests compare them against."""
+    d, adj = _eliminate(m, identity_matrix(len(m)))
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def test_det_and_unimodular_inverse():

@@ -11,10 +11,12 @@ from cdvwall.dynkin import (
     expanded_window,
     imaginary_root,
 )
+from cdvwall.oracle import oracle_affine_restricted_roots
 from cdvwall.restriction import (
     DynkinType,
     check_gcd_closure,
     classify_value,
+    finite_companion_values,
     finite_restricted_values,
     imaginary_restriction,
     is_restricted_root,
@@ -244,7 +246,7 @@ def test_a_two_way_sweep_drops_within_both_chains(monkeypatch):
     # per subset of the finite companion
     drops = _count_drops(monkeypatch)
     restriction.finite_restricted_values.cache_clear()
-    restriction.finite_companion_data.cache_clear()
+    restriction.finite_companion_values.cache_clear()
     diagram = build_diagram("E", 6, affine=True)
     for J in proper_subsets(diagram):
         assert real_restricted_two_ways(DynkinType(diagram, J), 3).equal, J
@@ -274,7 +276,7 @@ def test_coefficient_readers_build_no_records(monkeypatch):
 
     monkeypatch.setattr(restriction, "RestrictedRoot", refuse)
     restriction.finite_restricted_values.cache_clear()
-    restriction.finite_companion_data.cache_clear()
+    restriction.finite_companion_values.cache_clear()
     diagram = build_diagram("D", 4, affine=True)
     for J in proper_subsets(diagram):
         assert real_restricted_two_ways(DynkinType(diagram, J)).equal, J
@@ -326,6 +328,17 @@ def test_two_way_excludes_highest_when_zero_contracted():
     assert high not in report.set_direct and high not in report.set_translated
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_finite_companion_values_are_the_level_zero_roots(family, rank):
+    # the level-0 window holds the finite roots and no imaginary multiple,
+    # projected onto the affine type's own kept coordinates; the subsets
+    # cover node 0 kept, node 0 contracted, and node 0 the only kept node
+    diagram = build_diagram(family, rank, affine=True)
+    for J in proper_subsets(diagram):
+        dt = DynkinType(diagram, J)
+        assert finite_companion_values(dt) == oracle_affine_restricted_roots(dt, 0), J
+
+
 def test_exact_membership_agrees_with_windowed_enumeration():
     da = build_diagram("D", 4, affine=True)
     for J in [frozenset(), frozenset({0}), frozenset({1, 3}), frozenset({0, 2})]:
@@ -334,7 +347,7 @@ def test_exact_membership_agrees_with_windowed_enumeration():
         for e in window.elements:
             hit = classify_value(dt, e.coeffs)
             assert hit is not None, (J, e.coeffs)
-            assert (hit[0] == "imaginary") == (e.reality == "imaginary")
+            assert (hit == "imaginary") == (e.reality == "imaginary")
         assert not is_restricted_root(dt, tuple(7 if i == 0 else 1 for i in range(len(dt.kept))))
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdvwall.dynkin import build_diagram, enumerate_roots, expanded_window, imaginary_root
-from cdvwall.linalg import identity_matrix, invert_unimodular, mat_mul
+from cdvwall.linalg import identity_matrix, mat_mul
 from cdvwall.weyl import (
     from_word,
     identity,
@@ -13,6 +13,7 @@ from cdvwall.weyl import (
     longest_element,
     simple_reflection,
 )
+from test_linalg import invert_unimodular
 
 
 def group_elements(diagram, subset=None, radius=-1):
