@@ -27,7 +27,6 @@ from .groupoid import GroupoidArrow, mutate
 from .linalg import (
     Vec,
     clear_denominators,
-    det,
     dot,
     is_colinear,
     primitive,
@@ -115,26 +114,21 @@ class Chamber(Frozen):
         return _chamber_key(self.sign, self.subset, self.weyl)
 
     @cached_property
-    def _interior(self) -> Vec:
+    def interior(self) -> Vec:
+        """The signed sum of the rays, a point strictly inside the chamber."""
         return tuple(self.sign * sum(column) for column in zip(*self.rays))
 
-    def interior_point(self) -> Vec:
-        return self._interior
-
     @cached_property
-    def _facet_normals(self) -> tuple[Vec, ...]:
-        """Inner normal data of every facet, in facet order, built once."""
+    def facet_normals(self) -> tuple[Vec, ...]:
+        """Unnormalised inner normal data of every facet, in facet order:
+        facet k's is the restriction of w . alpha_{i_k}, which pairs to +1
+        with ray k and to 0 with every other ray."""
         return tuple(restrict(self.dtype, self.weyl.image_of_simple(node))
                      for node in self.kept_of_subset)
 
-    def facet_normal_raw(self, k: int) -> Vec:
-        """Unnormalised inner normal data of facet k: the restriction of
-        w . alpha_{i_k}; pairs to +1 with ray k and 0 with every other ray."""
-        return self._facet_normals[k]
-
     def coords_in(self, point: Vec) -> tuple:
         """Coefficients of a point over the signed rays (dual-basis pairing)."""
-        return tuple(self.sign * dot(point, n) for n in self._facet_normals)
+        return tuple(self.sign * dot(point, n) for n in self.facet_normals)
 
     def label_str(self) -> str:
         word = ",".join(str(i) for i in self.weyl.word) or "e"
@@ -155,7 +149,11 @@ def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[in
     """Build the chamber sign * w C_subset inside the base coordinate space.
 
     Raises GeometryError when the labelled cone does not lie in that
-    subspace or is not full-dimensional.
+    subspace.  Once it does, it is full-dimensional: the rays are the rows
+    of w^-1 at the nodes off the subset, cut to the kept columns, and the
+    rest of each row is zero.  With rows ordered (off subset, subset) and
+    columns (kept, contracted), w^-1 is block lower-triangular and the ray
+    matrix is a diagonal block, so det(rays) divides det(w^-1) = +-1.
     """
     subset = frozenset(subset)
     diagram = dtype.diagram
@@ -172,8 +170,6 @@ def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[in
                 f"chamber ray for node {node} does not vanish on the contracted roots"
             )
         rays.append(tuple(row[c] for c in kept_cols))
-    if det(tuple(rays)) == 0:
-        raise GeometryError("chamber rays are not linearly independent")
     return Chamber(dtype, 1 if sign >= 0 else -1, weyl, subset, tuple(rays))
 
 
@@ -198,12 +194,12 @@ def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
     """
     if c1.sign != c2.sign:
         raise GeometryError("facet sharing is only defined within a sign class")
-    normal = c1.facet_normal_raw(k)
-    s1 = dot(c1.interior_point(), normal)
-    s2 = dot(c2.interior_point(), normal)
+    normal = c1.facet_normals[k]
+    s1 = dot(c1.interior, normal)
+    s2 = dot(c2.interior, normal)
     if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
         raise GeometryError("chambers do not sit on opposite sides of the wall")
-    k2 = next((j for j, n2 in enumerate(c2._facet_normals) if is_colinear(n2, normal)), None)
+    k2 = next((j for j, n2 in enumerate(c2.facet_normals) if is_colinear(n2, normal)), None)
     if k2 is None:
         raise GeometryError("second chamber has no facet in the crossed wall")
     # Each facet is a simplicial cone on the chamber's other rays, and every
@@ -232,7 +228,7 @@ def cross_wall(chamber: Chamber, k: int,
     sign-crossing instead of returning a chamber.
     """
     dtype = chamber.dtype
-    raw = chamber.facet_normal_raw(k)
+    raw = chamber.facet_normals[k]
     rim_bar = imaginary_restriction(dtype) if dtype.affine else None
     if rim_bar is not None and is_colinear(raw, rim_bar):
         raise SignCrossing("facet lies in the imaginary-root hyperplane")
@@ -262,12 +258,6 @@ class Gallery(Frozen):
 
     def walls_distinct(self) -> bool:
         return len(set(self.walls)) == len(self.walls)
-
-    def to_json(self) -> dict:
-        return {
-            "chambers": [c.to_json() for c in self.chambers],
-            "walls": [w.to_json() for w in self.walls],
-        }
 
 
 def path_to_gallery(arrow: GroupoidArrow) -> Gallery:
@@ -364,12 +354,6 @@ class ChamberGraph:
         return [self.chambers[k] for k in parent], edges
 
 
-def enumerate_chambers(dtype: DynkinType, max_len: int, sign: int = 1) -> tuple[list, list]:
-    """All chambers reachable from the signed base chamber by at most
-    max_len wall-crossings, with the adjacency edges alongside."""
-    return ChamberGraph(dtype, sign).bfs(max_len)
-
-
 def distinct_edges(chambers: list, edges: list) -> list:
     """The BFS edges as (i, j, wall) over chamber indices with i < j, each
     once, in first-seen order."""
@@ -400,7 +384,7 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
     separate the two interior points form a bounded integer range, so the
     count needs no window.
     """
-    p, q = a.interior_point(), b.interior_point()
+    p, q = a.interior, b.interior
     rim_bar = imaginary_restriction(dtype)
     separating = set()
 
@@ -509,7 +493,7 @@ def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
     level = dot(point, imaginary_restriction(graph.dtype))
     if level == 0 or (level > 0) != (graph.sign > 0):
         raise GeometryError("point is not on the graph's side of the imaginary wall")
-    for chamber, _ in _crossings(graph, chamber, chamber.interior_point(), point):
+    for chamber, _ in _crossings(graph, chamber, chamber.interior, point):
         pass
     return chamber
 

@@ -48,10 +48,7 @@ class CurveClass(NamedTuple):
 
     @property
     def d_pair(self) -> int:
-        g = abs(self.chi)
-        for b in self.beta:
-            g = gcd(g, abs(b))
-        return g
+        return gcd(self.chi, *self.beta)
 
     @property
     def d_beta(self) -> int:
@@ -211,18 +208,6 @@ class ClassGenerator(Frozen):
 
     def _key(self) -> tuple:
         return (self.name, self.rule, self.level)
-
-    def defined(self, cc: CurveClass) -> bool:
-        return self.act(cc) is not None
-
-    def image(self, cc: CurveClass) -> tuple[CurveClass, tuple]:
-        out = self.act(cc)
-        if out is None:
-            raise ClassError(f"{self.name} is not defined at {tuple(cc)}")
-        return out
-
-    def certificate(self, params: tuple) -> Certificate:
-        return Certificate(self.rule, self.level, params)
 
 
 def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
@@ -410,7 +395,7 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
             tag = (cc, img, gen.rule, params)
             if tag not in seen_edges:
                 seen_edges.add(tag)
-                edges.append((cc, img, gen.certificate(params)))
+                edges.append((cc, img, Certificate(gen.rule, gen.level, params)))
     grouped: dict = {}
     for cc in classes:
         grouped.setdefault(uf.find(cc), []).append(cc)
@@ -434,7 +419,6 @@ def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
 class TransportResult(NamedTuple):
     source_beta: Vec
     node: int
-    flop: bool
     image_beta: Vec
     target: str                       # "same space" | "flopped space"
     target_contracted: tuple[int, ...]
@@ -475,7 +459,7 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
     aff = affine_companion(dtype)
     arrow = compose(aff, (node,))
     delta = class_to_vector(aff, CurveClass(1, beta))
-    image = induced_root_map(arrow).inverse_apply(delta)
+    image = mat_vec(induced_root_map(arrow).inverse, delta)
     # the target contracts only nodes of S and the node itself, all finite,
     # so it keeps node 0
     target_dtype = DynkinType(aff.diagram, arrow.target_subset)
@@ -486,12 +470,12 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
     if flop:
         if any(b < 0 for b in beta_img):
             raise ClassError("transported class is not effective")
-        return TransportResult(beta, node, True, beta_img, "flopped space",
+        return TransportResult(beta, node, beta_img, "flopped space",
                                tuple(sorted(n for n in arrow.target_subset)))
     relabel = step_relabelling(arrow)
     back = {relabel[t]: b for t, b in zip(target_dtype.kept[1:], beta_img)}
     beta_same = tuple(back[n] for n in dtype.kept)
     if any(b < 0 for b in beta_same):
         raise ClassError("transported class is not effective")
-    return TransportResult(beta, node, False, beta_same, "same space",
+    return TransportResult(beta, node, beta_same, "same space",
                            tuple(sorted(dtype.contracted)))

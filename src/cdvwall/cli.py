@@ -21,7 +21,6 @@ from .arrangement import (
     ChamberGraph,
     GeometryError,
     distinct_edges,
-    enumerate_chambers,
     gallery_through_wall,
     path_to_gallery,
 )
@@ -440,7 +439,7 @@ def cmd_check_gcd(cfg: JobConfig) -> int:
 
 def cmd_chambers(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    chambers, edges = enumerate_chambers(dtype, cfg.maxlen)
+    chambers, edges = ChamberGraph(dtype).bfs(cfg.maxlen)
     if cfg.fmt == "dot":
         _emit(cfg, chamber_graph_dot(chambers, edges))
         return 0
@@ -627,7 +626,7 @@ def cmd_export(cfg: JobConfig) -> int:
         _emit(cfg, level_slice_svg(dtype, cfg.kmax))
         return 0
     if dtype.affine:
-        chambers, edges = enumerate_chambers(dtype, cfg.maxlen)
+        chambers, edges = ChamberGraph(dtype).bfs(cfg.maxlen)
         _emit(cfg, chamber_graph_dot(chambers, edges))
     else:
         _emit(cfg, groupoid_dot(dtype, cfg.maxlen))

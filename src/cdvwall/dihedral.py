@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .bps import vanishing_verdict
 from .dynkin import Diagram, build_diagram, enumerate_roots
 from .linalg import Vec, vec_gcd, vec_neg
-from .restriction import DynkinType, imaginary_restriction, restricted_roots
+from .restriction import DynkinType, restricted_roots
 
 
 def target_diagram(n: int) -> Diagram:

@@ -141,10 +141,8 @@ class Diagram(Frozen):
 
 
 class RootSystem(NamedTuple):
-    diagram: Diagram
     positive_roots: tuple[Vec, ...]
     highest_root: Vec
-    cartan: tuple[tuple[int, ...], ...]
 
     @property
     def all_roots(self) -> tuple[Vec, ...]:
@@ -226,7 +224,7 @@ def enumerate_roots(diagram: Diagram) -> RootSystem:
                        key=lambda r: (sum(r), r))
     if 2 * len(positives) != len(seen):
         raise DiagramError("root system is not symmetric; enumeration bug")
-    return RootSystem(diagram, tuple(positives), positives[-1], diagram.cartan)
+    return RootSystem(tuple(positives), positives[-1])
 
 
 @lru_cache(maxsize=None)

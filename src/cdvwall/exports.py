@@ -65,8 +65,7 @@ def groupoid_dot(dtype: DynkinType, max_len: int) -> str:
 def _fmt(x: Fraction, scale: Fraction, shift: Fraction) -> str:
     """Fixed-point decimal of shift + scale*x, computed in integers."""
     value = shift + scale * x
-    q = value.limit_denominator(10 ** 6)
-    scaled = q.numerator * 10 ** 3 // q.denominator
+    scaled = value.numerator * 10 ** 3 // value.denominator
     whole, frac = divmod(abs(scaled), 10 ** 3)
     sign = "-" if scaled < 0 else ""
     return f"{sign}{whole}.{frac:03d}"

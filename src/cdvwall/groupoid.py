@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .dynkin import Diagram
-from .linalg import Mat, Vec, identity_matrix, mat_mul, mat_vec
+from .linalg import Mat, identity_matrix, mat_mul
 from .restriction import DynkinType
 from .weyl import WeylElement, identity, iota_permutation, longest_element
 
@@ -63,13 +63,6 @@ class GroupoidArrow(NamedTuple):
     weyl: WeylElement
     word: tuple[tuple[frozenset, int], ...]  # (subset, node) mutation steps
 
-    def to_json(self) -> dict:
-        return {
-            "source": sorted(self.source.contracted),
-            "target": sorted(self.target_subset),
-            "word": [[sorted(s), i] for s, i in self.word],
-        }
-
 
 def compose(dtype: DynkinType, nodes: tuple[int, ...]) -> GroupoidArrow:
     """Compose the mutation path that starts at the base subset and mutates
@@ -90,15 +83,8 @@ class InducedRootMap(NamedTuple):
     (columns pi_source(w . alpha_j)), and `inverse` the block of w^-1 on
     target-kept rows and source-kept columns."""
 
-    arrow: GroupoidArrow
     matrix: Mat
     inverse: Mat
-
-    def apply(self, v: Vec) -> Vec:
-        return mat_vec(self.matrix, v)
-
-    def inverse_apply(self, v: Vec) -> Vec:
-        return mat_vec(self.inverse, v)
 
 
 def induced_root_map(arrow: GroupoidArrow) -> InducedRootMap:
@@ -113,7 +99,7 @@ def induced_root_map(arrow: GroupoidArrow) -> InducedRootMap:
     inverse = tuple(tuple(w_inv[t][s] for s in source) for t in target)
     if mat_mul(matrix, inverse) != identity_matrix(len(source)):
         raise GroupoidError("the arrow's element does not induce a lattice isomorphism")
-    return InducedRootMap(arrow, matrix, inverse)
+    return InducedRootMap(matrix, inverse)
 
 
 def step_relabelling(arrow: GroupoidArrow) -> Optional[dict]:

@@ -2,8 +2,8 @@
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Everything is
 arbitrary precision and there are no floats.  All elimination runs over the
-integers in one fraction-free routine; the only Fraction is the final
-division in `solve`.
+integers in one fraction-free Gauss-Jordan routine, with no determinant-only
+mode; the only Fraction is the final division in `solve`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
     Each step replaces a row r by (pivot * r - r[k] * pivot_row) // prev,
     where prev is the previous pivot.  The division is exact (Bareiss,
     Math. Comp. 1968), so every entry stays an integer.  Returns det(m) and
-    adj(m) . rhs, or (0, None) when m is singular.  Without rhs columns only
-    the rows below each pivot are cleared, which is Bareiss's determinant.
+    adj(m) . rhs, or (0, None) when m is singular.
     """
     n = len(m)
     a = [list(row) + list(extra) for row, extra in zip(m, rhs or [()] * n)]
@@ -51,7 +50,7 @@ def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
             sign = -sign
         top = a[k]
         pivot = top[k]
-        for i in range(0 if rhs else k + 1, n):
+        for i in range(n):
             if i == k:
                 continue
             row, f = a[i], a[i][k]
@@ -60,11 +59,6 @@ def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
         prev = pivot
     # the left block is now prev * I, the right one prev * m^-1 . rhs
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
-def det(m: Mat) -> int:
-    """Determinant; 0 for a singular matrix."""
-    return _eliminate(m)[0]
 
 
 def clear_denominators(v: Sequence) -> tuple[Vec, int]:
@@ -88,10 +82,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("length mismatch in pairing")
     return sum(map(mul, u, v))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:

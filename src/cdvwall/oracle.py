@@ -132,7 +132,6 @@ def oracle_gcd_check(dtype: DynkinType) -> bool:
 
 
 class ProbeReport(NamedTuple):
-    samples: int
     located: int
     skipped_degenerate: int
     mismatches: tuple
@@ -263,11 +262,11 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
         ref = signatures.get(sig)
         if ref is None:
             # the sign vector must match the chamber's own interior point
-            interior_sig = sign_vector(chamber.interior_point(), normals)
+            interior_sig = sign_vector(chamber.interior, normals)
             if interior_sig != sig:
                 mismatches.append((point, "sign vector differs from the chamber's"))
                 continue
             signatures[sig] = key
         elif ref != key:
             mismatches.append((point, "two chambers share a windowed sign vector"))
-    return ProbeReport(sample_count, located, skipped, tuple(mismatches))
+    return ProbeReport(located, skipped, tuple(mismatches))

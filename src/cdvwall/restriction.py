@@ -30,7 +30,6 @@ from .dynkin import (
     Diagram,
     DiagramError,
     Frozen,
-    build_diagram,
     enumerate_roots,
     expanded_window,
     imaginary_root,
@@ -87,11 +86,6 @@ class DynkinType(Frozen):
             "affine": self.diagram.affine,
             "contracted": sorted(self.contracted),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "DynkinType":
-        diagram = build_diagram(data["family"], data["rank"], data["affine"])
-        return DynkinType(diagram, frozenset(data["contracted"]))
 
 
 def restrict(dtype: DynkinType, root: Vec) -> Vec:

@@ -98,10 +98,6 @@ class WeylElement:
             matrix, inverse = _step(matrix, inverse, *rows[node])
         return WeylElement(self.diagram, matrix, inverse)
 
-    def times_simple(self, node: int) -> "WeylElement":
-        """w . s_node."""
-        return self.times_word((node,))
-
     def apply(self, v: Vec) -> Vec:
         if len(v) != len(self.matrix):
             raise ValueError("vector length does not match the diagram")
@@ -196,7 +192,7 @@ def longest_element(diagram: Diagram, subset: frozenset) -> WeylElement:
         ascent = next((n for n in nodes if not w.sends_simple_negative(n)), None)
         if ascent is None:
             return w
-        w = w.times_simple(ascent)
+        w = w.times_word((ascent,))
     raise DiagramError("subset does not generate a finite parabolic")
 
 

@@ -17,7 +17,6 @@ from cdvwall.arrangement import (
     arrangement_hyperplanes,
     chamber_from_label,
     cross_wall,
-    enumerate_chambers,
     fundamental_chamber,
     gallery_through_wall,
     locate_by_walk,
@@ -29,6 +28,7 @@ from cdvwall.arrangement import (
 from cdvwall.dynkin import build_diagram
 from cdvwall.linalg import dot, is_colinear, primitive
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
+from test_linalg import leibniz_det
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
 D4_PAIR = DynkinType(build_diagram("D", 4, affine=True), frozenset({3, 4}))
@@ -41,7 +41,7 @@ TYPES = [A2_EMPTY, D4_PAIR, A3_ONE]
 def test_fundamental_chamber_rays_are_the_dual_basis():
     c = fundamental_chamber(A2_EMPTY)
     assert c.rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    p = c.interior_point()
+    p = c.interior
     for n in A2_EMPTY.kept:
         alpha = restrict(A2_EMPTY, A2_EMPTY.diagram.simple_root(n))
         assert dot(p, alpha) > 0
@@ -50,7 +50,7 @@ def test_fundamental_chamber_rays_are_the_dual_basis():
 def test_fundamental_chamber_with_contraction():
     c = fundamental_chamber(D4_PAIR)
     assert len(c.rays) == 3
-    p = c.interior_point()
+    p = c.interior
     for n in D4_PAIR.kept:
         alpha = restrict(D4_PAIR, D4_PAIR.diagram.simple_root(n))
         assert dot(p, alpha) > 0
@@ -63,7 +63,7 @@ def test_cross_twice_returns(dtype):
         c2, wall = cross_wall(c, k)
         back_k = next(
             j for j in range(len(c2.rays))
-            if primitive(c2.facet_normal_raw(j)) == wall.normal
+            if primitive(c2.facet_normals[j]) == wall.normal
         )
         c3, wall2 = cross_wall(c2, back_k)
         assert c3.key() == c.key()
@@ -114,7 +114,7 @@ def test_subset_size_is_preserved(dtype):
 
 
 def test_enumerate_length_zero():
-    chambers, edges = enumerate_chambers(A2_EMPTY, 0)
+    chambers, edges = ChamberGraph(A2_EMPTY).bfs(0)
     assert len(chambers) == 1
     assert chambers[0].weyl.is_identity()
 
@@ -123,7 +123,7 @@ def test_rank_two_fan_is_a_path():
     # hand model: the positive-side chambers of the rank-two arrangement
     # form a fan indexed by integers, so the radius-3 ball has 7 members
     dt = DynkinType(build_diagram("A", 1, affine=True), frozenset())
-    chambers, edges = enumerate_chambers(dt, 3)
+    chambers, edges = ChamberGraph(dt).bfs(3)
     assert len(chambers) == 7
     deg = {}
     for a, b, _ in edges:
@@ -135,7 +135,7 @@ def test_rank_two_fan_is_a_path():
 
 @pytest.mark.parametrize("dtype", TYPES)
 def test_interior_adjacency_degree(dtype):
-    chambers, edges = enumerate_chambers(dtype, 3)
+    chambers, edges = ChamberGraph(dtype).bfs(3)
     graph = ChamberGraph(dtype, 1)
     inner, _ = graph.bfs(2)
     neighbor_count = {}
@@ -147,11 +147,11 @@ def test_interior_adjacency_degree(dtype):
 
 @pytest.mark.parametrize("dtype", TYPES)
 def test_chambers_have_disjoint_sign_vectors(dtype):
-    chambers, _ = enumerate_chambers(dtype, 3)
+    chambers, _ = ChamberGraph(dtype).bfs(3)
     normals = [h.normal for h in arrangement_hyperplanes(dtype, 5)]
     seen = {}
     for c in chambers:
-        p = c.interior_point()
+        p = c.interior
         sig = tuple(1 if dot(p, n) > 0 else (-1 if dot(p, n) < 0 else 0) for n in normals)
         assert 0 not in sig, "interior point lies on an arrangement hyperplane"
         assert sig not in seen, "two chambers share every windowed side"
@@ -160,16 +160,28 @@ def test_chambers_have_disjoint_sign_vectors(dtype):
 
 def test_cached_facet_normals_match_a_fresh_restriction():
     dtype = DynkinType(build_diagram("E", 7, affine=True), frozenset({2, 5}))
-    chambers, _ = enumerate_chambers(dtype, 3)
+    chambers, _ = ChamberGraph(dtype).bfs(3)
     assert len(chambers) > 50
     for c in chambers:
         for k, node in enumerate(c.kept_of_subset):
             fresh = restrict(dtype, c.weyl.apply(dtype.diagram.simple_root(node)))
-            assert c.facet_normal_raw(k) == fresh
+            assert c.facet_normals[k] == fresh
         # facet k pairs to 1 with ray k and to 0 with the others
         for j, ray in enumerate(c.rays):
             signed = tuple(c.sign * x for x in ray)
             assert c.coords_in(signed) == tuple(int(k == j) for k in range(len(c.rays)))
+
+
+@pytest.mark.parametrize("dtype", [
+    A2_EMPTY, D4_PAIR, DynkinType(build_diagram("E", 6, affine=True), frozenset({1, 3, 5})),
+    DynkinType(build_diagram("E", 6), frozenset({2, 5}))], ids=["A2~", "D4~", "E6~", "E6"])
+def test_chamber_rays_are_unimodular(dtype):
+    # chamber_from_label does not check full-dimensionality: the ray matrix
+    # is a diagonal block of the label's block-triangular inverse
+    chambers, _ = ChamberGraph(dtype).bfs(3)
+    assert len(chambers) > 1
+    for c in chambers:
+        assert leibniz_det(c.rays) in (1, -1), c.label_str()
 
 
 def _walk_outcome(graph, point):
@@ -234,18 +246,18 @@ def test_gallery_endpoints_share_facets():
 
 
 def test_negative_side_mirror():
-    chambers, _ = enumerate_chambers(A2_EMPTY, 2, sign=-1)
+    chambers, _ = ChamberGraph(A2_EMPTY, sign=-1).bfs(2)
     assert all(c.sign == -1 for c in chambers)
     rim = imaginary_restriction(A2_EMPTY)
     for c in chambers:
-        assert dot(c.interior_point(), rim) < 0
+        assert dot(c.interior, rim) < 0
 
 
 def test_sign_classes_never_mix():
     graph = ChamberGraph(A2_EMPTY, 1)
     chambers, _ = graph.bfs(4)
     rim = imaginary_restriction(A2_EMPTY)
-    assert all(dot(c.interior_point(), rim) > 0 for c in chambers)
+    assert all(dot(c.interior, rim) > 0 for c in chambers)
 
 
 def _positive_rows(dtype, nodes=None):
@@ -293,7 +305,7 @@ def _region_search_gallery(dtype, node, rbar) -> Gallery:
                 mid = graph.gallery(parent, key)
                 return Gallery((base,) + mid.chambers + (graph.chambers[edge[0]],),
                                (first_wall,) + mid.walls + (edge[1],))
-            p = graph.chambers[edge[0]].interior_point()
+            p = graph.chambers[edge[0]].interior
             if edge[0] not in parent and dot(p, alpha) < 0 < dot(p, rbar):
                 parent[edge[0]] = (key, edge[1])
                 queue.append(edge[0])
@@ -449,7 +461,7 @@ def test_slice_reproduces_the_affine_arrangement():
 def _facet_in(chamber, wall):
     """The index of the chamber's facet lying in `wall`."""
     return next(j for j in range(len(chamber.rays))
-                if primitive(chamber.facet_normal_raw(j)) == wall.normal)
+                if primitive(chamber.facet_normals[j]) == wall.normal)
 
 
 def _wrong_chambers(dtype, k):
@@ -520,7 +532,7 @@ def _same_facet_rays(c1, k, c2, k2):
 
 @pytest.mark.parametrize("dtype,max_len", [(D4_PAIR, 3), (E6_EMPTY, 2)])
 def test_facet_ray_sets_agree_with_two_way_containment(dtype, max_len):
-    chambers, edges = enumerate_chambers(dtype, max_len)
+    chambers, edges = ChamberGraph(dtype).bfs(max_len)
     by_key = {c.key(): c for c in chambers}
     for a, b, wall in edges:
         c1, c2 = by_key[a], by_key[b]
@@ -530,12 +542,12 @@ def test_facet_ray_sets_agree_with_two_way_containment(dtype, max_len):
     # every pair of chambers with facets in one wall, on its two sides
     disagreements, pairs = 0, 0
     for c1 in chambers:
-        for k, normal in enumerate(c1._facet_normals):
-            side = dot(c1.interior_point(), normal)
+        for k, normal in enumerate(c1.facet_normals):
+            side = dot(c1.interior, normal)
             for c2 in chambers:
-                if dot(c2.interior_point(), normal) * side >= 0:
+                if dot(c2.interior, normal) * side >= 0:
                     continue
-                k2 = next((j for j, n2 in enumerate(c2._facet_normals)
+                k2 = next((j for j, n2 in enumerate(c2.facet_normals)
                            if is_colinear(n2, normal)), None)
                 if k2 is None:
                     continue

@@ -138,8 +138,8 @@ def test_motivic_twist_shape():
     gens = {g.name: g for g in symmetry_generators(D4, cfg)}
     twist = gens["motivic-twist"]
     cc = CurveClass(1, (2, 2, 0, 0))
-    assert twist.defined(cc)
-    out, params = twist.image(cc)
+    assert twist.act(cc) is not None
+    out, params = twist.act(cc)
     assert out == CurveClass(3, (2, 2, 0, 0))
     assert dict(params)["d"] == 2
 
@@ -150,13 +150,13 @@ def test_duality_minimal_shift_and_involution():
     dual = gens["motivic-duality"]
     cc = CurveClass(1, (1, 1, 0, 0))
     n = minimal_duality_shift(D4, cc)
-    out, params = dual.image(cc)
+    out, params = dual.act(cc)
     assert dict(params)["n"] == n
     assert out.beta == (-1, -1, 0, 0)
     aff = affine_companion(D4)
     assert all(c >= 0 for c in class_to_vector(aff, out))
     # applying duality twice lands back up to twist steps
-    out2, _ = dual.image(out)
+    out2, _ = dual.act(out)
     assert out2.beta == cc.beta
     assert (out2.chi - cc.chi) % cc.d_beta == 0
 
@@ -168,9 +168,10 @@ def test_generators_preserve_the_pair_gcd():
               CurveClass(3, (1, 2, 1, 1))]
     for gen in gens:
         for cc in sample:
-            if not gen.defined(cc):
+            hit = gen.act(cc)
+            if hit is None:
                 continue
-            out, _ = gen.image(cc)
+            out, _ = hit
             assert out.d_pair == cc.d_pair, (gen.name, cc)
 
 
@@ -179,9 +180,9 @@ def test_numeric_twist_requires_coprime_effective():
     gens = [g for g in symmetry_generators(D4, cfg) if g.level == "numeric"]
     assert gens, "numeric twists are always configured"
     gen = next(g for g in gens if g.name == "numeric-twist-1")
-    assert gen.defined(CurveClass(1, (1, 1, 0, 0)))
-    assert not gen.defined(CurveClass(2, (2, 2, 0, 0)))   # not coprime
-    assert not gen.defined(CurveClass(1, (-1, 1, 0, 0)))  # not effective
+    assert gen.act(CurveClass(1, (1, 1, 0, 0))) is not None
+    assert gen.act(CurveClass(2, (2, 2, 0, 0))) is None   # not coprime
+    assert gen.act(CurveClass(1, (-1, 1, 0, 0))) is None  # not effective
 
 
 def test_mutation_generator_domain():
@@ -189,12 +190,12 @@ def test_mutation_generator_domain():
     gen = next(g for g in symmetry_generators(D4, cfg) if g.name == "mutation-1")
     assert gen.level == "numeric"
     # colinear to the node class: excluded
-    assert not gen.defined(CurveClass(0, (1, 0, 0, 0)))
+    assert gen.act(CurveClass(0, (1, 0, 0, 0))) is None
     # colinear to the imaginary direction: excluded
-    assert not gen.defined(CurveClass(2, (0, 0, 0, 0)))
+    assert gen.act(CurveClass(2, (0, 0, 0, 0))) is None
     cc = CurveClass(1, (0, 1, 0, 0))
-    assert gen.defined(cc)
-    out, params = gen.image(cc)
+    assert gen.act(cc) is not None
+    out, params = gen.act(cc)
     assert dict(params)["node"] == 1
     assert out.chi == cc.chi
 
@@ -206,7 +207,7 @@ def test_twist_orbits_are_arithmetic_progressions():
     cc = CurveClass(0, (1, 1, 0, 0))
     chis = [cc.chi]
     for _ in range(5):
-        cc, _ = twist.image(cc)
+        cc, _ = twist.act(cc)
         chis.append(cc.chi)
     assert chis == [0, 1, 2, 3, 4, 5]
 
@@ -308,3 +309,32 @@ def test_transport_agrees_with_the_mutation_generator_where_delta_is_fixed(famil
                     image = vector_to_class(
                         aff, apply_map(class_to_vector(aff, CurveClass(1, beta))))
                     assert image == CurveClass(1, gv_transport(dt, beta, node, False).image_beta)
+
+
+@pytest.mark.parametrize("rigidified", [False, True], ids=["numeric", "motivic"])
+@pytest.mark.parametrize("family, rank, chi_max, beta_max", [
+    ("A", 3, 2, 2), ("D", 4, 2, 2), ("D", 5, 2, 1), ("E", 6, 1, 1)])
+def test_every_generator_step_keeps_the_forced_zero_verdict(family, rank, chi_max, beta_max,
+                                                            rigidified):
+    # criterion 7 checks whole orbits; this checks each generator on its
+    # own, with mutations at the kept nodes that iota fixes.  A mutation at
+    # a node with iota(node) != node can move a candidate class to a
+    # forced-zero one (D5 {1,3}, node 4: (0, (1,0,1)) to (0, (1,2,1))).
+    diagram = build_diagram(family, rank)
+    for size in range(len(diagram.nodes) - 1):
+        for subset in itertools.combinations(diagram.nodes, size):
+            dt = DynkinType(diagram, frozenset(subset))
+            aff = affine_companion(dt)
+            fixed = frozenset(n for n in dt.kept
+                              if mutation_data(aff.diagram, aff.contracted, n)[1] == n)
+            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=fixed,
+                                    chi_max=chi_max, beta_max=beta_max)
+            classes = tuple(window_classes(dt, config))
+            for gen in symmetry_generators(dt, config):
+                for cc in classes:
+                    hit = gen.act(cc)
+                    if hit is None:
+                        continue
+                    img = hit[0]
+                    assert (geometric_verdict(dt, cc).forced_zero
+                            == geometric_verdict(dt, img).forced_zero), (subset, gen.name, cc, img)

@@ -1,6 +1,6 @@
-"""Module structure: every import sits at module level, the groupoid
-(label algebra) never reaches into the arrangement (geometry), and the
-oracle builds its walls and levels without the engine's."""
+"""Module structure: every import sits at module level and is read, the
+groupoid (label algebra) never reaches into the arrangement (geometry),
+and the oracle builds its walls and levels without the engine's."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,33 @@ def test_oracle_builds_walls_and_levels_itself():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.name for node in _imports(tree) for alias in node.names}
     assert not imported & {"arrangement_hyperplanes", "imaginary_restriction"}
+
+
+def _read_names(tree):
+    """Every name the module reads: loaded names, the roots of attribute
+    chains, and the names inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _read_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations" and name not in read:
+                    unused.append(f"{name} (line {node.lineno})")
+    assert not unused, f"{path.name}: imported but never read: {unused}"

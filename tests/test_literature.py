@@ -4,7 +4,7 @@ affine Weyl group (Bott)."""
 
 import pytest
 
-from cdvwall.arrangement import enumerate_chambers
+from cdvwall.arrangement import ChamberGraph
 from cdvwall.dynkin import build_diagram
 from cdvwall.restriction import DynkinType, restricted_roots
 
@@ -78,5 +78,5 @@ def test_chamber_counts_follow_bott(family, rank, max_len):
     dtype = DynkinType(build_diagram(family, rank, affine=True), frozenset())
     per_length = weyl_lengths(DEGREES[family, rank], max_len)
     for length in range(max_len + 1):
-        chambers, _ = enumerate_chambers(dtype, length)
+        chambers, _ = ChamberGraph(dtype).bfs(length)
         assert len(chambers) == sum(per_length[:length + 1]), length

@@ -177,10 +177,10 @@ def test_containment_is_the_solve_verdict(family, rank, contracted):
             neighbours[key] = [graph.chambers[e[0]] for e in graph.neighbors(chamber).values()
                                if e is not None]
             rows = _cone_rows(chamber)
-            assert _inside(rows, chamber.interior_point())
+            assert _inside(rows, chamber.interior)
             for other in neighbours[key]:
-                assert not _inside(rows, other.interior_point())
-                assert not _inside(_cone_rows(other), chamber.interior_point())
+                assert not _inside(rows, other.interior)
+                assert not _inside(_cone_rows(other), chamber.interior)
         for c in (chamber, *neighbours[key]):
             assert _inside(_cone_rows(c), point) == _solve_contains(c, point)
     assert walked > 300 and len(neighbours) > 5

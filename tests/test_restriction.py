@@ -381,8 +381,3 @@ def test_restricted_root_set_json():
     entry = next(e for e in data["elements"] if e["coeffs"] == [2, 2])
     assert entry["mult"] == 2
     assert len(entry["witness"]) == 5
-
-
-def test_dynkin_type_json_round_trip():
-    dt = DynkinType(build_diagram("D", 4, affine=True), frozenset({0, 2}))
-    assert DynkinType.from_json(dt.to_json()) == dt

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ def group_elements(diagram, subset=None, radius=-1):
         nxt = []
         for w in frontier:
             for n in nodes:
-                u = w.times_simple(n)
+                u = w.times_word((n,))
                 if u.matrix not in seen:
                     seen[u.matrix] = u
                     nxt.append(u)
@@ -44,7 +45,26 @@ def coset_minimal(w, subset):
         descent = next((n for n in nodes if w.sends_simple_negative(n)), None)
         if descent is None:
             return w
-        w = w.times_simple(descent)
+        w = w.times_word((descent,))
+
+
+class TimeLimit(BaseException):
+    """Raised when a guarded test runs too long.  Not an Exception, so
+    hypothesis stops at once instead of replaying the hanging example."""
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test after 60 s instead of hanging: a wrong descent update
+    makes `WeylElement.word` loop forever."""
+    def expire(signum, frame):
+        raise TimeLimit("test ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def stripped_word(w):
@@ -57,9 +77,10 @@ def stripped_word(w):
         if node is None:
             return tuple(reversed(rev))
         rev.append(node)
-        w = w.times_simple(node)
+        w = w.times_word((node,))
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("family, rank, affine, radius", [
     ("A", 4, False, -1), ("D", 4, False, -1), ("A", 1, True, 9),
     ("D", 5, True, 4), ("E", 6, True, 4), ("E", 8, True, 3)])
@@ -271,6 +292,7 @@ def test_reduced_word_round_trip(diagram):
     check()
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("diagram", PROPERTY_DIAGRAMS, ids=PROPERTY_IDS)
 def test_word_is_the_stripped_word(diagram):
     @PROPERTY
@@ -289,7 +311,7 @@ def test_simple_step_is_the_matrix_product(diagram):
     def check(word, node):
         w = from_word(diagram, word)
         s = simple_reflection(diagram, node)
-        stepped = w.times_simple(node)
+        stepped = w.times_word((node,))
         assert stepped.matrix == mat_mul(w.matrix, s.matrix)
         assert stepped.inverse_matrix == mat_mul(s.matrix, w.inverse_matrix)
 
