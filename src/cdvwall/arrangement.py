@@ -1,5 +1,5 @@
 """Intersection arrangements: chambers, wall-crossing, level slices, and
-minimal galleries, all in exact integer/rational arithmetic.
+minimal galleries, all in exact integer arithmetic.
 
 A chamber labelled (w, S) is the simplicial cone spanned by the dual
 vectors w . alpha_i^* for kept nodes i of S, cut to the coordinate
@@ -17,20 +17,19 @@ and builds galleries through two given walls (`gallery_through_wall`).
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import gcd
 from typing import Iterable
 
 from .dynkin import DiagramError, Frozen
 from .groupoid import GroupoidArrow, mutate
 from .linalg import (
     Vec,
-    clear_denominators,
     dot,
+    eliminate,
     is_colinear,
     primitive,
-    solve,
     vec_gcd,
 )
 from .restriction import (
@@ -401,10 +400,10 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
         if is_colinear(base, rim_bar):
             continue
         pb, qb = dot(p, base), dot(q, base)
-        # roots of pb + k*p_rim and qb + k*q_rim bound the sign-flip range
-        lo = min(-Fraction(pb, p_rim), -Fraction(qb, q_rim))
-        hi = max(-Fraction(pb, p_rim), -Fraction(qb, q_rim))
-        for k in range(int(lo) - 1, int(hi) + 2):
+        # the roots of pb + k*p_rim and qb + k*q_rim bound the sign-flip
+        # range; every integer k between them lies between their floors
+        floors = (-pb // p_rim, -qb // q_rim)
+        for k in range(min(floors), max(floors) + 1):
             normal = tuple(bc + k * rc for bc, rc in zip(base, rim_bar))
             if any(c != 0 for c in normal):
                 check(normal)
@@ -442,9 +441,9 @@ def _crossings(graph: ChamberGraph, chamber: Chamber, start: Vec, end: Vec):
     `end`, crossing walls in order; yields (chamber entered, wall crossed)
     per crossing and returns once the current chamber holds `end` strictly
     inside.  Both ends are integer vectors, and the crossing parameters
-    v0 / (v0 - v1) are compared by cross-multiplication, so no Fraction is
-    built.  The segment lies in one sign class, where the arrangement is
-    locally finite, so it crosses finitely many walls, each at most once.
+    v0 / (v0 - v1) are compared by cross-multiplication, so every quantity
+    is an integer.  The segment lies in one sign class, where the arrangement
+    is locally finite, so it crosses finitely many walls, each at most once.
 
     Raises SimultaneousCrossing when the segment leaves a chamber through
     two facets at one point, and GeometryError when `end` lies on a wall or
@@ -481,15 +480,13 @@ def _crossings(graph: ChamberGraph, chamber: Chamber, start: Vec, end: Vec):
 
 def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
     """The chamber holding `point`, found by walking the straight segment
-    from the base chamber's interior point to it; exact integer arithmetic
-    throughout (a rational point is first scaled to an integer one, which
-    moves no wall crossing).
+    from the base chamber's interior point to the integer point; exact
+    integer arithmetic throughout.
 
     Raises GeometryError on degenerate segments (hitting a wall crossing
     tie or a point on a hyperplane); callers should skip such samples.
     """
     chamber = graph.chambers[graph.base_key]
-    point, _ = clear_denominators(point)
     level = dot(point, imaginary_restriction(graph.dtype))
     if level == 0 or (level > 0) != (graph.sign > 0):
         raise GeometryError("point is not on the graph's side of the imaginary wall")
@@ -499,9 +496,9 @@ def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
 
 
 def through_wall_end_point(rbar: Vec, alpha_bar: Vec, rim_bar: Vec) -> Vec:
-    """An integer point z in span(rbar, alpha_bar, rim_bar) with
-    z.rbar < 0, z.alpha_bar < 0 and z.rim_bar > 0 (rbar and alpha_bar
-    independent).
+    """The least positive integer multiple of a point z in
+    span(rbar, alpha_bar, rim_bar) with z.rbar < 0, z.alpha_bar < 0 and
+    z.rim_bar > 0 (rbar and alpha_bar independent).
 
     With an invertible Gram matrix the pairings are (-1, -1, +1).  Otherwise
     rim_bar = a*rbar + b*alpha_bar.  By Gordan's theorem the three strict
@@ -511,10 +508,14 @@ def through_wall_end_point(rbar: Vec, alpha_bar: Vec, rim_bar: Vec) -> Vec:
     """
     gens = (rbar, alpha_bar, rim_bar)
     gram = tuple(tuple(dot(u, v) for v in gens) for u in gens)
-    coeffs = solve(gram, (-1, -1, 1))
-    if coeffs is None:
+    # z = sum(adj[i] * gens[i]) / den, where den > 0 since a nonzero Gram
+    # determinant is positive
+    den, adj = eliminate(gram, ((-1,), (-1,), (1,)))
+    if den == 0:
         gram2 = tuple(row[:2] for row in gram[:2])
-        a, b = solve(gram2, gram[2][:2])
+        d, ((a,), (b,)) = eliminate(gram2, tuple((x,) for x in gram[2][:2]))
+        # rim_bar = (a*rbar + b*alpha_bar) / d with d > 0, and the pairings
+        # below are d times those for the coefficients a/d and b/d
         if a >= 0 and b >= 0:
             # every point below both walls pairs negatively with rim_bar
             raise GeometryError(
@@ -522,14 +523,16 @@ def through_wall_end_point(rbar: Vec, alpha_bar: Vec, rim_bar: Vec) -> Vec:
                 "the cone spanned by rbar and the restricted simple root"
             )
         if a < 0 and b < 0:
-            pairings = (-1, -1)
+            pairings = (-d, -d)
         elif a < 0:
-            pairings = (-(b + 1), a)
+            pairings = (-(b + d), a)
         else:
-            pairings = (b, -(a + 1))
-        coeffs = solve(gram2, pairings)
-    point = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(len(rbar)))
-    return clear_denominators(point)[0]
+            pairings = (b, -(a + d))
+        den, adj = eliminate(gram2, tuple((x,) for x in pairings))
+        den *= d
+    num = tuple(sum(c * g[i] for (c,), g in zip(adj, gens)) for i in range(len(rbar)))
+    g = gcd(den, *num)
+    return tuple(x // g for x in num)
 
 
 def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:

@@ -3,8 +3,6 @@ components, and rank-two level slices."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arrangement import arrangement_hyperplanes, distinct_edges
 from .groupoid import GroupoidError, mutation_data
 from .restriction import DynkinType
@@ -35,6 +33,8 @@ def groupoid_dot(dtype: DynkinType, max_len: int) -> str:
     seen = {start}
     arrows = set()
     for _ in range(max_len):
+        if not layer:
+            break
         nxt = set()
         for subset in layer:
             kept = [n for n in diagram.nodes if n not in subset]
@@ -62,10 +62,10 @@ def groupoid_dot(dtype: DynkinType, max_len: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: Fraction, scale: Fraction, shift: Fraction) -> str:
-    """Fixed-point decimal of shift + scale*x, computed in integers."""
-    value = shift + scale * x
-    scaled = value.numerator * 10 ** 3 // value.denominator
+def _fmt(num: int, den: int) -> str:
+    """Fixed-point decimal of num / den (den > 0), rounded down to three
+    places."""
+    scaled = num * 10 ** 3 // den
     whole, frac = divmod(abs(scaled), 10 ** 3)
     sign = "-" if scaled < 0 else ""
     return f"{sign}{whole}.{frac:03d}"
@@ -77,37 +77,38 @@ def level_slice_svg(dtype: DynkinType, k_max: int, box: int = 2, size: int = 600
     walls = arrangement_hyperplanes(dtype, k_max, sliced=True)
     if walls and len(walls[0].normal) != 2:
         raise ValueError("slice pictures need exactly two kept finite nodes")
-    half = Fraction(size, 2)
-    scale = Fraction(size, 2 * box)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'  <rect x="0" y="0" width="{size}" height="{size}" fill="white" stroke="black"/>',
     ]
-    b = Fraction(box)
     for wall in walls:
         a, c = wall.normal
         k = wall.offset
+        # intersect a*x + c*y = k with the four box edges in units of 1/q;
+        # q is a multiple of both nonzero normal entries, so every
+        # intersection (x/q, y/q) has integer x and y
+        q = max(abs(a), 1) * max(abs(c), 1)
+        b = box * q
         pts = []
-        # intersect a*x + c*y = k with the four box edges
         for x in (-b, b):
             if c != 0:
-                y = Fraction(k - a * x, c)
+                y = (k * q - a * x) // c
                 if -b <= y <= b:
                     pts.append((x, y))
         for y in (-b, b):
             if a != 0:
-                x = Fraction(k - c * y, a)
+                x = (k * q - c * y) // a
                 if -b <= x <= b:
                     pts.append((x, y))
         pts = sorted(set(pts))
         if len(pts) < 2:
             continue
         (x1, y1), (x2, y2) = pts[0], pts[-1]
+        # pixel coordinate size/2 + size/(2*box) * v/q
         lines.append(
             '  <line x1="{}" y1="{}" x2="{}" y2="{}" stroke="black" stroke-width="1"/>'.format(
-                _fmt(x1, scale, half), _fmt(-y1, scale, half),
-                _fmt(x2, scale, half), _fmt(-y2, scale, half))
+                *(_fmt(size * (b + v), 2 * b) for v in (x1, -y1, x2, -y2)))
         )
     lines.append(
         f'  <circle cx="{size // 2}" cy="{size // 2}" r="3" fill="black"/>')

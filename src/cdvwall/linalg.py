@@ -1,15 +1,14 @@
-"""Exact linear algebra on small integer and rational matrices.
+"""Exact linear algebra on small integer matrices.
 
-Matrices are tuples of row tuples, vectors are flat tuples.  Everything is
-arbitrary precision and there are no floats.  All elimination runs over the
-integers in one fraction-free Gauss-Jordan routine, with no determinant-only
-mode; the only Fraction is the final division in `solve`.
+Matrices are tuples of row tuples, vectors are flat tuples.  Every entry is
+an arbitrary-precision integer and there are no floats or fractions.  All
+elimination runs in one fraction-free Gauss-Jordan routine, `eliminate`,
+which returns a determinant and an adjugate product rather than a quotient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -30,13 +29,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
+def eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
     """Fraction-free Gauss-Jordan elimination of the integer matrix [m | rhs].
 
     Each step replaces a row r by (pivot * r - r[k] * pivot_row) // prev,
     where prev is the previous pivot.  The division is exact (Bareiss,
     Math. Comp. 1968), so every entry stays an integer.  Returns det(m) and
-    adj(m) . rhs, or (0, None) when m is singular.
+    adj(m) . rhs, or (0, None) when m is singular; m x = rhs then has the
+    solution x = adj(m) . rhs / det(m).
     """
     n = len(m)
     a = [list(row) + list(extra) for row, extra in zip(m, rhs or [()] * n)]
@@ -59,23 +59,6 @@ def _eliminate(m: Mat, rhs: Mat = ()) -> tuple[int, Optional[Mat]]:
         prev = pivot
     # the left block is now prev * I, the right one prev * m^-1 . rhs
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
-def clear_denominators(v: Sequence) -> tuple[Vec, int]:
-    """The integer vector scale * v and the least positive integer scale
-    that makes it one, for a vector of ints or Fractions."""
-    scale = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
-
-
-def solve(m: Mat, v: Sequence) -> Optional[Vec]:
-    """Solve m x = v exactly for an integer matrix m and a vector v of ints
-    or Fractions; None if m is singular."""
-    iv, scale = clear_denominators(v)
-    d, adj = _eliminate(m, tuple((x,) for x in iv))
-    if d == 0:
-        return None
-    return tuple(Fraction(row[0], d * scale) for row in adj)
 
 
 def dot(u: Sequence, v: Sequence):

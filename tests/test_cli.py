@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -369,6 +370,21 @@ def test_chambers_cross_a_one_kept_node_flop(args, capsys):
     code, out, _ = run_cli(["chambers", *args], capsys)
     assert code == 0
     assert json.loads(out)["results"]["count"] == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["mutate", "--family", "A", "--rank", "3", "--contracted", "1", "--format", "dot"],
+    ["export", "--family", "D", "--rank", "5", "--contracted", "1", "--format", "dot"],
+], ids=["mutate", "export"])
+def test_groupoid_dot_stops_once_the_component_is_complete(args, capsys):
+    # word length 8 already covers both components; a bound of 10^8 must not
+    # spin through empty layers (that took over 10 s)
+    code, small, _ = run_cli([*args, "--maxlen", "8"], capsys)
+    assert code == 0
+    started = time.perf_counter()
+    code, huge, _ = run_cli([*args, "--maxlen", "100000000"], capsys)
+    assert time.perf_counter() - started < 2
+    assert code == 0 and huge == small
 
 
 def test_chambers_dot_output(capsys):

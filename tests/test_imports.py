@@ -1,6 +1,7 @@
 """Module structure: every import sits at module level and is read, the
 groupoid (label algebra) never reaches into the arrangement (geometry),
-and the oracle builds its walls and levels without the engine's."""
+the oracle builds its walls and levels without the engine's, and no module
+computes with fractions."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,16 @@ def test_oracle_builds_walls_and_levels_itself():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.name for node in _imports(tree) for alias in node.names}
     assert not imported & {"arrangement_hyperplanes", "imaginary_restriction"}
+
+
+def test_no_module_imports_fractions():
+    offenders = []
+    for path in MODULES:
+        for node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if "fractions" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"fractions imported at {offenders}"
 
 
 def _read_names(tree):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import permutations
 from math import prod
 
@@ -8,14 +7,13 @@ from hypothesis import strategies as st
 
 from cdvwall.dynkin import build_diagram
 from cdvwall.linalg import (
-    _eliminate,
+    eliminate,
     identity_matrix,
     integer_multiple_of,
     is_colinear,
     mat_mul,
     mat_vec,
     primitive,
-    solve,
     vec_gcd,
 )
 from cdvwall.weyl import from_word
@@ -50,7 +48,7 @@ def invert_unimodular(m):
     engine never inverts: Weyl elements carry their inverses and induced
     root maps read theirs off them.  This is the elimination reference that
     the Weyl, linear-algebra and groupoid tests compare them against."""
-    d, adj = _eliminate(m, identity_matrix(len(m)))
+    d, adj = eliminate(m, identity_matrix(len(m)))
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
@@ -58,7 +56,7 @@ def invert_unimodular(m):
 
 def test_det_and_unimodular_inverse():
     for m in (((1, 2, 0), (0, 1, 0), (3, 5, 1)), ((2, 1), (1, 1))):
-        assert _eliminate(m)[0] == 1
+        assert eliminate(m)[0] == 1
         assert mat_mul(m, invert_unimodular(m)) == identity_matrix(len(m))
     assert invert_unimodular(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
 
@@ -72,20 +70,20 @@ def test_invert_unimodular_rejects_non_unimodular():
 @PROPERTY
 @given(int_matrices())
 def test_det_matches_leibniz_expansion(m):
-    assert _eliminate(m)[0] == leibniz_det(m)
+    assert eliminate(m)[0] == leibniz_det(m)
 
 
 @PROPERTY
 @given(int_matrices(), st.data())
-def test_solve_is_none_exactly_when_singular(m, data):
-    entry = st.one_of(st.integers(-9, 9), st.integers(-500, 500).map(lambda k: Fraction(k, 97)))
-    v = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
-    x = solve(m, v)
-    if _eliminate(m)[0] == 0:
-        assert x is None
+def test_eliminate_gives_det_times_the_solution(m, data):
+    # m . (adj(m) . v) == det(m) . v, and det(m) is 0 exactly when m is singular
+    v = tuple(data.draw(st.lists(st.integers(-500, 500), min_size=len(m), max_size=len(m))))
+    d, adj = eliminate(m, tuple((x,) for x in v))
+    assert (d == 0) == (leibniz_det(m) == 0)
+    if d == 0:
+        assert adj is None
     else:
-        assert x is not None and all(isinstance(c, Fraction) for c in x)
-        assert mat_vec(m, x) == tuple(v)
+        assert mat_vec(m, tuple(row[0] for row in adj)) == tuple(d * x for x in v)
 
 
 @pytest.mark.parametrize("family, rank", [("E", 8), ("D", 6)])
@@ -100,11 +98,6 @@ def test_unimodular_inverse_reverses_reduced_words(family, rank):
         assert invert_unimodular(w.matrix) == from_word(diagram, reversed(reduced)).matrix
 
     check()
-
-
-def test_solve_singular_returns_none():
-    assert solve(((1, 1), (2, 2)), (1, 2)) is None
-    assert solve(((1, 0), (0, 2)), (3, 4)) == (Fraction(3), Fraction(2))
 
 
 def test_primitive_sign_normalises():

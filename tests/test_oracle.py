@@ -6,7 +6,7 @@ import pytest
 
 from cdvwall.arrangement import ChamberGraph, GeometryError, locate_by_walk
 from cdvwall.dynkin import build_diagram, enumerate_roots, imaginary_root
-from cdvwall.linalg import primitive, solve
+from cdvwall.linalg import eliminate, primitive
 from cdvwall.oracle import (
     _cone_rows,
     _inside,
@@ -149,12 +149,14 @@ def test_integer_samples_are_the_scaled_fraction_samples(family, rank, contracte
 
 
 def _solve_contains(chamber, point):
-    """Strict cone membership by solving for the signed-ray coefficients."""
+    """Strict cone membership by solving for the signed-ray coefficients
+    adj . point / det, by elimination: all are positive exactly when
+    sign(det) . adj . point is."""
     rays = chamber.rays
     m = len(rays)
     matrix = tuple(tuple(chamber.sign * rays[j][i] for j in range(m)) for i in range(m))
-    coeffs = solve(matrix, point)
-    return coeffs is not None and all(c > 0 for c in coeffs)
+    d, adj = eliminate(matrix, tuple((x,) for x in point))
+    return d != 0 and all(d * c > 0 for (c,) in adj)
 
 
 @pytest.mark.parametrize("family,rank,contracted", [("A", 2, ()), ("D", 4, (3, 4))])

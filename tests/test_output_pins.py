@@ -8,9 +8,11 @@ over the region between the two walls: a walked row is minimal between its
 ends but may be longer than the shortest row, and rows of equal length may
 pass through other chambers, so all three outputs changed.  Their skipped
 rows are unchanged.  The `gv-map` and `orbits` digests pin the two
-consumers of the induced root maps on a finite type.  Any change to
-chamber, gallery, mutation, transport or orbit output, including its order
-or formatting, fails here.
+consumers of the induced root maps on a finite type.  The three SVG
+digests pin the slice writer's box-edge points and their decimal rounding;
+E8~ {1,2,3,4,5,6} has normals up to (2,3), including (2,2) walls with odd
+offsets.  Any change to chamber, gallery, mutation, transport, orbit or
+slice output, including its order or formatting, fails here.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import pytest
 from cdvwall.cli import main
 
 D4_34 = ["--family", "D", "--rank", "4", "--affine", "--contracted", "3,4"]
+D4_13 = ["--family", "D", "--rank", "4", "--affine", "--contracted", "1,3"]
 
 PINS = [
     (["chambers", *D4_34, "--maxlen", "3"],
@@ -39,6 +42,13 @@ PINS = [
     (["orbits", "--family", "D", "--rank", "4", "--non-flop", "1,2,3,4",
       "--window", "chi=2,beta=1"],
      "413a040829e77a400c02b039334c661ea5c7126e1ae99381351ae9a6a2957eee"),
+    (["export", "--family", "A", "--rank", "2", "--affine", "--format", "svg", "--kmax", "3"],
+     "267601c72bac661cce1844f86b4980318e4d923c9f0f15f871fe8b1fb2d8c070"),
+    (["export", *D4_13, "--format", "svg", "--kmax", "3"],
+     "fdd401cc286f37813832880ec6e37279d77857b721016fa7b765453987e45492"),
+    (["export", "--family", "E", "--rank", "8", "--affine", "--contracted", "1,2,3,4,5,6",
+      "--format", "svg", "--kmax", "3"],
+     "30424e9b6175caa5535665fd30608ed610ed6a725cac2dc1f86301024fdf9b4e"),
 ]
 
 
