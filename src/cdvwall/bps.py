@@ -177,24 +177,44 @@ def geometric_verdict(dtype: DynkinType, cc: CurveClass,
     not a finite restricted root.  As on the dimension-vector side, the
     weighted-homogeneous flag extends the verdict to the global invariant.
     """
+    return finite_verdicts(dtype, weighted_homogeneous)(cc)
+
+
+@lru_cache(maxsize=None)
+def finite_verdicts(dtype: DynkinType,
+                    weighted_homogeneous: bool) -> Callable[[CurveClass], Verdict]:
+    """The verdict function of one finite type.  The type's pi(r_im) and
+    restricted roots are read once here, so a class costs a cone check, a
+    gcd and one set lookup.  Verdicts themselves are not kept."""
     if dtype.affine:
         raise ClassError("geometric verdicts take a finite type")
     aff = affine_companion(dtype)
-    delta = class_to_vector(aff, cc)
-    if min(delta) < 0:
-        raise ClassError("class does not map into the non-negative dimension vectors")
-    if not any(delta):
-        raise ClassError("the zero class has no verdict")
-    if not any(cc.beta):
-        return Verdict(False, RULE_GEOM_VANISHING, cc.chi, kind="imaginary",
-                       base=imaginary_restriction(aff),
-                       global_scope=weighted_homogeneous)
-    d = cc.d_pair
-    base = tuple(b // d for b in cc.beta)
-    if base in finite_restricted_values(dtype):
-        return Verdict(False, RULE_GEOM_VANISHING, d, kind="real", base=base,
-                       global_scope=weighted_homogeneous)
-    return Verdict(True, RULE_GEOM_VANISHING, d, global_scope=weighted_homogeneous)
+    rim_fin = _finite_rim(aff)
+    rim_bar = imaginary_restriction(aff)
+    values = finite_restricted_values(dtype)
+    rule, scope = RULE_GEOM_VANISHING, bool(weighted_homogeneous)
+    outside = "class does not map into the non-negative dimension vectors"
+
+    def verdict(cc: CurveClass) -> Verdict:
+        chi, beta = cc
+        if len(beta) != len(rim_fin):
+            raise ClassError("beta length does not match the kept finite nodes")
+        if chi < 0:
+            raise ClassError(outside)
+        for b, r in zip(beta, rim_fin):
+            if b + chi * r < 0:
+                raise ClassError(outside)
+        if not any(beta):
+            if not chi:
+                raise ClassError("the zero class has no verdict")
+            return Verdict(False, rule, chi, "imaginary", rim_bar, scope)
+        d = gcd(chi, *beta)
+        base = beta if d == 1 else tuple([b // d for b in beta])
+        if base in values:
+            return Verdict(False, rule, d, "real", base, scope)
+        return Verdict(True, rule, d, None, None, scope)
+
+    return verdict
 
 
 class ClassGenerator(Frozen):
@@ -266,9 +286,15 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
 
         gens.append(ClassGenerator("motivic-duality", RULE_DUAL_MOTIVIC, "motivic", dual))
 
+    @lru_cache(maxsize=None)
+    def twistable(cc: CurveClass) -> bool:
+        """Whether the class is effective and coprime: shared by the numeric
+        twists, so each class is tested once whatever the number of nodes."""
+        return cc.is_effective() and cc.d_pair == 1
+
     for idx, node in enumerate(dtype.kept):
         def numeric_twist(cc: CurveClass, _idx=idx, _node=node):
-            if not (cc.is_effective() and cc.d_pair == 1):
+            if not twistable(cc):
                 return None
             return CurveClass(cc.chi + cc.beta[_idx], cc.beta), (("node", _node),)
 
@@ -312,24 +338,6 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
             level, mutation))
 
     return tuple(gens)
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
 
 class OrbitPartition(NamedTuple):
@@ -377,29 +385,42 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
 
 
 def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition:
-    """Union-find closure of the configured generators on the window."""
+    """Union-find closure of the configured generators on the window, over
+    class indices.  Classes come in sorted order, so grouping them by root
+    in that order gives each orbit's members sorted and the orbits in order
+    of their first members.  A generator meets each class once, and the
+    generators of one rule differ in params, so no edge repeats."""
     classes = tuple(window_classes(dtype, config))
-    index = set(classes)
-    uf = UnionFind(classes)
+    index = {cc: i for i, cc in enumerate(classes)}
+    parent = list(range(len(classes)))
+
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
     edges = []
-    seen_edges = set()
     for gen in symmetry_generators(dtype, config):
-        for cc in classes:
-            hit = gen.act(cc)
+        act, rule, level = gen.act, gen.rule, gen.level
+        for i, cc in enumerate(classes):
+            hit = act(cc)
             if hit is None:
                 continue
             img, params = hit
-            if img not in index or img == cc:
+            j = index.get(img)
+            if j is None or j == i:
                 continue
-            uf.union(cc, img)
-            tag = (cc, img, gen.rule, params)
-            if tag not in seen_edges:
-                seen_edges.add(tag)
-                edges.append((cc, img, Certificate(gen.rule, gen.level, params)))
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+            edges.append((cc, img, Certificate(rule, level, params)))
     grouped: dict = {}
-    for cc in classes:
-        grouped.setdefault(uf.find(cc), []).append(cc)
-    orbits = tuple(tuple(sorted(members)) for _, members in sorted(grouped.items()))
+    for i, cc in enumerate(classes):
+        grouped.setdefault(find(i), []).append(cc)
+    orbits = tuple(map(tuple, grouped.values()))
     return OrbitPartition(dtype, config, orbits, tuple(edges))
 
 

@@ -304,16 +304,34 @@ def write_json(obj, write: Callable[[str], None]) -> None:
     array, so a long list can be produced while it is written.  Values are
     str, int, bool, None, str-keyed dicts, and arrays: exact lists and
     tuples, so a record that is a tuple subclass is not one.  The program
-    writes no floats, and anything else raises TypeError."""
+    writes no floats, and anything else raises TypeError.  The sorted keys
+    and encoded key text of a dict are laid out once per key tuple and
+    depth, so rows of one shape share them."""
     parts: list[str] = []
     append = parts.append
     encode = encode_basestring_ascii
     breaks = ["\n"]   # breaks[d]: a newline and the indent of depth d
+    layouts: dict = {}   # (keys in insertion order, depth) -> layout()
 
     def newline(depth: int) -> str:
         while len(breaks) <= depth:
             breaks.append(breaks[-1] + "  ")
         return breaks[depth]
+
+    def layout(shape: tuple) -> tuple:
+        """The sorted keys of one dict shape, each with the text that goes
+        before its value, and the dict's closing text."""
+        keys, depth = shape
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline(depth + 1)
+        heads, sep = [], "{" + inner
+        for key in sorted(keys):
+            heads.append((key, sep + encode(key) + ": "))
+            sep = "," + inner
+        layouts[shape] = found = (tuple(heads), newline(depth) + "}")
+        return found
 
     def value(o, depth: int) -> None:
         if isinstance(o, str):
@@ -330,15 +348,12 @@ def write_json(obj, write: Callable[[str], None]) -> None:
             if not o:
                 append("{}")
                 return
-            inner = newline(depth + 1)
-            sep, comma = "{" + inner, "," + inner
-            for key in sorted(o):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(sep + encode(key) + ": ")
-                sep = comma
+            shape = (tuple(o), depth)
+            heads, close = layouts.get(shape) or layout(shape)
+            for key, head in heads:
+                append(head)
                 value(o[key], depth + 1)
-            append(newline(depth) + "}")
+            append(close)
         elif type(o) in (list, tuple) and o and all(type(x) is int for x in o):
             inner = newline(depth + 1)
             append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline(depth) + "]")

@@ -3,7 +3,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -199,19 +199,20 @@ def test_walk_is_invariant_under_positive_scaling(dtype, sign):
     rng = random.Random(11)
     located = 0
     for _ in range(60):
-        coords = [Fraction(rng.randrange(-200, 200), 97) for _ in dtype.kept]
-        coords[0] = (sign - sum(c * r for c, r in zip(coords[1:], rim[1:]))) / rim[0]
-        point = tuple(coords)
+        coords = [rng.randrange(-200, 200) for _ in dtype.kept]
+        # the point (x, coords[1:] / 97) pairing to sign with pi(r_im), times
+        # 97 * rim[0] > 0 and over the gcd: its least integer multiple
+        coords[0] = 97 * sign - sum(c * r for c, r in zip(coords[1:], rim[1:]))
+        coords[1:] = [c * rim[0] for c in coords[1:]]
+        g = gcd(*coords)
+        point = tuple(c // g for c in coords)
         outcome = _walk_outcome(graph, point)
         if isinstance(outcome, str):
             continue
         located += 1
         assert all(c > 0 for c in graph.chambers[outcome].coords_in(point))
-        scale = lcm(*(c.denominator for c in point))
-        for m in (3, Fraction(5, 2)):
+        for m in (3, 5, 7):
             assert _walk_outcome(graph, tuple(m * c for c in point)) == outcome
-        for m in (scale, 7 * scale):
-            assert _walk_outcome(graph, tuple(int(m * c) for c in point)) == outcome
     assert located > 40
 
 

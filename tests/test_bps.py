@@ -28,6 +28,7 @@ from cdvwall.restriction import (
     classify_value,
     finite_restricted_values,
     imaginary_restriction,
+    proper_subsets,
 )
 
 D4 = DynkinType(build_diagram("D", 4), frozenset())
@@ -90,11 +91,22 @@ def test_class_vector_round_trip():
 
 
 def test_geometric_and_affine_verdicts_agree():
+    # the finite per-type verdict against the NC verdict of the class's
+    # dimension vector on the affine companion, on every proper subset: the
+    # same forced_zero, mult and kind, and the same base, read back in
+    # curve-class coordinates on a real candidate
     cfg = SymmetryConfig(chi_max=3, beta_max=2)
-    for cc in window_classes(D4, cfg):
-        g = geometric_verdict(D4, cc)
-        a = vanishing_verdict(D4_AFF, class_to_vector(D4_AFF, cc))
-        assert g.forced_zero == a.forced_zero, cc
+    for family, rank in [("A", 3), ("A", 4), ("D", 4), ("D", 5)]:
+        diagram = build_diagram(family, rank)
+        for subset in proper_subsets(diagram):
+            dt = DynkinType(diagram, subset)
+            aff = affine_companion(dt)
+            for cc in window_classes(dt, cfg):
+                g = geometric_verdict(dt, cc)
+                a = vanishing_verdict(aff, class_to_vector(aff, cc))
+                base = vector_to_class(aff, a.base).beta if a.kind == "real" else a.base
+                assert ((g.forced_zero, g.mult, g.kind, g.base)
+                        == (a.forced_zero, a.mult, a.kind, base)), (family, rank, subset, cc)
 
 
 @pytest.mark.parametrize("family, rank, contracted", [
@@ -227,6 +239,37 @@ def test_orbit_verdict_constancy_small():
     part = orbit_partition(D4, cfg)
     ok, offenders = verdict_constant_on_orbits(D4, part)
     assert ok, offenders
+
+
+@pytest.mark.parametrize("family, rank, contracted", [
+    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3})], ids=["A3-2", "D4", "D5-1,3"])
+def test_orbits_are_the_components_of_distinct_edges(family, rank, contracted):
+    dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset(dtype.kept),
+                         chi_max=2, beta_max=1)
+    part = orbit_partition(dtype, cfg)
+    tags = [(a, b, cert.rule, cert.params) for a, b, cert in part.edges]
+    assert tags and len(tags) == len(set(tags))
+    adjacent = {cc: [] for cc in window_classes(dtype, cfg)}
+    for a, b, _ in part.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    components, seen = [], set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = [start], []
+        while queue:
+            cc = queue.pop(0)
+            members.append(cc)
+            for nxt in adjacent[cc]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        components.append(tuple(sorted(members)))
+    assert part.orbits == tuple(sorted(components))
+    assert any(len(o) > 1 for o in part.orbits)
 
 
 def test_certificates_name_their_rule():

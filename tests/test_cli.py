@@ -157,6 +157,26 @@ def test_write_json_writes_rows_while_they_are_produced():
     assert len(written_at) > 10 and written_at[0] < 10
 
 
+def test_write_json_lays_out_each_shape_by_its_own_keys():
+    row = {"kind": None, "class": {"chi": 1, "beta": [0, 1]}, "mult": 2, "base": [1, 0]}
+    rows = [dict(row, mult=i) for i in range(1000)]
+    rows[500] = {}
+    cases = [
+        # one key set in two insertion orders
+        [{"b": 1, "a": [2], "c": "x"}, {"c": "y", "a": [], "b": {"a": 3, "b": 4}}],
+        # the key tuple ("b", "a") at depths 1 to 4
+        {"a": {"b": 1, "a": 2}, "b": [{"b": 3, "a": {"b": {"b": 5, "a": 6}, "a": 7}}]},
+        # a thousand rows of one shape with an empty dict among them
+        {"results": rows},
+    ]
+    for obj in cases:
+        parts = []
+        write_json(obj, parts.append)
+        assert "".join(parts) == json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        write_json([{"a": 1, "b": 2}, {"a": 1, 2: 2}], lambda text: None)
+
+
 @pytest.mark.parametrize("bad", [
     {1: "int key"}, [1.5], {"x": object()}, Verdict(False, "rule", 1),
     {"x": [RestrictedRoot((1,), frozenset({1}), None, 1, (1,))]}])

@@ -11,8 +11,12 @@ rows are unchanged.  The `gv-map` and `orbits` digests pin the two
 consumers of the induced root maps on a finite type.  The three SVG
 digests pin the slice writer's box-edge points and their decimal rounding;
 E8~ {1,2,3,4,5,6} has normals up to (2,3), including (2,2) walls with odd
-offsets.  Any change to chamber, gallery, mutation, transport, orbit or
-slice output, including its order or formatting, fails here.
+offsets.  The last three digests pin the verdict tables: a finite
+`vanishing-table` plain and weighted-homogeneous, and a rigidified
+`orbits` with every node non-flop, whose twist, duality and
+mutation edges all appear in its certificates.  Any change to chamber,
+gallery, mutation, transport, orbit, verdict or slice output, including
+its order or formatting, fails here.
 """
 
 import hashlib
@@ -49,6 +53,14 @@ PINS = [
     (["export", "--family", "E", "--rank", "8", "--affine", "--contracted", "1,2,3,4,5,6",
       "--format", "svg", "--kmax", "3"],
      "30424e9b6175caa5535665fd30608ed610ed6a725cac2dc1f86301024fdf9b4e"),
+    (["vanishing-table", "--family", "E", "--rank", "6", "--window", "chi=1,beta=1"],
+     "8704d49c1b105f8dae792dde08b6fa5c66dfadb637e4577e00a2292cefabf996"),
+    (["vanishing-table", "--family", "D", "--rank", "4", "--window", "chi=2,beta=1",
+      "--weighted-homogeneous"],
+     "35b22dd9a5ed0d50817ed93cb976cb8608e06907728923fb7e94570970597bbc"),
+    (["orbits", "--family", "D", "--rank", "4", "--rigidified", "--non-flop", "1,2,3,4",
+      "--window", "chi=2,beta=1"],
+     "ccd7baf1b218e1cd36b5c3155413153f366b593fb319d00b66d40a1a9ad575fc"),
 ]
 
 
