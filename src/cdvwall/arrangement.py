@@ -46,7 +46,8 @@ MINIMAL_GALLERY_CAP = 200_000   # chamber expansions before minimal_gallery give
 
 
 class SignCrossing(Exception):
-    """Raised when a crossing would leave the chamber's sign class."""
+    """Raised when a crossing would leave the chamber's sign class: the
+    positive side of the imaginary wall, where every chamber lies."""
 
 
 class GeometryError(RuntimeError):
@@ -93,29 +94,35 @@ def wall_through(normal: Vec, offset: int = 0) -> Hyperplane:
     return Hyperplane(normal, offset)
 
 
-def _chamber_key(sign: int, subset: frozenset, weyl: WeylElement) -> tuple:
-    return (sign, tuple(sorted(subset)), weyl.matrix)
+def _chamber_key(subset: frozenset, weyl: WeylElement) -> tuple:
+    return (tuple(sorted(subset)), weyl.matrix)
 
 
 class Chamber(Frozen):
-    def __init__(self, dtype: DynkinType, sign: int, weyl: WeylElement, subset: frozenset,
+    """The cone w C_subset.  Chambers form one sign class, on affine types
+    the positive side of the imaginary wall, so `sign` is the constant +1;
+    the JSON writes it, and the benchmark's tracer (bench/shim.py) reads it."""
+
+    sign = 1
+
+    def __init__(self, dtype: DynkinType, weyl: WeylElement, subset: frozenset,
                  rays: tuple[Vec, ...]):
-        self.__dict__.update(dtype=dtype, sign=sign, weyl=weyl, subset=subset, rays=rays)
+        self.__dict__.update(dtype=dtype, weyl=weyl, subset=subset, rays=rays)
 
     def _key(self) -> tuple:
-        return (self.dtype, self.sign, self.weyl, self.subset, self.rays)
+        return (self.dtype, self.weyl, self.subset, self.rays)
 
     @property
     def kept_of_subset(self) -> tuple[int, ...]:
         return tuple(n for n in self.dtype.diagram.nodes if n not in self.subset)
 
     def key(self):
-        return _chamber_key(self.sign, self.subset, self.weyl)
+        return _chamber_key(self.subset, self.weyl)
 
     @cached_property
     def interior(self) -> Vec:
-        """The signed sum of the rays, a point strictly inside the chamber."""
-        return tuple(self.sign * sum(column) for column in zip(*self.rays))
+        """The sum of the rays, a point strictly inside the chamber."""
+        return tuple(sum(column) for column in zip(*self.rays))
 
     @cached_property
     def facet_normals(self) -> tuple[Vec, ...]:
@@ -126,13 +133,13 @@ class Chamber(Frozen):
                      for node in self.kept_of_subset)
 
     def coords_in(self, point: Vec) -> tuple:
-        """Coefficients of a point over the signed rays (dual-basis pairing)."""
-        return tuple(self.sign * dot(point, n) for n in self.facet_normals)
+        """Coefficients of a point over the rays (dual-basis pairing)."""
+        return tuple(dot(point, n) for n in self.facet_normals)
 
     def label_str(self) -> str:
         word = ",".join(str(i) for i in self.weyl.word) or "e"
         subset = ",".join(str(n) for n in sorted(self.subset)) or "-"
-        return f"{'+' if self.sign > 0 else '-'}[{word}|{subset}]"
+        return f"+[{word}|{subset}]"
 
     def to_json(self) -> dict:
         return {
@@ -143,9 +150,8 @@ class Chamber(Frozen):
         }
 
 
-def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[int],
-                       sign: int = 1) -> Chamber:
-    """Build the chamber sign * w C_subset inside the base coordinate space.
+def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[int]) -> Chamber:
+    """Build the chamber w C_subset inside the base coordinate space.
 
     Raises GeometryError when the labelled cone does not lie in that
     subspace.  Once it does, it is full-dimensional: the rays are the rows
@@ -169,12 +175,12 @@ def chamber_from_label(dtype: DynkinType, weyl: WeylElement, subset: Iterable[in
                 f"chamber ray for node {node} does not vanish on the contracted roots"
             )
         rays.append(tuple(row[c] for c in kept_cols))
-    return Chamber(dtype, 1 if sign >= 0 else -1, weyl, subset, tuple(rays))
+    return Chamber(dtype, weyl, subset, tuple(rays))
 
 
-def fundamental_chamber(dtype: DynkinType, sign: int = 1) -> Chamber:
+def fundamental_chamber(dtype: DynkinType) -> Chamber:
     """C_J: label (identity, contracted), rays the kept dual basis vectors."""
-    return chamber_from_label(dtype, identity(dtype.diagram), dtype.contracted, sign)
+    return chamber_from_label(dtype, identity(dtype.diagram), dtype.contracted)
 
 
 def facet_index_of_node(chamber: Chamber, node: int) -> int:
@@ -191,8 +197,6 @@ def shares_facet(c1: Chamber, k: int, c2: Chamber) -> None:
     wall, and that the two facet cones are equal (full rank inside the wall
     is automatic because the rays of a simplicial chamber are independent).
     """
-    if c1.sign != c2.sign:
-        raise GeometryError("facet sharing is only defined within a sign class")
     normal = c1.facet_normals[k]
     s1 = dot(c1.interior, normal)
     s2 = dot(c2.interior, normal)
@@ -235,9 +239,9 @@ def cross_wall(chamber: Chamber, k: int,
     weyl, subset = mutate(chamber.weyl, chamber.subset, node)
     c2 = None
     if known is not None:
-        c2 = known.get(_chamber_key(chamber.sign, subset, weyl))
+        c2 = known.get(_chamber_key(subset, weyl))
     if c2 is None:
-        c2 = chamber_from_label(dtype, weyl, subset, chamber.sign)
+        c2 = chamber_from_label(dtype, weyl, subset)
     shares_facet(chamber, k, c2)
     return c2, Hyperplane(primitive(raw))
 
@@ -280,12 +284,11 @@ def path_to_gallery(arrow: GroupoidArrow) -> Gallery:
 
 
 class ChamberGraph:
-    """Lazily expanded adjacency structure on the chambers of one sign class."""
+    """Lazily expanded adjacency structure on the chambers of the sign class."""
 
-    def __init__(self, dtype: DynkinType, sign: int = 1):
+    def __init__(self, dtype: DynkinType):
         self.dtype = dtype
-        self.sign = 1 if sign >= 0 else -1
-        base = fundamental_chamber(dtype, self.sign)
+        base = fundamental_chamber(dtype)
         self.chambers: dict = {base.key(): base}
         self.base_key = base.key()
         self._adj: dict = {}
@@ -364,8 +367,6 @@ def distinct_edges(chambers: list, edges: list) -> list:
 def minimal_gallery(graph: ChamberGraph, source: Chamber, target: Chamber) -> Gallery:
     """A shortest wall-crossing path, found by breadth-first search with
     on-demand expansion of the chamber graph."""
-    if source.sign != target.sign:
-        raise GeometryError("minimal galleries connect chambers of one sign class")
     tkey = target.key()
     graph.chambers.setdefault(tkey, target)
     for expanded, (_, parent) in enumerate(graph.search(source)):
@@ -488,7 +489,7 @@ def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
     """
     chamber = graph.chambers[graph.base_key]
     level = dot(point, imaginary_restriction(graph.dtype))
-    if level == 0 or (level > 0) != (graph.sign > 0):
+    if level <= 0:
         raise GeometryError("point is not on the graph's side of the imaginary wall")
     for chamber, _ in _crossings(graph, chamber, chamber.interior, point):
         pass
@@ -538,7 +539,7 @@ def through_wall_end_point(rbar: Vec, alpha_bar: Vec, rim_bar: Vec) -> Vec:
 def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     """A minimal gallery from the base chamber whose first crossed wall is
     the facet hyperplane at `node` and whose last crossed wall is the one
-    orthogonal to `rbar`, on a positive-class graph.
+    orthogonal to `rbar`.
 
     Requires rbar to be a positive restricted root not colinear to the
     restricted simple root alpha_bar at `node` nor to the restricted
@@ -561,8 +562,6 @@ def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     fewer than rank times, and some j walks without a tie.
     """
     dtype = graph.dtype
-    if graph.sign < 0:
-        raise GeometryError("through-wall galleries start at the positive base chamber")
     if node not in dtype.kept:
         raise GeometryError(f"node {node} is not kept")
     alpha_bar = restrict(dtype, dtype.diagram.simple_root(node))

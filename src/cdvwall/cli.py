@@ -416,7 +416,7 @@ def cmd_roots(cfg: JobConfig) -> int:
             "real_roots": [
                 {"finite": [c - full[0] * h for c, h in zip(full[1:], rim[1:])],
                  "level": full[0], "coeffs": list(full)}
-                for full, _ in window
+                for full in window
             ],
             "count": len(window),
         }
@@ -502,8 +502,8 @@ def cmd_gallery(cfg: JobConfig) -> int:
 
 def cmd_mutate(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if len(dtype.kept) < 2:
-        raise UsageError("mutation needs at least two kept nodes")
+    if dtype.affine and len(dtype.kept) < 2:
+        raise UsageError("mutation of an affine type needs at least two kept nodes")
     if cfg.fmt == "dot":
         _emit(cfg, groupoid_dot(dtype, cfg.maxlen))
         return 0

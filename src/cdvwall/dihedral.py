@@ -20,6 +20,9 @@ from .dynkin import Diagram, build_diagram, enumerate_roots
 from .linalg import Vec, vec_gcd, vec_neg
 from .restriction import DynkinType, restricted_roots
 
+COEFF_MAX = 2   # the proposition window: dimension vectors with coordinates <= this
+K_WINDOW = 3    # the parity check's levels |k| <= this
+
 
 def target_diagram(n: int) -> Diagram:
     """The rank n+1 D-shaped diagram (built directly for rank 3, where the
@@ -127,16 +130,16 @@ def _displayed_form(n: int, delta: Vec, roots: frozenset, compounds: frozenset) 
     return False
 
 
-def proposition_check(n: int, coeff_max: int = 2) -> PropositionReport:
+def proposition_check(n: int) -> PropositionReport:
     """Exhaustively compare the vanishing verdict with the displayed form
-    over the window of dimension vectors with coordinates <= coeff_max."""
+    over the window of dimension vectors with coordinates <= COEFF_MAX."""
     case = dihedral_case(n)
     affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
     roots = frozenset(enumerate_roots(case.target).all_roots)
     compounds = frozenset(c for base in compound_vectors(n) for c in (base, vec_neg(base)))
     mismatches = []
     checked = 0
-    for delta in itertools.product(range(coeff_max + 1), repeat=n + 2):
+    for delta in itertools.product(range(COEFF_MAX + 1), repeat=n + 2):
         if all(c == 0 for c in delta):
             continue
         checked += 1
@@ -144,7 +147,7 @@ def proposition_check(n: int, coeff_max: int = 2) -> PropositionReport:
         displayed = _displayed_form(n, delta, roots, compounds)
         if verdict.forced_zero == displayed:
             mismatches.append(delta)
-    return PropositionReport(n, coeff_max, checked, tuple(mismatches))
+    return PropositionReport(n, COEFF_MAX, checked, tuple(mismatches))
 
 
 class ParityReport(NamedTuple):
@@ -162,14 +165,14 @@ class ParityReport(NamedTuple):
                 and self.compounds_covered)
 
 
-def mozgovoy_reineke_check(n: int, k_window: int = 3) -> ParityReport:
+def mozgovoy_reineke_check(n: int) -> ParityReport:
     """Check the parity/involution characterisation of the compounds.
 
-    For every windowed real root u of the extended target system, the sum
-    u + swap(u) (the involution exchanges the two fork pairs) lands on a
-    signed compound after translating by a multiple of the imaginary root
-    exactly when the four fork coordinates of u sum to an odd number; and
-    every compound is hit this way.
+    For every real root u of the extended target system at levels
+    |k| <= K_WINDOW, the sum u + swap(u) (the involution exchanges the two
+    fork pairs) lands on a signed compound after translating by a multiple
+    of the imaginary root exactly when the four fork coordinates of u sum
+    to an odd number; and every compound is hit this way.
     """
     rim = _extended_imaginary(n)
     roots = enumerate_roots(target_diagram(n)).all_roots
@@ -188,7 +191,7 @@ def mozgovoy_reineke_check(n: int, k_window: int = 3) -> ParityReport:
     parity_roots = parity_producing = nonparity_producing = 0
     covered = set()
     for r in roots:
-        for k in range(-k_window, k_window + 1):
+        for k in range(-K_WINDOW, K_WINDOW + 1):
             u = tuple(k * rim[i] + ((0,) + r)[i] for i in range(n + 2))
             parity = (u[0] + u[1] + u[n] + u[n + 1]) % 2
             s = tuple(a + b for a, b in zip(u, swap(u)))
@@ -202,7 +205,7 @@ def mozgovoy_reineke_check(n: int, k_window: int = 3) -> ParityReport:
                 parity_producing += produced
             else:
                 nonparity_producing += produced
-    return ParityReport(n, k_window, parity_roots, parity_producing,
+    return ParityReport(n, K_WINDOW, parity_roots, parity_producing,
                         nonparity_producing, covered == compounds)
 
 
@@ -242,7 +245,6 @@ class DihedralReport(NamedTuple):
         }
 
 
-def run_case(n: int, coeff_max: int = 2, k_window: int = 3) -> DihedralReport:
-    return DihedralReport(n, classify_restricted(n),
-                          proposition_check(n, coeff_max),
-                          mozgovoy_reineke_check(n, k_window))
+def run_case(n: int) -> DihedralReport:
+    return DihedralReport(n, classify_restricted(n), proposition_check(n),
+                          mozgovoy_reineke_check(n))

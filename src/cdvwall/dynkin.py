@@ -237,23 +237,18 @@ def imaginary_root(diagram: Diagram) -> Vec:
     return tuple(1 if n == 0 else high[fin.index[n]] for n in diagram.nodes)
 
 
-def expanded_window(diagram: Diagram, k_max: int) -> tuple[tuple[Vec, int], ...]:
-    """The real affine roots r + k*r_im with |k| <= k_max, each listed once,
-    as (full node coordinates, sign) pairs: level by level from -k_max, and
-    within a level in the order of the finite part's all_roots.  The sign
-    is +1 for positive roots and -1 for negative ones."""
+def expanded_window(diagram: Diagram, k_max: int) -> tuple[Vec, ...]:
+    """The real affine roots r + k*r_im with |k| <= k_max, each listed once
+    in full node coordinates: level by level from -k_max, and within a level
+    in the order of the finite part's all_roots."""
     if not diagram.affine:
         raise DiagramError("expanded_window requires an affine diagram")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     rim = imaginary_root(diagram)
     finite_roots = enumerate_roots(diagram.finite_part()).all_roots
-    out = []
-    for k in range(-k_max, k_max + 1):
-        for r in finite_roots:
-            full = tuple(a + k * c for a, c in zip((0, *r), rim))
-            out.append((full, 1 if all(c >= 0 for c in full) else -1))
-    return tuple(out)
+    return tuple(tuple(a + k * c for a, c in zip((0, *r), rim))
+                 for k in range(-k_max, k_max + 1) for r in finite_roots)
 
 
 def root_count_formula(family: str, rank: int) -> int:

@@ -71,9 +71,10 @@ def _fmt(num: int, den: int) -> str:
     return f"{sign}{whole}.{frac:03d}"
 
 
-def level_slice_svg(dtype: DynkinType, k_max: int, box: int = 2, size: int = 600) -> str:
+def level_slice_svg(dtype: DynkinType, k_max: int) -> str:
     """SVG of the affine slice arrangement for a type with two kept finite
     nodes: one line per wall {x * normal = offset}, clipped to the box."""
+    box, size = 2, 600   # the picture shows |x|, |y| <= box in size x size pixels
     walls = arrangement_hyperplanes(dtype, k_max, sliced=True)
     if walls and len(walls[0].normal) != 2:
         raise ValueError("slice pictures need exactly two kept finite nodes")

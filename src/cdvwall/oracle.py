@@ -141,18 +141,17 @@ class ProbeReport(NamedTuple):
         return not self.mismatches
 
 
-def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
-                   denominator: int = 97):
-    """Deterministic integer points on the requested unit level, in a box.
+def _sample_points(dtype: DynkinType, count: int, box: int, denominator: int = 97):
+    """Deterministic integer points on the unit level, in a box.
 
     Each point is the least positive integer multiple of a rational sample
     (x_0, x_1, ..., x_{m-1}): x_i = a_i / denominator for i >= 1, with a_i
     drawn by a linear congruential generator from the box, and x_0 =
-    (denominator * sign - sum_i a_i rim_i) / (denominator * rim_0), which
-    puts the sample on the level.  Over the common denominator
-    D = denominator * rim_0 the numerators are y_0 = denominator * sign -
-    sum_i a_i rim_i and y_i = a_i rim_0, and the least multiple is y / g
-    for g = gcd(D, y_0, ..., y_{m-1}).
+    (denominator - sum_i a_i rim_i) / (denominator * rim_0), which puts the
+    sample on the level.  Over the common denominator D = denominator * rim_0
+    the numerators are y_0 = denominator - sum_i a_i rim_i and
+    y_i = a_i rim_0, and the least multiple is y / g for
+    g = gcd(D, y_0, ..., y_{m-1}).
     """
     delta = oracle_delta(dtype.diagram)
     rim = [delta[dtype.diagram.index[n]] for n in dtype.kept]
@@ -166,7 +165,7 @@ def _sample_points(dtype: DynkinType, count: int, box: int, sign: int,
             state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 63)
             draws.append((state % span) - span // 2)
         # the first draw is replaced by the level's first coordinate
-        nums = [denominator * sign - sum(map(mul, draws[1:], rim[1:]))]
+        nums = [denominator - sum(map(mul, draws[1:], rim[1:]))]
         nums += [a * rim[0] for a in draws[1:]]
         g = gcd(common, *nums)
         yield tuple(y // g for y in nums)
@@ -185,7 +184,7 @@ def _minor(matrix, i: int, j: int) -> tuple:
 
 def _cone_rows(chamber):
     """The rows of sign(det M) * adj(M), for M the matrix whose columns are
-    the chamber's signed rays, or None when M is singular.
+    the chamber's rays, or None when M is singular.
 
     M c = point has the solution c = adj(M) point / det(M), so a point is
     strictly inside the cone exactly when every row pairs positively with
@@ -193,7 +192,7 @@ def _cone_rows(chamber):
     """
     rays = chamber.rays
     m = len(rays)
-    matrix = tuple(tuple(chamber.sign * rays[j][i] for j in range(m)) for i in range(m))
+    matrix = tuple(tuple(rays[j][i] for j in range(m)) for i in range(m))
     d = _det(matrix)
     if d == 0:
         return None
@@ -216,13 +215,13 @@ def sign_vector(point, normals) -> tuple:
 
 
 def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
-                         k_max: int = 8, sign: int = 1) -> ProbeReport:
+                         k_max: int = 8) -> ProbeReport:
     """Locate sampled points twice: by the engine's exact segment walk, and
     independently by matching sign vectors over the wall normals of the
     oracle's own affine restricted roots in a window.
 
-    Points land on the requested unit level (positive or negative side);
-    each is the integer point of `_sample_points`, the least positive
+    Points land on the unit level, on the positive side of the imaginary
+    wall; each is the integer point of `_sample_points`, the least positive
     integer multiple of a rational sample, which lies in the same chambers
     and on the same sides of every linear wall.  Points on a hyperplane or
     producing a degenerate segment are skipped.  A sample mismatch, an
@@ -235,14 +234,13 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
         raise ValueError("the chamber probe runs on affine types")
     if len(dtype.kept) > 3:
         raise ValueError("the probe is limited to at most three kept nodes")
-    sign = 1 if sign >= 0 else -1
     normals = sorted({primitive(r) for r in oracle_affine_restricted_roots(dtype, k_max)})
-    graph = ChamberGraph(dtype, sign)
+    graph = ChamberGraph(dtype)
     signatures: dict = {}
     cones: dict = {}   # chamber key -> _cone_rows of the chamber
     mismatches = []
     located = skipped = 0
-    for point in _sample_points(dtype, sample_count, box, sign):
+    for point in _sample_points(dtype, sample_count, box):
         try:
             chamber = locate_by_walk(graph, point)
         except GeometryError:

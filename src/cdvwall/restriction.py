@@ -3,10 +3,12 @@ restricted roots with their gcd multiplicities.
 
 A restricted root is a nonzero image of a root under the projection that
 drops the contracted coordinates.  Deduplication is by coefficient tuple;
-sign and reality classes are annotations on the tuple, not part of its
-identity.  Affine sets are infinite, so enumeration takes a level window;
-membership tests are windowless and exact via the translation structure
-of the real restricted roots.  Kept coordinates follow node order, so an
+the reality class is an annotation on the tuple, not part of its identity.
+A root's coordinates are all >= 0 or all <= 0, and so are those of its
+image, so a restricted root's sign class is the sign of its coefficients.
+Affine sets are infinite, so enumeration takes a level window; membership
+tests are windowless and exact via the translation structure of the real
+restricted roots.  Kept coordinates follow node order, so an
 affine type that keeps node 0 has it first, where pi(r_im) reads 1; the
 values of its finite companion are given in the same coordinates, reading
 0 there.
@@ -105,7 +107,6 @@ def imaginary_restriction(dtype: DynkinType) -> Vec:
 
 class RestrictedRoot(NamedTuple):
     coeffs: Vec
-    signs: frozenset          # subset of {+1, -1}: sign classes of the preimages
     reality: Optional[str]    # "real" | "imaginary" for affine types, None finite
     mult: int                 # gcd of the absolute coefficients
     witness: Vec              # one preimage root, in full node coordinates
@@ -115,7 +116,7 @@ class RestrictedRoot(NamedTuple):
             "coeffs": list(self.coeffs),
             "mult": self.mult,
             "witness": list(self.witness),
-            "signs": sorted("+" if s > 0 else "-" for s in self.signs),
+            "signs": ["+" if max(self.coeffs) > 0 else "-"],
             "reality": self.reality,
         }
 
@@ -142,9 +143,6 @@ class RestrictedRootSet(Frozen):
         }
 
 
-_ONE_SIGN = {1: frozenset({1}), -1: frozenset({-1})}
-
-
 def _window(diagram: Diagram, k_max: Optional[int]) -> Optional[int]:
     """The level window of a restricted-root set: None for finite types,
     k_max (default DEFAULT_WINDOW) for affine ones."""
@@ -160,36 +158,32 @@ def _window(diagram: Diagram, k_max: Optional[int]) -> Optional[int]:
 
 @lru_cache(maxsize=None)
 def _scan(diagram: Diagram, window: Optional[int]) -> tuple[dict, int]:
-    """The scan entries of the empty subset, root -> (its sign class, root),
+    """The scan entries of the empty subset, root -> root (its own witness),
     in scan order, and the largest absolute coordinate among the roots.
     Every restricted-root set of the diagram is built from these by
     _drop_coordinate.  Finite types scan r, then -r, for each positive
     root; affine types scan the level window."""
     if window is None:
-        pairs = tuple(pair for r in enumerate_roots(diagram).positive_roots
-                      for pair in ((r, 1), (vec_neg(r), -1)))
+        roots = (root for r in enumerate_roots(diagram).positive_roots
+                 for root in (r, vec_neg(r)))
     else:
-        pairs = expanded_window(diagram, window)
-    entries = {full: (_ONE_SIGN[sign], full) for full, sign in pairs}
+        roots = expanded_window(diagram, window)
+    entries = {full: full for full in roots}
     return entries, max((abs(c) for full in entries for c in full), default=0)
 
 
 def _drop_coordinate(entries: dict, j: int) -> dict:
     """The scan entries of one more contracted node, whose coordinate is
-    position j of the entries: the nonzero restrictions, coeffs -> (sign
-    classes of the preimages, first preimage).  Walking the entries in
-    first-appearance order keeps the child's keys in that order too, and
-    the first entry to reach a child vector holds the first scanned root
-    that reaches it, so the witness is the first scanned preimage."""
-    child: dict[Vec, tuple] = {}
-    for rbar, (signs, witness) in entries.items():
+    position j of the entries: the nonzero restrictions, coeffs -> first
+    preimage.  Walking the entries in first-appearance order keeps the
+    child's keys in that order too, and the first entry to reach a child
+    vector holds the first scanned root that reaches it, so the witness is
+    the first scanned preimage."""
+    child: dict[Vec, Vec] = {}
+    for rbar, witness in entries.items():
         c = rbar[:j] + rbar[j + 1:]
-        entry = child.get(c)
-        if entry is None:
-            if any(c):
-                child[c] = (signs, witness)
-        elif not signs <= entry[0]:
-            child[c] = (entry[0] | signs, entry[1])
+        if c not in child and any(c):
+            child[c] = witness
     return child
 
 
@@ -231,22 +225,20 @@ def _root_set(dtype: DynkinType, window: Optional[int], entries: dict,
     of the entries, and take reality from membership in the imaginary
     line; bound caps the scanned coordinates."""
     if window is None:
-        elements = tuple(RestrictedRoot(coeffs, signs, None, vec_gcd(coeffs), witness)
-                         for coeffs, (signs, witness) in sorted(entries.items()))
+        elements = tuple(RestrictedRoot(coeffs, None, vec_gcd(coeffs), witness)
+                         for coeffs, witness in sorted(entries.items()))
         return RestrictedRootSet(dtype, elements, None)
     entries = dict(entries)
     rim_bar = imaginary_restriction(dtype)
     rim = imaginary_root(dtype.diagram)
     for k in range(1, window + 1):
-        for sign in (1, -1):
-            coeffs = tuple(sign * k * c for c in rim_bar)
-            signs, witness = entries.get(coeffs, (frozenset(), tuple(sign * k * c for c in rim)))
-            entries[coeffs] = (signs | _ONE_SIGN[sign], witness)
+        for m in (k, -k):
+            entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
     line = _imaginary_line(rim_bar, max(bound, window))
     elements = tuple(
-        RestrictedRoot(coeffs, signs, "imaginary" if coeffs in line else "real",
+        RestrictedRoot(coeffs, "imaginary" if coeffs in line else "real",
                        vec_gcd(coeffs), witness)
-        for coeffs, (signs, witness) in sorted(entries.items())
+        for coeffs, witness in sorted(entries.items())
     )
     return RestrictedRootSet(dtype, elements, window)
 

@@ -102,7 +102,7 @@ def test_criterion_4_dihedral_suite():
 @pytest.mark.parametrize("name,dtype", GROUPOID_TYPES)
 def test_criterion_5_groupoid_geometry_agreement(name, dtype):
     start = time.time()
-    graph = ChamberGraph(dtype, 1)
+    graph = ChamberGraph(dtype)
     chambers, edges = graph.bfs(6)  # every crossing is facet-verified
     keys = {c.key(): c for c in chambers}
 
@@ -163,7 +163,7 @@ def test_criterion_5_groupoid_geometry_agreement(name, dtype):
 @pytest.mark.parametrize("name,dtype", GROUPOID_TYPES)
 def test_criterion_6_gallery_minimality(name, dtype):
     start = time.time()
-    graph = ChamberGraph(dtype, 1)
+    graph = ChamberGraph(dtype)
     chambers, _ = graph.bfs(6)
     rng = random.Random(20240601)
     pairs = [rng.sample(chambers, 2) for _ in range(100)]

@@ -15,7 +15,6 @@ from cdvwall.arrangement import (
     Gallery,
     GeometryError,
     arrangement_hyperplanes,
-    chamber_from_label,
     cross_wall,
     fundamental_chamber,
     gallery_through_wall,
@@ -77,7 +76,7 @@ def test_cross_twice_returns(dtype):
 ], ids=["A3~{2}", "D4~{3,4}", "E6~{1,3,5}"])
 def test_crossing_a_wall_twice_returns(dtype, radius):
     # every facet of a BFS ball that is not the imaginary wall
-    graph = ChamberGraph(dtype, 1)
+    graph = ChamberGraph(dtype)
     chambers, _ = graph.bfs(radius)
     facets = [(c, k) for c in chambers
               for k, edge in graph.neighbors(c).items() if edge is not None]
@@ -136,7 +135,7 @@ def test_rank_two_fan_is_a_path():
 @pytest.mark.parametrize("dtype", TYPES)
 def test_interior_adjacency_degree(dtype):
     chambers, edges = ChamberGraph(dtype).bfs(3)
-    graph = ChamberGraph(dtype, 1)
+    graph = ChamberGraph(dtype)
     inner, _ = graph.bfs(2)
     neighbor_count = {}
     for a, b, _ in edges:
@@ -168,8 +167,7 @@ def test_cached_facet_normals_match_a_fresh_restriction():
             assert c.facet_normals[k] == fresh
         # facet k pairs to 1 with ray k and to 0 with the others
         for j, ray in enumerate(c.rays):
-            signed = tuple(c.sign * x for x in ray)
-            assert c.coords_in(signed) == tuple(int(k == j) for k in range(len(c.rays)))
+            assert c.coords_in(ray) == tuple(int(k == j) for k in range(len(c.rays)))
 
 
 @pytest.mark.parametrize("dtype", [
@@ -194,7 +192,7 @@ def _walk_outcome(graph, point):
 @pytest.mark.parametrize("dtype,sign", [(A2_EMPTY, 1), (A2_EMPTY, -1), (D4_PAIR, 1),
                                         (A3_ONE, 1)])
 def test_walk_is_invariant_under_positive_scaling(dtype, sign):
-    graph = ChamberGraph(dtype, sign)
+    graph = ChamberGraph(dtype)
     rim = imaginary_restriction(dtype)
     rng = random.Random(11)
     located = 0
@@ -207,17 +205,21 @@ def test_walk_is_invariant_under_positive_scaling(dtype, sign):
         g = gcd(*coords)
         point = tuple(c // g for c in coords)
         outcome = _walk_outcome(graph, point)
-        if isinstance(outcome, str):
-            continue
-        located += 1
-        assert all(c > 0 for c in graph.chambers[outcome].coords_in(point))
+        if sign < 0:
+            # the graph holds the positive side of the imaginary wall only
+            assert outcome == "point is not on the graph's side of the imaginary wall"
+        elif isinstance(outcome, str):
+            continue   # a degenerate walk
+        else:
+            located += 1
+            assert all(c > 0 for c in graph.chambers[outcome].coords_in(point))
         for m in (3, 5, 7):
             assert _walk_outcome(graph, tuple(m * c for c in point)) == outcome
-    assert located > 40
+    assert located > 40 if sign > 0 else located == 0
 
 
 def test_minimal_gallery_trivial_cases():
-    graph = ChamberGraph(A2_EMPTY, 1)
+    graph = ChamberGraph(A2_EMPTY)
     base = graph.chambers[graph.base_key]
     assert minimal_gallery(graph, base, base).length == 0
     neighbor, wall = cross_wall(base, 0)
@@ -227,7 +229,7 @@ def test_minimal_gallery_trivial_cases():
 
 @pytest.mark.parametrize("dtype", TYPES)
 def test_minimal_gallery_length_equals_separation(dtype):
-    graph = ChamberGraph(dtype, 1)
+    graph = ChamberGraph(dtype)
     chambers, _ = graph.bfs(4)
     rng = random.Random(17)
     for _ in range(15):
@@ -240,22 +242,14 @@ def test_minimal_gallery_length_equals_separation(dtype):
 
 
 def test_gallery_endpoints_share_facets():
-    graph = ChamberGraph(A2_EMPTY, 1)
+    graph = ChamberGraph(A2_EMPTY)
     chambers, _ = graph.bfs(3)
     g = minimal_gallery(graph, chambers[0], chambers[-1])
     assert len(g.chambers) == g.length + 1
 
 
-def test_negative_side_mirror():
-    chambers, _ = ChamberGraph(A2_EMPTY, sign=-1).bfs(2)
-    assert all(c.sign == -1 for c in chambers)
-    rim = imaginary_restriction(A2_EMPTY)
-    for c in chambers:
-        assert dot(c.interior, rim) < 0
-
-
 def test_sign_classes_never_mix():
-    graph = ChamberGraph(A2_EMPTY, 1)
+    graph = ChamberGraph(A2_EMPTY)
     chambers, _ = graph.bfs(4)
     rim = imaginary_restriction(A2_EMPTY)
     assert all(dot(c.interior, rim) > 0 for c in chambers)
@@ -409,11 +403,6 @@ def test_through_wall_end_point_on_every_sign_pattern(a, b):
         assert z[2] == 0
 
 
-def test_gallery_through_wall_needs_a_positive_graph():
-    with pytest.raises(GeometryError, match="positive base chamber"):
-        gallery_through_wall(ChamberGraph(A2_EMPTY, -1), 1, (1, 1, 0))
-
-
 def test_gallery_through_wall_rejects_colinear():
     alpha = restrict(A2_EMPTY, A2_EMPTY.diagram.simple_root(1))
     graph = ChamberGraph(A2_EMPTY)
@@ -467,16 +456,15 @@ def _facet_in(chamber, wall):
 
 def _wrong_chambers(dtype, k):
     """The chamber across facet k of the base, then chambers that are not:
-    the base itself, every chamber two crossings away through it, every
-    neighbour across another facet, and its mirror in the other sign class."""
+    the base itself, every chamber two crossings away through it, and every
+    neighbour across another facet."""
     base = fundamental_chamber(dtype)
     across, wall = cross_wall(base, k)
     back = _facet_in(across, wall)
     two_away = [cross_wall(across, j)[0] for j in range(len(across.rays)) if j != back]
     others = [cross_wall(base, j)[0] for j in range(len(base.rays)) if j != k]
-    mirror = chamber_from_label(dtype, across.weyl, across.subset, -1)
     return across, {"itself": [base], "two crossings away": two_away,
-                    "across another facet": others, "other sign class": [mirror]}
+                    "across another facet": others}
 
 
 @pytest.mark.parametrize("dtype", TYPES)
@@ -493,25 +481,21 @@ def test_shares_facet_rejects_every_chamber_but_the_neighbour(dtype):
 
 
 def test_cross_wall_rejects_a_label_for_the_wrong_chamber(monkeypatch):
+    # the mutation returns the label of a wrong chamber: the unmutated base
+    # itself, one two crossings away, or one across another facet
     base = fundamental_chamber(D4_PAIR)
     _, wrong = _wrong_chambers(D4_PAIR, 0)
-    for case, chambers in wrong.items():
+    for chambers in wrong.values():
         c = chambers[0]
-        if c.sign != base.sign:
-            # the mutated label is right, the chamber is built in the wrong class
-            build = arrangement.chamber_from_label
-            monkeypatch.setattr(arrangement, "chamber_from_label",
-                                lambda dtype, w, subset, sign: build(dtype, w, subset, -sign))
-        else:
-            monkeypatch.setattr(arrangement, "mutate",
-                                lambda _weyl, _subset, _node: (c.weyl, c.subset))
+        monkeypatch.setattr(arrangement, "mutate",
+                            lambda _weyl, _subset, _node: (c.weyl, c.subset))
         with pytest.raises(GeometryError):
             cross_wall(base, 0)
         monkeypatch.undo()
 
 
 def test_cross_wall_checks_a_known_chamber_too():
-    graph = ChamberGraph(D4_PAIR, 1)
+    graph = ChamberGraph(D4_PAIR)
     base = graph.chambers[graph.base_key]
     across, wrong = _wrong_chambers(D4_PAIR, 0)
     assert cross_wall(base, 0, {across.key(): across})[0] is across
@@ -522,7 +506,7 @@ def test_cross_wall_checks_a_known_chamber_too():
 
 def _contains_facet(c1, k, c2):
     """Every ray of c1 but the k-th lies in the closed chamber c2."""
-    return all(all(x >= 0 for x in c2.coords_in(tuple(c1.sign * x for x in ray)))
+    return all(all(x >= 0 for x in c2.coords_in(ray))
                for j, ray in enumerate(c1.rays) if j != k)
 
 

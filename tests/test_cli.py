@@ -179,7 +179,7 @@ def test_write_json_lays_out_each_shape_by_its_own_keys():
 
 @pytest.mark.parametrize("bad", [
     {1: "int key"}, [1.5], {"x": object()}, Verdict(False, "rule", 1),
-    {"x": [RestrictedRoot((1,), frozenset({1}), None, 1, (1,))]}])
+    {"x": [RestrictedRoot((1,), None, 1, (1,))]}])
 def test_write_json_takes_only_integer_json(bad):
     with pytest.raises(TypeError):
         write_json(bad, lambda text: None)
@@ -379,17 +379,38 @@ def test_mutate_command(capsys):
     assert by_node[1]["iota"] == 2 and by_node[1]["target"] == [1]
 
 
-@pytest.mark.parametrize("args", [
+ONE_KEPT_NODE = pytest.mark.parametrize("args", [
     ["--family", "A", "--rank", "1", "--maxlen", "1"],
     ["--family", "A", "--rank", "2", "--contracted", "1", "--maxlen", "1"],
     ["--family", "D", "--rank", "4", "--contracted", "1,2,3", "--maxlen", "2"],
 ], ids=["A1", "A2 {1}", "D4 {1,2,3}"])
+
+
+@ONE_KEPT_NODE
 def test_chambers_cross_a_one_kept_node_flop(args, capsys):
     # a finite type with one kept node has w0 of the whole diagram, so its
     # one wall is crossed into the flopped chamber and back
     code, out, _ = run_cli(["chambers", *args], capsys)
     assert code == 0
     assert json.loads(out)["results"]["count"] == 2
+
+
+@ONE_KEPT_NODE
+def test_mutate_takes_a_finite_type_with_one_kept_node(args, capsys):
+    # the one mutation is the flop, which negates the one kept coordinate
+    code, out, _ = run_cli(["mutate", *args], capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["induced_matrix"] == [[-1]]
+
+
+def test_mutate_refuses_an_affine_type_with_one_kept_node(capsys):
+    # with one kept coordinate every wall is the imaginary wall, so there is
+    # no chamber to mutate into
+    code, out, err = run_cli(
+        ["mutate", "--family", "A", "--rank", "1", "--affine", "--contracted", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -91,7 +91,7 @@ def test_imaginary_image_is_consistent(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_proposition_window(n):
-    report = proposition_check(n, 2)
+    report = proposition_check(n)
     assert not report.mismatches
     assert report.checked > 0
 

@@ -14,7 +14,13 @@ E8~ {1,2,3,4,5,6} has normals up to (2,3), including (2,2) walls with odd
 offsets.  The last three digests pin the verdict tables: a finite
 `vanishing-table` plain and weighted-homogeneous, and a rigidified
 `orbits` with every node non-flop, whose twist, duality and
-mutation edges all appear in its certificates.  Any change to chamber,
+mutation edges all appear in its certificates.  The last five digests
+pin restricted-root and root listings (whose sign fields are read off the
+coefficients' sign, not carried as a set), the oracle self-test (which
+walks points through the chamber graph) and the dihedral check (whose
+coefficient bound and level window are constants); they were recorded
+before those were simplified, so the simplification cannot move a byte.
+Any change to chamber,
 gallery, mutation, transport, orbit, verdict or slice output, including
 its order or formatting, fails here.
 """
@@ -61,6 +67,17 @@ PINS = [
     (["orbits", "--family", "D", "--rank", "4", "--rigidified", "--non-flop", "1,2,3,4",
       "--window", "chi=2,beta=1"],
      "ccd7baf1b218e1cd36b5c3155413153f366b593fb319d00b66d40a1a9ad575fc"),
+    (["restricted-roots", "--family", "D", "--rank", "5", "--contracted", "1,4,5"],
+     "2885c016c7dbe36ca15d9b6042ac1db7650ec95c749dac118af63e61174406a5"),
+    (["restricted-roots", "--family", "E", "--rank", "7", "--affine", "--kmax", "3",
+      "--contracted", "0,2,5"],
+     "e19e15ae054e5124f3ea93c094af46dadbdedb97851e438b50872cbef9f2fa42"),
+    (["roots", "--family", "E", "--rank", "8", "--affine", "--kmax", "1"],
+     "17434cd0b37a05ad52b4cf3bbe50e53d593ee0fc2e21c9b8fd613b4a549e2105"),
+    (["selftest"],
+     "74dfe325fc784e90df52d1bdd8d2ca05e48352c79500903ec2249c60a31ba5f0"),
+    (["dihedral-check", "--n", "3"],
+     "c245d8938efc94f8c79f95cb20620e23045de76ab332fc88a6f7bacc97d37f78"),
 ]
 
 

@@ -140,7 +140,7 @@ def test_affine_length_is_windowed_inversion_count():
     for _ in range(10):
         w = from_word(da, [rng.choice(da.nodes) for _ in range(5)])
         inversions = 0
-        for full, _ in expanded_window(da, w.length + 1):
+        for full in expanded_window(da, w.length + 1):
             if all(c >= 0 for c in full) and any(c != 0 for c in full):
                 if any(c < 0 for c in w.apply(full)):
                     inversions += 1
