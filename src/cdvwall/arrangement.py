@@ -422,8 +422,8 @@ def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False)
         raise DiagramError("arrangement_hyperplanes requires an affine type")
     if not sliced:
         seen = {}
-        for element in restricted_roots(dtype, k_max).elements:
-            prim = primitive(element.coeffs)
+        for coeffs in restricted_roots(dtype, k_max).entries:
+            prim = primitive(coeffs)
             seen.setdefault(prim, Hyperplane(prim))
         return tuple(seen[k] for k in sorted(seen))
     if 0 in dtype.contracted:

@@ -354,7 +354,7 @@ def write_json(obj, write: Callable[[str], None]) -> None:
                 append(head)
                 value(o[key], depth + 1)
             append(close)
-        elif type(o) in (list, tuple) and o and all(type(x) is int for x in o):
+        elif type(o) in (list, tuple) and {*map(type, o)} == {int}:
             inner = newline(depth + 1)
             append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline(depth) + "]")
         elif type(o) in (list, tuple) or isinstance(o, Iterator):
@@ -473,8 +473,7 @@ def cmd_chambers(cfg: JobConfig) -> int:
 def cmd_gallery(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
     positives = sorted(
-        e.coeffs for e in restricted_roots(dtype, min(cfg.kmax, 1)).elements
-        if all(c >= 0 for c in e.coeffs)
+        c for c in restricted_roots(dtype, min(cfg.kmax, 1)).entries if min(c) >= 0
     )
     rim = imaginary_restriction(dtype)
     graph = ChamberGraph(dtype)
@@ -502,11 +501,11 @@ def cmd_gallery(cfg: JobConfig) -> int:
 
 def cmd_mutate(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if dtype.affine and len(dtype.kept) < 2:
-        raise UsageError("mutation of an affine type needs at least two kept nodes")
     if cfg.fmt == "dot":
         _emit(cfg, groupoid_dot(dtype, cfg.maxlen))
         return 0
+    if dtype.affine and len(dtype.kept) < 2:
+        raise UsageError("mutation of an affine type needs at least two kept nodes")
     rows = []
     for node in dtype.kept:
         omega, iota_node, target = mutation_data(

@@ -25,6 +25,7 @@ order drops one coordinate per subset.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -39,12 +40,19 @@ from .dynkin import (
 from .linalg import (
     Vec,
     integer_multiple_of,
-    vec_gcd,
     vec_neg,
     vec_sub,
 )
 
 DEFAULT_WINDOW = 3
+
+
+def _taker(positions: tuple[int, ...]) -> Callable[[Vec], Vec]:
+    """Picks the given positions out of a vector, as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda v: (v[i],)   # itemgetter of one index returns a bare item
+    return itemgetter(*positions)
 
 
 class DynkinType(Frozen):
@@ -72,10 +80,7 @@ class DynkinType(Frozen):
     @cached_property
     def _take_kept(self) -> Callable[[Vec], Vec]:
         """Picks the kept coordinates out of a full vector, as a tuple."""
-        if len(self.kept_index) == 1:
-            (i,) = self.kept_index
-            return lambda v: (v[i],)   # itemgetter of one index returns a bare item
-        return itemgetter(*self.kept_index)
+        return _taker(self.kept_index)
 
     @property
     def affine(self) -> bool:
@@ -122,18 +127,39 @@ class RestrictedRoot(NamedTuple):
 
 
 class RestrictedRootSet(Frozen):
-    def __init__(self, dynkin_type: DynkinType, elements: tuple[RestrictedRoot, ...],
-                 window: Optional[int]):
-        self.__dict__.update(dynkin_type=dynkin_type, elements=elements, window=window)
+    """A restricted-root set kept as its scan entries, coeffs -> first
+    witness in scan order; they may be shared with the parent chain, so
+    they are read-only.  The sorted RestrictedRoot records are built only
+    when elements is read."""
+
+    def __init__(self, dynkin_type: DynkinType, entries: dict, window: Optional[int]):
+        self.__dict__.update(dynkin_type=dynkin_type, entries=entries, window=window)
 
     def _key(self) -> tuple:
         return (self.dynkin_type, self.elements, self.window)
 
+    @cached_property
+    def elements(self) -> tuple[RestrictedRoot, ...]:
+        """The records, sorted by coefficients.  An affine record is
+        imaginary on the line of multiples of pi(r_im), taken out to the
+        scan bound, and real off it."""
+        dtype, window = self.dynkin_type, self.window
+        line, real = frozenset(), None
+        if window is not None:
+            bound = _scan(dtype.diagram, window)[1]
+            line = _imaginary_line(imaginary_restriction(dtype), max(bound, window))
+            real = "real"
+        return tuple(
+            RestrictedRoot(coeffs, "imaginary" if coeffs in line else real,
+                           gcd(*coeffs), witness)
+            for coeffs, witness in sorted(self.entries.items())
+        )
+
     def values(self) -> frozenset:
-        return frozenset(e.coeffs for e in self.elements)
+        return frozenset(self.entries)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -175,15 +201,16 @@ def _scan(diagram: Diagram, window: Optional[int]) -> tuple[dict, int]:
 def _drop_coordinate(entries: dict, j: int) -> dict:
     """The scan entries of one more contracted node, whose coordinate is
     position j of the entries: the nonzero restrictions, coeffs -> first
-    preimage.  Walking the entries in first-appearance order keeps the
-    child's keys in that order too, and the first entry to reach a child
-    vector holds the first scanned root that reaches it, so the witness is
-    the first scanned preimage."""
-    child: dict[Vec, Vec] = {}
-    for rbar, witness in entries.items():
-        c = rbar[:j] + rbar[j + 1:]
-        if c not in child and any(c):
-            child[c] = witness
+    preimage.  The images are taken in one pass; dict.fromkeys keys the
+    child in first-appearance order, and writing the witnesses in reverse
+    leaves the first preimage of each image, as the keys keep their order
+    when rewritten.  The zero image is dropped last.  Entries are never
+    empty, since every kept simple root is scanned."""
+    width = len(next(iter(entries)))
+    images = list(map(_taker(tuple(i for i in range(width) if i != j)), entries))
+    child = dict.fromkeys(images)
+    child.update(zip(reversed(images), reversed(entries.values())))
+    child.pop((0,) * (width - 1), None)
     return child
 
 
@@ -198,15 +225,14 @@ def _imaginary_line(rim_bar: Vec, bound: int) -> frozenset:
 _CHAINS: dict = {}
 
 
-def _entries(dtype: DynkinType, window: Optional[int]) -> tuple[dict, int]:
+def _entries(dtype: DynkinType, window: Optional[int]) -> dict:
     """The scan entries of dtype, its parent's with position j dropped for
-    its lowest contracted node j (every node below j is kept in the parent),
-    and the scan bound.  _CHAINS keeps the masks and entries from the empty
-    subset to the last subset built; a build keeps the longest common prefix
-    of that chain and its own, then drops.  Callers must not mutate them."""
+    its lowest contracted node j (every node below j is kept in the parent).
+    _CHAINS keeps the masks and entries from the empty subset to the last
+    subset built; a build keeps the longest common prefix of that chain and
+    its own, then drops.  Callers must not mutate them."""
     diagram = dtype.diagram
-    scan, bound = _scan(diagram, window)
-    chain = _CHAINS.setdefault((diagram, window), [(0, scan)])
+    chain = _CHAINS.setdefault((diagram, window), [(0, _scan(diagram, window)[0])])
     mask = 0
     for depth, j in enumerate(sorted((diagram.index[n] for n in dtype.contracted),
                                      reverse=True), 1):
@@ -215,32 +241,7 @@ def _entries(dtype: DynkinType, window: Optional[int]) -> tuple[dict, int]:
             del chain[depth:]
         if depth == len(chain):
             chain.append((mask, _drop_coordinate(chain[-1][1], j)))
-    return chain[len(dtype.contracted)][1], bound
-
-
-def _root_set(dtype: DynkinType, window: Optional[int], entries: dict,
-              bound: int) -> RestrictedRootSet:
-    """The set of the scan entries, sorted by coefficients.  Affine sets
-    add the imaginary multiples k * pi(r_im), 0 < |k| <= window, to a copy
-    of the entries, and take reality from membership in the imaginary
-    line; bound caps the scanned coordinates."""
-    if window is None:
-        elements = tuple(RestrictedRoot(coeffs, None, vec_gcd(coeffs), witness)
-                         for coeffs, witness in sorted(entries.items()))
-        return RestrictedRootSet(dtype, elements, None)
-    entries = dict(entries)
-    rim_bar = imaginary_restriction(dtype)
-    rim = imaginary_root(dtype.diagram)
-    for k in range(1, window + 1):
-        for m in (k, -k):
-            entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
-    line = _imaginary_line(rim_bar, max(bound, window))
-    elements = tuple(
-        RestrictedRoot(coeffs, "imaginary" if coeffs in line else "real",
-                       vec_gcd(coeffs), witness)
-        for coeffs, witness in sorted(entries.items())
-    )
-    return RestrictedRootSet(dtype, elements, window)
+    return chain[len(dtype.contracted)][1]
 
 
 def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> RestrictedRootSet:
@@ -248,10 +249,18 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
 
     Finite types need no window.  For affine types, real roots are scanned
     at levels |k| <= k_max and the imaginary multiples k * pi(r_im) with
-    0 < |k| <= k_max are included.
+    0 < |k| <= k_max are included, added to a copy of the scan entries.
     """
     window = _window(dtype.diagram, k_max)
-    return _root_set(dtype, window, *_entries(dtype, window))
+    entries = _entries(dtype, window)
+    if window is not None:
+        entries = dict(entries)
+        rim_bar = imaginary_restriction(dtype)
+        rim = imaginary_root(dtype.diagram)
+        for k in range(1, window + 1):
+            for m in (k, -k):
+                entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
+    return RestrictedRootSet(dtype, entries, window)
 
 
 def restricted_root_sweep(diagram: Diagram,
@@ -267,7 +276,7 @@ def finite_restricted_values(dtype: DynkinType) -> frozenset:
     """Coefficient tuples of the finite restricted-root set (cached)."""
     if dtype.affine:
         raise DiagramError("finite_restricted_values requires a finite type")
-    return frozenset(_entries(dtype, None)[0])
+    return frozenset(_entries(dtype, None))
 
 
 @lru_cache(maxsize=None)
@@ -362,26 +371,29 @@ def gcd_report(rr: RestrictedRootSet) -> GcdReport:
 
     Finite sets are complete, so membership is read from the set itself;
     affine sets are windowed, so membership is decided exactly by
-    classify_value.
+    classify_value.  The scan entries are walked directly, so no record is
+    built, and the violations are sorted into record order, by
+    coefficients and then m.
     """
     dtype = rr.dynkin_type
     if dtype.affine:
         def member(v: Vec) -> bool:
             return classify_value(dtype, v) is not None
     else:
-        member = rr.values().__contains__
+        member = rr.entries.__contains__
     violations = []
     nontrivial = 0
-    for e in rr.elements:
-        d = e.mult
+    for coeffs in rr.entries:
+        d = gcd(*coeffs)
         if d <= 1:
             continue
         nontrivial += 1
         for m in range(1, d):
-            frac = tuple(m * c // d for c in e.coeffs)
+            frac = tuple(m * c // d for c in coeffs)
             if not member(frac):
-                violations.append(GcdViolation(e.coeffs, d, m))
-    return GcdReport(dtype, len(rr.elements), nontrivial, tuple(violations))
+                violations.append(GcdViolation(coeffs, d, m))
+    violations.sort()
+    return GcdReport(dtype, len(rr.entries), nontrivial, tuple(violations))
 
 
 def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdReport:
@@ -408,11 +420,12 @@ def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> 
     if not dtype.affine:
         raise DiagramError("real_restricted_two_ways requires an affine type")
     rim_bar = imaginary_restriction(dtype)
-    entries, bound = _entries(dtype, _window(dtype.diagram, k_max))
+    window = _window(dtype.diagram, k_max)
+    entries, bound = _entries(dtype, window), _scan(dtype.diagram, window)[1]
     # the window holds theta + k_max * delta, so the scan bound also caps
     # the translates below, whose coordinates are at most (k_max + 1) * h
     line = _imaginary_line(rim_bar, bound)
-    # _root_set adds only imaginary multiples, so the real elements are off it
+    # restricted_roots adds only imaginary multiples, so the real elements are off it
     direct = {c for c in entries if c not in line}
 
     zero_contracted = 0 in dtype.contracted

@@ -14,6 +14,7 @@ from cdvwall import cli
 from cdvwall.bps import ClassError, Verdict
 from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main, write_json
 from cdvwall.dynkin import build_diagram
+from cdvwall.exports import groupoid_dot
 from cdvwall.restriction import (
     DynkinType,
     RestrictedRoot,
@@ -411,6 +412,18 @@ def test_mutate_refuses_an_affine_type_with_one_kept_node(capsys):
         ["mutate", "--family", "A", "--rank", "1", "--affine", "--contracted", "0"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family,rank,contracted", [("A", 1, "0"), ("D", 4, "0,1,2,3")])
+def test_mutate_dot_takes_an_affine_type_with_one_kept_node(family, rank, contracted, capsys):
+    # the DOT export is the mutation component, which needs no chamber;
+    # only the JSON rows cross walls
+    code, out, err = run_cli(["mutate", "--family", family, "--rank", str(rank), "--affine",
+                              "--contracted", contracted, "--format", "dot"], capsys)
+    dtype = DynkinType(build_diagram(family, rank, True),
+                       frozenset(map(int, contracted.split(","))))
+    assert (code, err) == (0, "")
+    assert out == groupoid_dot(dtype, JobConfig().maxlen)
 
 
 @pytest.mark.parametrize("args", [

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdvwall import restriction
 from cdvwall.dynkin import (
@@ -18,6 +20,7 @@ from cdvwall.restriction import (
     classify_value,
     finite_companion_values,
     finite_restricted_values,
+    gcd_report,
     imaginary_restriction,
     is_restricted_root,
     proper_subsets,
@@ -296,12 +299,75 @@ def test_coefficient_readers_build_no_records(monkeypatch):
     for J in proper_subsets(diagram):
         assert real_restricted_two_ways(DynkinType(diagram, J)).equal, J
     assert finite_restricted_values(DynkinType(build_diagram("E", 6), frozenset({2})))
+    # a check-gcd sweep reads the scan entries, affine and finite
+    for diagram, k_max in ((build_diagram("E", 7, affine=True), 3), (build_diagram("E", 8), None)):
+        assert all(gcd_report(rr).ok for rr in restricted_root_sweep(diagram, k_max))
+
+
+@pytest.mark.parametrize("family,rank,affine", [("E", 6, True), ("D", 5, True), ("E", 7, False)])
+def test_gcd_report_counts_the_records(family, rank, affine):
+    diagram = build_diagram(family, rank, affine)
+    for rr in restricted_root_sweep(diagram, 3 if affine else None):
+        report = gcd_report(rr)
+        assert report.n_elements == len(rr.elements) == len(rr), rr.dynkin_type
+        assert report.n_nontrivial == sum(e.mult > 1 for e in rr.elements), rr.dynkin_type
+
+
+def test_gcd_report_lists_planted_violations_in_record_order(monkeypatch):
+    # refuse every fraction with an odd first coordinate; the report must
+    # list exactly the refused fractions, in the order of a walk over the
+    # sorted records, though the entries are in scan order
+    classify = restriction.classify_value
+
+    def planted(dtype, v):
+        return None if v[0] % 2 else classify(dtype, v)
+
+    monkeypatch.setattr(restriction, "classify_value", planted)
+    diagram = build_diagram("E", 6, affine=True)
+    scan_ordered = 0
+    for rr in restricted_root_sweep(diagram, 3):
+        want = [(e.coeffs, e.mult, m) for e in rr.elements if e.mult > 1
+                for m in range(1, e.mult)
+                if planted(rr.dynkin_type, tuple(m * c // e.mult for c in e.coeffs)) is None]
+        assert list(gcd_report(rr).violations) == want, rr.dynkin_type
+        refused = {v[0] for v in want}
+        in_scan_order = [c for c in rr.entries if c in refused]
+        scan_ordered += in_scan_order != sorted(in_scan_order)
+    assert scan_ordered > 0
 
 
 def test_dropping_a_coordinate_keeps_the_first_witness():
     parent = {(1, 2): "first", (0, 0): "zero", (-1, 2): "second", (3, 0): "x"}
     assert restriction._drop_coordinate(parent, 0) == {(2,): "first"}
     assert list(restriction._drop_coordinate(parent, 1)) == [(1,), (-1,), (3,)]
+
+
+def _drop_by_loop(entries: dict, j: int) -> dict:
+    child = {}
+    for rbar, witness in entries.items():
+        c = rbar[:j] + rbar[j + 1:]
+        if c not in child and any(c):
+            child[c] = witness
+    return child
+
+
+@st.composite
+def _entries_and_position(draw):
+    width = draw(st.integers(2, 5))
+    keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * width), min_size=1, max_size=40,
+                         unique=True))
+    return {key: (i, key) for i, key in enumerate(keys)}, draw(st.integers(0, width - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_entries_and_position())
+def test_dropping_a_coordinate_matches_a_loop(case):
+    # same keys in the same order, the first witness of each, no zero vector;
+    # width 2 gives children of one coordinate
+    entries, j = case
+    child = restriction._drop_coordinate(entries, j)
+    assert list(child.items()) == list(_drop_by_loop(entries, j).items())
+    assert all(any(c) for c in child)
 
 
 def test_sweep_checks_its_window():
