@@ -1,5 +1,5 @@
 """Intersection arrangements: chambers, wall-crossing, level slices, and
-minimal galleries, all in exact integer arithmetic.
+galleries, all in exact integer arithmetic.
 
 A chamber labelled (w, S) is the simplicial cone spanned by the dual
 vectors w . alpha_i^* for kept nodes i of S, cut to the coordinate
@@ -7,11 +7,12 @@ subspace of the base type's kept nodes.  Its facet through the rays other
 than the i-th lies in the hyperplane orthogonal to the restriction of
 w . alpha_i, which makes containment tests pure sign checks.
 
-Two ways move through the chamber graph.  `ChamberGraph.search` is a
-breadth-first search (chamber enumeration, shortest galleries).  A
-straight-segment walk crosses the walls a segment meets, in order, and
-expands only the facets it crosses; it locates points (`locate_by_walk`)
-and builds galleries through two given walls (`gallery_through_wall`).
+Two ways move through the chamber graph.  `ChamberGraph.bfs` is a
+breadth-first search that enumerates the chambers within a number of
+crossings.  A straight-segment walk crosses the walls a segment meets, in
+order, and expands only the facets it crosses; it locates points
+(`locate_by_walk`) and builds galleries through two given walls
+(`gallery_through_wall`).
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ from .restriction import (
     imaginary_restriction,
     is_restricted_root,
     restrict,
-    restricted_roots,
 )
 from .weyl import WeylElement, identity
-
-MINIMAL_GALLERY_CAP = 200_000   # chamber expansions before minimal_gallery gives up
 
 
 class SignCrossing(Exception):
@@ -259,9 +257,6 @@ class Gallery(Frozen):
     def length(self) -> int:
         return len(self.walls)
 
-    def walls_distinct(self) -> bool:
-        return len(set(self.walls)) == len(self.walls)
-
 
 def path_to_gallery(arrow: GroupoidArrow) -> Gallery:
     """The wall-crossing gallery traced by a mutation path.
@@ -311,49 +306,27 @@ class ChamberGraph:
         """Every edge of a chamber, keyed by facet index in facet order."""
         return {k: self.edge(chamber, k) for k in range(len(chamber.rays))}
 
-    def search(self, start: Chamber):
-        """Breadth-first search from `start`.  Yields each key as it leaves
-        the queue with the parent links, key -> (parent key, wall) set once on
-        first finding (None for `start`); a key is expanded only when the next
-        is asked for."""
-        skey = start.key()
-        self.chambers.setdefault(skey, start)
-        parent = {skey: None}
-        queue = deque([skey])
+    def bfs(self, max_len: int) -> tuple[list, list]:
+        """Chambers within max_len crossings of the base, in the order a
+        breadth-first search finds them, plus the labelled edges of every
+        chamber nearer than max_len, in the order it expands them."""
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
+        dist, edges = {self.base_key: 0}, []
+        queue = deque([self.base_key])
         while queue:
             key = queue.popleft()
-            yield key, parent
+            if dist[key] == max_len:   # all within max_len found; expand none at it
+                break
             for edge in self.neighbors(self.chambers[key]).values():
                 if edge is None:
                     continue
                 nkey, wall = edge
-                if nkey not in parent:
-                    parent[nkey] = (key, wall)
+                edges.append((key, nkey, wall))
+                if nkey not in dist:
+                    dist[nkey] = dist[key] + 1
                     queue.append(nkey)
-
-    def gallery(self, parent: dict, key) -> Gallery:
-        """The gallery that the parent links of a search trace back from key."""
-        chain, walls = [key], []
-        while parent[chain[-1]] is not None:
-            prev, wall = parent[chain[-1]]
-            chain.append(prev)
-            walls.append(wall)
-        return Gallery(tuple(self.chambers[k] for k in reversed(chain)), tuple(reversed(walls)))
-
-    def bfs(self, max_len: int) -> tuple[list, list]:
-        """Chambers within max_len crossings of the base, plus labelled edges."""
-        if max_len < 0:
-            raise ValueError(f"max_len must be >= 0, got {max_len}")
-        dist, edges = {}, []
-        for key, parent in self.search(self.chambers[self.base_key]):
-            link = parent[key]
-            dist[key] = 0 if link is None else dist[link[0]] + 1
-            if dist[key] == max_len:   # all within max_len found; expand none at it
-                break
-            edges.extend((key, edge[0], edge[1])
-                         for edge in self.neighbors(self.chambers[key]).values()
-                         if edge is not None)
-        return [self.chambers[k] for k in parent], edges
+        return [self.chambers[k] for k in dist], edges
 
 
 def distinct_edges(chambers: list, edges: list) -> list:
@@ -364,68 +337,13 @@ def distinct_edges(chambers: list, edges: list) -> list:
                               for a, b, wall in edges))
 
 
-def minimal_gallery(graph: ChamberGraph, source: Chamber, target: Chamber) -> Gallery:
-    """A shortest wall-crossing path, found by breadth-first search with
-    on-demand expansion of the chamber graph."""
-    tkey = target.key()
-    graph.chambers.setdefault(tkey, target)
-    for expanded, (_, parent) in enumerate(graph.search(source)):
-        if tkey in parent:
-            return graph.gallery(parent, tkey)
-        if expanded >= MINIMAL_GALLERY_CAP:
-            break
-    raise GeometryError(f"target not reachable within the expansion bound {MINIMAL_GALLERY_CAP}")
-
-
-def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozenset:
-    """The exact set of arrangement walls separating two chambers.
-
-    For each finite restricted-root direction the translates that can
-    separate the two interior points form a bounded integer range, so the
-    count needs no window.
-    """
-    p, q = a.interior, b.interior
-    rim_bar = imaginary_restriction(dtype)
-    separating = set()
-
-    def check(normal: Vec):
-        sp, sq = dot(p, normal), dot(q, normal)
-        if sp == 0 or sq == 0:
-            raise GeometryError("interior point lies on an arrangement hyperplane")
-        if (sp > 0) != (sq > 0):
-            separating.add(Hyperplane(primitive(normal)))
-
-    check(rim_bar)
-    p_rim, q_rim = dot(p, rim_bar), dot(q, rim_bar)
-    for base in finite_companion_values(dtype):
-        if is_colinear(base, rim_bar):
-            continue
-        pb, qb = dot(p, base), dot(q, base)
-        # the roots of pb + k*p_rim and qb + k*q_rim bound the sign-flip
-        # range; every integer k between them lies between their floors
-        floors = (-pb // p_rim, -qb // q_rim)
-        for k in range(min(floors), max(floors) + 1):
-            normal = tuple(bc + k * rc for bc, rc in zip(base, rim_bar))
-            if any(c != 0 for c in normal):
-                check(normal)
-    return frozenset(separating)
-
-
-def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False) -> tuple:
-    """The walls of the intersection arrangement within a level window.
-
-    Unsliced: one linear hyperplane per primitive direction of a windowed
-    restricted root.  Sliced (affine, node 0 kept): the affine hyperplanes
-    {theta(rbar) = k} in finite kept coordinates with |k| <= k_max.
-    """
+def arrangement_hyperplanes(dtype: DynkinType, k_max: int) -> tuple:
+    """The walls of the affine arrangement's level slice within a window:
+    the hyperplanes {theta(rbar) = k} in finite kept coordinates with
+    |k| <= k_max, for the finite companion's restricted roots rbar.  Needs
+    an affine type with node 0 kept."""
     if not dtype.affine:
         raise DiagramError("arrangement_hyperplanes requires an affine type")
-    if not sliced:
-        seen = {}
-        for coeffs in restricted_roots(dtype, k_max).entries:
-            prim = primitive(coeffs)
-            seen.setdefault(prim, Hyperplane(prim))
-        return tuple(seen[k] for k in sorted(seen))
     if 0 in dtype.contracted:
         raise DiagramError("slice coordinates need node 0 kept")
     walls = set()
@@ -434,7 +352,6 @@ def arrangement_hyperplanes(dtype: DynkinType, k_max: int, sliced: bool = False)
         for k in range(-k_max, k_max + 1):
             walls.add(wall_through(normal, k))
     return tuple(sorted(walls, key=lambda h: (h.normal, h.offset)))
-
 
 
 def _crossings(graph: ChamberGraph, chamber: Chamber, start: Vec, end: Vec):

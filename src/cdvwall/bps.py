@@ -424,19 +424,6 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
     return OrbitPartition(dtype, config, orbits, tuple(edges))
 
 
-def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
-    """Check that forced-zero verdicts are constant on every orbit.
-
-    Returns (ok, offenders) where offenders lists the mixed orbits.
-    """
-    offenders = []
-    for orbit in partition.orbits:
-        flags = {geometric_verdict(dtype, cc).forced_zero for cc in orbit}
-        if len(flags) > 1:
-            offenders.append(orbit)
-    return (not offenders), tuple(offenders)
-
-
 class TransportResult(NamedTuple):
     source_beta: Vec
     node: int

@@ -34,6 +34,7 @@ from .bps import (
 )
 from .dihedral import run_case
 from .dynkin import (
+    FAMILIES,
     DiagramError,
     build_diagram,
     enumerate_roots,
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cdvwall {__version__}")
     parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--config", help="JSON file with config defaults")
-    parser.add_argument("--family", choices=("A", "D", "E"))
+    parser.add_argument("--family", choices=FAMILIES)
     parser.add_argument("--rank", type=int)
     parser.add_argument("--affine", action="store_true", default=None)
     parser.add_argument("--contracted", help="comma-separated contracted nodes")
@@ -247,6 +248,11 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
 def _dtype(cfg: JobConfig) -> DynkinType:
     diagram = build_diagram(cfg.family, cfg.rank, cfg.affine)
     return DynkinType(diagram, frozenset(cfg.contracted))
+
+
+def _symmetry(cfg: JobConfig) -> SymmetryConfig:
+    return SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
+                          frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
 
 
 # parts of output text joined into one write
@@ -527,10 +533,8 @@ def cmd_mutate(cfg: JobConfig) -> int:
 
 def cmd_vanishing_table(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    sym = SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
-                         frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
     rows = ((cc, geometric_verdict(dtype, cc, cfg.weighted_homogeneous))
-            for cc in window_classes(dtype, sym))
+            for cc in window_classes(dtype, _symmetry(cfg)))
     if cfg.fmt == "csv":
         header = ["chi", "beta", "verdict", "paper_ref", "mult"]
         csv_rows = (
@@ -546,10 +550,7 @@ def cmd_vanishing_table(cfg: JobConfig) -> int:
 
 
 def cmd_orbits(cfg: JobConfig) -> int:
-    dtype = _dtype(cfg)
-    sym = SymmetryConfig(cfg.rigidified, cfg.weighted_homogeneous,
-                         frozenset(cfg.non_flop), cfg.chi_max, cfg.beta_max)
-    partition = orbit_partition(dtype, sym)
+    partition = orbit_partition(_dtype(cfg), _symmetry(cfg))
     if cfg.fmt == "csv":
         header = ["chi", "beta", "rep_chi", "rep_beta"]
         rows = ([member[0], ";".join(map(str, member[1])), orbit[0][0], ";".join(map(str, orbit[0][1]))]

@@ -38,16 +38,6 @@ def source_type(n: int) -> DynkinType:
     return DynkinType(build_diagram("D", 2 * n), frozenset(range(2, 2 * n - 1, 2)))
 
 
-class DihedralCase(NamedTuple):
-    n: int
-    source: DynkinType
-    target: Diagram
-
-
-def dihedral_case(n: int) -> DihedralCase:
-    return DihedralCase(n, source_type(n), target_diagram(n))
-
-
 def compound_vectors(n: int) -> tuple[Vec, ...]:
     """The positive compounds: for 2 <= i <= n the sum of the two roots
     running from node i into either fork tip."""
@@ -60,6 +50,11 @@ def compound_vectors(n: int) -> tuple[Vec, ...]:
         coeffs[n] = 1
         out.append(tuple(coeffs))
     return tuple(out)
+
+
+def _signed_compounds(n: int) -> frozenset:
+    """The compounds and their negatives."""
+    return frozenset(c for base in compound_vectors(n) for c in (base, vec_neg(base)))
 
 
 class SplitReport(NamedTuple):
@@ -82,10 +77,9 @@ def classify_restricted(n: int) -> SplitReport:
     The kept coordinates map to target coordinates index by index, so the
     identification is the identity on tuples.
     """
-    case = dihedral_case(n)
-    image = restricted_roots(case.source).values()
-    roots = frozenset(enumerate_roots(case.target).all_roots)
-    compounds = frozenset(c for base in compound_vectors(n) for c in (base, vec_neg(base)))
+    image = restricted_roots(source_type(n)).values()
+    roots = frozenset(enumerate_roots(target_diagram(n)).all_roots)
+    compounds = _signed_compounds(n)
     return SplitReport(
         n,
         image,
@@ -133,10 +127,9 @@ def _displayed_form(n: int, delta: Vec, roots: frozenset, compounds: frozenset) 
 def proposition_check(n: int) -> PropositionReport:
     """Exhaustively compare the vanishing verdict with the displayed form
     over the window of dimension vectors with coordinates <= COEFF_MAX."""
-    case = dihedral_case(n)
-    affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
-    roots = frozenset(enumerate_roots(case.target).all_roots)
-    compounds = frozenset(c for base in compound_vectors(n) for c in (base, vec_neg(base)))
+    affine = DynkinType(build_diagram("D", 2 * n, affine=True), source_type(n).contracted)
+    roots = frozenset(enumerate_roots(target_diagram(n)).all_roots)
+    compounds = _signed_compounds(n)
     mismatches = []
     checked = 0
     for delta in itertools.product(range(COEFF_MAX + 1), repeat=n + 2):
@@ -176,11 +169,7 @@ def mozgovoy_reineke_check(n: int) -> ParityReport:
     """
     rim = _extended_imaginary(n)
     roots = enumerate_roots(target_diagram(n)).all_roots
-    compounds = set()
-    for base in compound_vectors(n):
-        ext = (0,) + base
-        compounds.add(ext)
-        compounds.add(vec_neg(ext))
+    compounds = {(0,) + c for c in _signed_compounds(n)}
 
     def swap(u: Vec) -> Vec:
         v = list(u)

@@ -75,7 +75,7 @@ def level_slice_svg(dtype: DynkinType, k_max: int) -> str:
     """SVG of the affine slice arrangement for a type with two kept finite
     nodes: one line per wall {x * normal = offset}, clipped to the box."""
     box, size = 2, 600   # the picture shows |x|, |y| <= box in size x size pixels
-    walls = arrangement_hyperplanes(dtype, k_max, sliced=True)
+    walls = arrangement_hyperplanes(dtype, k_max)
     if walls and len(walls[0].normal) != 2:
         raise ValueError("slice pictures need exactly two kept finite nodes")
     lines = [

@@ -401,50 +401,6 @@ def check_gcd_closure(dtype: DynkinType, k_max: Optional[int] = None) -> GcdRepo
     return gcd_report(restricted_roots(dtype, k_max if dtype.affine else None))
 
 
-class TwoWayReport(NamedTuple):
-    set_direct: frozenset
-    set_translated: frozenset
-    equal: bool
-    excluded_highest: bool
-
-
-def real_restricted_two_ways(dtype: DynkinType, k_max: int = DEFAULT_WINDOW) -> TwoWayReport:
-    """Real restricted roots built two ways over the same level window.
-
-    set_direct holds the real elements of restricted_roots, the windowed
-    restrictions of real affine roots off the imaginary line.
-    set_translated translates the finite restricted roots by multiples of
-    pi(r_im), dropping the two vectors +-pi(r_max) exactly when node 0 is
-    contracted.  The two must coincide.
-    """
-    if not dtype.affine:
-        raise DiagramError("real_restricted_two_ways requires an affine type")
-    rim_bar = imaginary_restriction(dtype)
-    window = _window(dtype.diagram, k_max)
-    entries, bound = _entries(dtype, window), _scan(dtype.diagram, window)[1]
-    # the window holds theta + k_max * delta, so the scan bound also caps
-    # the translates below, whose coordinates are at most (k_max + 1) * h
-    line = _imaginary_line(rim_bar, bound)
-    # restricted_roots adds only imaginary multiples, so the real elements are off it
-    direct = {c for c in entries if c not in line}
-
-    zero_contracted = 0 in dtype.contracted
-    # with node 0 contracted, pi(r_max) = pi(r_im - alpha_0) = pi(r_im)
-    excluded = {rim_bar, vec_neg(rim_bar)} if zero_contracted else set()
-    translated = set()
-    for base in finite_companion_values(dtype):
-        if base in excluded:
-            continue
-        for k in range(-k_max, k_max + 1):
-            v = tuple(b + k * c for b, c in zip(base, rim_bar))
-            if v not in line:
-                translated.add(v)
-
-    return TwoWayReport(
-        frozenset(direct), frozenset(translated), direct == translated, zero_contracted
-    )
-
-
 def proper_subsets(diagram: Diagram) -> Iterable[frozenset]:
     """All proper contraction subsets, in order of their bit masks, bit i
     standing for the i-th node."""

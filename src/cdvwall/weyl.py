@@ -4,7 +4,7 @@ An element is an integer matrix in the simple-root basis together with the
 matrix of its inverse.  Right multiplication by a simple reflection s_i is
 a rank-one update of both: w . s_i rewrites only the rows of w with a
 nonzero entry in column i, and (w . s_i)^-1 = s_i . w^-1 only row i of the
-inverse.  `from_word` and longest elements of finite parabolics (by
+inverse.  `times_word` and the longest elements of finite parabolics (by
 greedy ascent) are walks by this step, and a product multiplies the
 inverses in reverse order, so no element is ever inverted by elimination.
 Reduced words strip descents by the numbers game on w^-1 rho, which needs
@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .dynkin import Diagram, DiagramError
-from .linalg import Mat, Vec, identity_matrix, mat_mul, mat_vec
+from .linalg import Mat, Vec, identity_matrix, mat_mul
 
 _ASCENT_CAP = 256  # safely above the 120 positive roots of the largest type
 
@@ -98,11 +98,6 @@ class WeylElement:
             matrix, inverse = _step(matrix, inverse, *rows[node])
         return WeylElement(self.diagram, matrix, inverse)
 
-    def apply(self, v: Vec) -> Vec:
-        if len(v) != len(self.matrix):
-            raise ValueError("vector length does not match the diagram")
-        return mat_vec(self.matrix, v)
-
     def image_of_simple(self, node: int) -> Vec:
         j = self.diagram.index[node]
         return tuple(row[j] for row in self.matrix)
@@ -110,9 +105,6 @@ class WeylElement:
     def sends_simple_negative(self, node: int) -> bool:
         j = self.diagram.index[node]
         return any(row[j] < 0 for row in self.matrix)
-
-    def is_identity(self) -> bool:
-        return self.matrix == identity_matrix(len(self.matrix))
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -139,38 +131,10 @@ class WeylElement:
             self._word = tuple(reversed(rev))
         return self._word
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def to_json(self) -> dict:
-        return {"word": list(self.word)}
-
 
 def identity(diagram: Diagram) -> WeylElement:
     e = identity_matrix(len(diagram.nodes))
     return WeylElement(diagram, e, e)
-
-
-@lru_cache(maxsize=None)
-def simple_reflection(diagram: Diagram, node: int) -> WeylElement:
-    """The reflection sigma_node, acting by alpha_j -> alpha_j - A_ij alpha_i."""
-    if node not in diagram.nodes:
-        raise DiagramError(f"unknown node {node}")
-    i = diagram.index[node]
-    a = diagram.cartan
-    n = len(diagram.nodes)
-    m = tuple(
-        tuple((1 if r == j else 0) - (a[i][j] if r == i else 0) for j in range(n))
-        for r in range(n)
-    )
-    w = WeylElement(diagram, m, m)  # a reflection is its own inverse
-    w._word = (node,)
-    return w
-
-
-def from_word(diagram: Diagram, word: Iterable[int]) -> WeylElement:
-    return identity(diagram).times_word(word)
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,19 @@ from cdvwall.arrangement import (
     GeometryError,
     arrangement_hyperplanes,
     cross_wall,
+    distinct_edges,
     fundamental_chamber,
     gallery_through_wall,
     locate_by_walk,
-    minimal_gallery,
-    separating_hyperplanes,
     shares_facet,
     through_wall_end_point,
+    wall_through,
 )
-from cdvwall.dynkin import build_diagram
-from cdvwall.linalg import dot, is_colinear, primitive
+from cdvwall.dynkin import DiagramError, build_diagram
+from cdvwall.linalg import dot, is_colinear, mat_vec, primitive
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
+from cdvwall.weyl import identity
+from reference import gallery_from_parents, linear_walls, minimal_gallery, separating_hyperplanes
 from test_linalg import leibniz_det
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
@@ -115,7 +117,7 @@ def test_subset_size_is_preserved(dtype):
 def test_enumerate_length_zero():
     chambers, edges = ChamberGraph(A2_EMPTY).bfs(0)
     assert len(chambers) == 1
-    assert chambers[0].weyl.is_identity()
+    assert chambers[0].weyl == identity(A2_EMPTY.diagram)
 
 
 def test_rank_two_fan_is_a_path():
@@ -130,6 +132,30 @@ def test_rank_two_fan_is_a_path():
         deg.setdefault(b, set()).add(a)
     counts = sorted(len(v) for v in deg.values())
     assert counts == [1, 1, 2, 2, 2, 2, 2]
+
+
+def test_bfs_expands_each_chamber_once_in_found_order(monkeypatch):
+    # the chambers within 2 crossings are the ones a radius-3 search
+    # expands, each once, in the order it finds them
+    inner = [c.key() for c in ChamberGraph(A2_EMPTY).bfs(2)[0]]
+    expanded = []
+    neighbors = ChamberGraph.neighbors
+
+    def counted(self, chamber):
+        expanded.append(chamber.key())
+        return neighbors(self, chamber)
+
+    monkeypatch.setattr(ChamberGraph, "neighbors", counted)
+    ChamberGraph(A2_EMPTY).bfs(3)
+    assert expanded == inner
+
+
+def test_bfs_of_a_finite_type_stops_when_the_queue_empties():
+    # the Weyl chambers of A3 are the 24 elements of S4, each with 3 walls
+    dt = DynkinType(build_diagram("A", 3), frozenset())
+    chambers, edges = ChamberGraph(dt).bfs(100)
+    assert len(chambers) == 24 and len(edges) == 24 * 3
+    assert len(distinct_edges(chambers, edges)) == 24 * 3 // 2
 
 
 @pytest.mark.parametrize("dtype", TYPES)
@@ -147,7 +173,7 @@ def test_interior_adjacency_degree(dtype):
 @pytest.mark.parametrize("dtype", TYPES)
 def test_chambers_have_disjoint_sign_vectors(dtype):
     chambers, _ = ChamberGraph(dtype).bfs(3)
-    normals = [h.normal for h in arrangement_hyperplanes(dtype, 5)]
+    normals = [h.normal for h in linear_walls(dtype, 5)]
     seen = {}
     for c in chambers:
         p = c.interior
@@ -163,7 +189,7 @@ def test_cached_facet_normals_match_a_fresh_restriction():
     assert len(chambers) > 50
     for c in chambers:
         for k, node in enumerate(c.kept_of_subset):
-            fresh = restrict(dtype, c.weyl.apply(dtype.diagram.simple_root(node)))
+            fresh = restrict(dtype, mat_vec(c.weyl.matrix, dtype.diagram.simple_root(node)))
             assert c.facet_normals[k] == fresh
         # facet k pairs to 1 with ray k and to 0 with the others
         for j, ray in enumerate(c.rays):
@@ -237,7 +263,7 @@ def test_minimal_gallery_length_equals_separation(dtype):
         g = minimal_gallery(graph, a, b)
         sep = separating_hyperplanes(dtype, a, b)
         assert g.length == len(sep)
-        assert g.walls_distinct()
+        assert len(set(g.walls)) == g.length
         assert set(g.walls) == sep
 
 
@@ -297,7 +323,7 @@ def _region_search_gallery(dtype, node, rbar) -> Gallery:
             if edge is None:
                 continue
             if edge[1].normal == primitive(rbar):
-                mid = graph.gallery(parent, key)
+                mid = gallery_from_parents(graph, parent, key)
                 return Gallery((base,) + mid.chambers + (graph.chambers[edge[0]],),
                                (first_wall,) + mid.walls + (edge[1],))
             p = graph.chambers[edge[0]].interior
@@ -318,7 +344,7 @@ def test_gallery_through_wall_labels():
             continue
         assert g.walls[0].normal == primitive(alpha)
         assert g.walls[-1].normal == primitive(rbar)
-        assert g.walls_distinct()
+        assert len(set(g.walls)) == g.length
         sep = separating_hyperplanes(A2_EMPTY, g.chambers[0], g.chambers[-1])
         assert g.length == len(sep)
         checked += 1
@@ -414,7 +440,7 @@ def test_gallery_through_wall_rejects_colinear():
 
 def test_hyperplane_multiples_collapse():
     d5 = DynkinType(build_diagram("D", 5, affine=True), frozenset({1, 4, 5}))
-    walls = arrangement_hyperplanes(d5, 1)
+    walls = linear_walls(d5, 1)
     normals = [h.normal for h in walls]
     assert len(set(normals)) == len(normals)
     assert all(primitive(n) == n for n in normals)
@@ -422,19 +448,24 @@ def test_hyperplane_multiples_collapse():
 
 def test_rank_one_slice_walls():
     dt = DynkinType(build_diagram("A", 1, affine=True), frozenset())
-    walls = arrangement_hyperplanes(dt, 2, sliced=True)
+    walls = arrangement_hyperplanes(dt, 2)
     assert {(h.normal, h.offset) for h in walls} == {((1,), k) for k in range(-2, 3)}
+
+
+def test_slice_walls_need_an_affine_type_with_node_0_kept():
+    with pytest.raises(DiagramError, match="affine"):
+        arrangement_hyperplanes(DynkinType(build_diagram("A", 2), frozenset()), 1)
+    with pytest.raises(DiagramError, match="node 0 kept"):
+        arrangement_hyperplanes(DynkinType(build_diagram("A", 2, affine=True), frozenset({0})), 1)
 
 
 def test_slice_reproduces_the_affine_arrangement():
     # a linear wall u = rbar + k*rim (rbar in the finite kept lattice, k the
     # node-0 coefficient) slices the positive level in {theta(rbar) = -k},
     # and every windowed slice wall lifts back
-    from cdvwall.arrangement import wall_through
-
     rim = imaginary_restriction(A2_EMPTY)
-    upstairs = arrangement_hyperplanes(A2_EMPTY, 2)
-    downstairs = set(arrangement_hyperplanes(A2_EMPTY, 2, sliced=True))
+    upstairs = linear_walls(A2_EMPTY, 2)
+    downstairs = set(arrangement_hyperplanes(A2_EMPTY, 2))
     for wall in upstairs:
         k = wall.normal[0]
         fin = tuple(c - k * r for c, r in zip(wall.normal[1:], rim[1:]))

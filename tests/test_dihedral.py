@@ -4,7 +4,6 @@ from cdvwall.dihedral import (
     _extended_imaginary,
     classify_restricted,
     compound_vectors,
-    dihedral_case,
     mozgovoy_reineke_check,
     proposition_check,
     run_case,
@@ -78,8 +77,7 @@ def test_displayed_sum_of_roots():
 def _restricted_imaginary_image(n):
     """The restriction of the source imaginary root, in extended target
     coordinates."""
-    case = dihedral_case(n)
-    affine = DynkinType(build_diagram("D", 2 * n, affine=True), case.source.contracted)
+    affine = DynkinType(build_diagram("D", 2 * n, affine=True), source_type(n).contracted)
     return imaginary_restriction(affine)
 
 

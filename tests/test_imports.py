@@ -1,7 +1,8 @@
-"""Module structure: every import sits at module level and is read, the
-groupoid (label algebra) never reaches into the arrangement (geometry),
-the oracle builds its walls and levels without the engine's, and no module
-computes with fractions."""
+"""Module structure: every import sits at module level and is read, every
+module-level definition is read by the package, the groupoid (label
+algebra) never reaches into the arrangement (geometry), the oracle builds
+its walls and levels without the engine's, and no module computes with
+fractions."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,44 @@ def test_every_import_is_read(path):
                 if name != "annotations" and name not in read:
                     unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+def _definitions(tree):
+    """The module-level functions, classes and assigned names, each with
+    the index of the statement that defines it."""
+    for index, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, index
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                        yield n.id, index
+
+
+def _statement_reads(node):
+    """The names a statement reads: loaded names, attribute names, and
+    names imported from another module."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_definition_is_read_by_the_package():
+    """Every module-level function, class and constant is read somewhere in
+    the package outside its own definition, so no code is kept for the
+    tests alone."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    reads = {(stem, i): _statement_reads(node)
+             for stem, tree in trees.items() for i, node in enumerate(tree.body)}
+    unread = [f"{stem}.{name}"
+              for stem, tree in trees.items() for name, index in _definitions(tree)
+              if not any(name in names for where, names in reads.items() if where != (stem, index))]
+    assert not unread, f"defined but never read by the package: {unread}"

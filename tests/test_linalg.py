@@ -16,7 +16,7 @@ from cdvwall.linalg import (
     primitive,
     vec_gcd,
 )
-from cdvwall.weyl import from_word
+from reference import from_word
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
