@@ -634,17 +634,10 @@ def cmd_selftest(cfg: JobConfig) -> int:
 
 def cmd_export(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    if cfg.fmt == "svg":
-        if 0 not in dtype.kept or len(dtype.kept) != 3:
-            raise UsageError("svg export needs an affine type with node 0 kept "
-                             "and exactly two kept finite nodes")
-        _emit(cfg, level_slice_svg(dtype, cfg.kmax))
-        return 0
-    if dtype.affine:
-        chambers, edges = ChamberGraph(dtype).bfs(cfg.maxlen)
-        _emit(cfg, chamber_graph_dot(chambers, edges))
-    else:
-        _emit(cfg, groupoid_dot(dtype, cfg.maxlen))
+    if 0 not in dtype.kept or len(dtype.kept) != 3:
+        raise UsageError("svg export needs an affine type with node 0 kept "
+                         "and exactly two kept finite nodes")
+    _emit(cfg, level_slice_svg(dtype, cfg.kmax))
     return 0
 
 
@@ -669,7 +662,7 @@ COMMANDS = {
     "gv-map": Command(cmd_gv_map, ("json",), affine=False),
     "dihedral-check": Command(cmd_dihedral_check, ("json", "text")),
     "selftest": Command(cmd_selftest, ("json", "text")),
-    "export": Command(cmd_export, ("dot", "svg")),
+    "export": Command(cmd_export, ("svg",)),
 }
 
 

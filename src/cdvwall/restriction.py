@@ -14,12 +14,10 @@ values of its finite companion are given in the same coordinates, reading
 0 there.
 
 Every set of one diagram is built from one scan of its roots, the
-entries of the empty subset.  Restriction composes, so the entries of a
-subset are those of its parent, the subset without its lowest node, with
-one more coordinate dropped.  One chain of parents is kept per diagram
-and window, from the empty subset to the last subset built, and the next
-build extends it from their longest common prefix, so a sweep in subset
-order drops one coordinate per subset.
+entries of the empty subset.  Restriction composes, so a single build
+projects the scan onto its kept coordinates in one pass, and a sweep over
+all subsets builds each from its parent, the subset without its lowest
+node, by dropping one coordinate.  Neither keeps state outside its call.
 """
 
 from __future__ import annotations
@@ -128,11 +126,20 @@ class RestrictedRoot(NamedTuple):
 
 class RestrictedRootSet(Frozen):
     """A restricted-root set kept as its scan entries, coeffs -> first
-    witness in scan order; they may be shared with the parent chain, so
-    they are read-only.  The sorted RestrictedRoot records are built only
-    when elements is read."""
+    witness in scan order; they may be shared with the scan or with the
+    sets of one sweep, so they are read-only.  The sorted RestrictedRoot
+    records are built only when elements is read."""
 
     def __init__(self, dynkin_type: DynkinType, entries: dict, window: Optional[int]):
+        """entries are the images of the scanned roots; an affine set adds
+        the imaginary multiples k * pi(r_im), 0 < |k| <= window, to a copy."""
+        if window is not None:
+            entries = dict(entries)
+            rim_bar = imaginary_restriction(dynkin_type)
+            rim = imaginary_root(dynkin_type.diagram)
+            for k in range(1, window + 1):
+                for m in (k, -k):
+                    entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
         self.__dict__.update(dynkin_type=dynkin_type, entries=entries, window=window)
 
     def _key(self) -> tuple:
@@ -141,13 +148,16 @@ class RestrictedRootSet(Frozen):
     @cached_property
     def elements(self) -> tuple[RestrictedRoot, ...]:
         """The records, sorted by coefficients.  An affine record is
-        imaginary on the line of multiples of pi(r_im), taken out to the
-        scan bound, and real off it."""
-        dtype, window = self.dynkin_type, self.window
+        imaginary on the line of multiples k * pi(r_im) and real off it.  A
+        real root r + k * r_im with |k| <= window reads at most
+        (window + 1) * r_im at every node, as |r_i| <= r_im_i, and pi(r_im)
+        has positive entries, so the line is taken out to |k| = window + 1."""
+        window = self.window
         line, real = frozenset(), None
         if window is not None:
-            bound = _scan(dtype.diagram, window)[1]
-            line = _imaginary_line(imaginary_restriction(dtype), max(bound, window))
+            rim_bar = imaginary_restriction(self.dynkin_type)
+            line = frozenset(tuple(k * c for c in rim_bar)
+                             for k in range(-window - 1, window + 2) if k)
             real = "real"
         return tuple(
             RestrictedRoot(coeffs, "imaginary" if coeffs in line else real,
@@ -183,92 +193,68 @@ def _window(diagram: Diagram, k_max: Optional[int]) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _scan(diagram: Diagram, window: Optional[int]) -> tuple[dict, int]:
+def _scan(diagram: Diagram, window: Optional[int]) -> dict:
     """The scan entries of the empty subset, root -> root (its own witness),
-    in scan order, and the largest absolute coordinate among the roots.
-    Every restricted-root set of the diagram is built from these by
-    _drop_coordinate.  Finite types scan r, then -r, for each positive
+    in scan order.  Every restricted-root set of the diagram is built from
+    these by _project.  Finite types scan r, then -r, for each positive
     root; affine types scan the level window."""
     if window is None:
         roots = (root for r in enumerate_roots(diagram).positive_roots
                  for root in (r, vec_neg(r)))
     else:
         roots = expanded_window(diagram, window)
-    entries = {full: full for full in roots}
-    return entries, max((abs(c) for full in entries for c in full), default=0)
+    return {full: full for full in roots}
 
 
-def _drop_coordinate(entries: dict, j: int) -> dict:
-    """The scan entries of one more contracted node, whose coordinate is
-    position j of the entries: the nonzero restrictions, coeffs -> first
-    preimage.  The images are taken in one pass; dict.fromkeys keys the
-    child in first-appearance order, and writing the witnesses in reverse
-    leaves the first preimage of each image, as the keys keep their order
-    when rewritten.  The zero image is dropped last.  Entries are never
-    empty, since every kept simple root is scanned."""
-    width = len(next(iter(entries)))
-    images = list(map(_taker(tuple(i for i in range(width) if i != j)), entries))
+def _project(entries: dict, take: Callable[[Vec], Vec], width: int) -> dict:
+    """The scan entries of a projection, take, onto width coordinates: the
+    nonzero images, coeffs -> first preimage's witness.  The images are
+    taken in one pass; dict.fromkeys keys the child in first-appearance
+    order, and writing the witnesses in reverse leaves the first preimage
+    of each image, as the keys keep their order when rewritten.  The zero
+    image is dropped last."""
+    images = list(map(take, entries))
     child = dict.fromkeys(images)
     child.update(zip(reversed(images), reversed(entries.values())))
-    child.pop((0,) * (width - 1), None)
+    child.pop((0,) * width, None)
     return child
 
 
-def _imaginary_line(rim_bar: Vec, bound: int) -> frozenset:
-    """The multiples k * pi(r_im) with 0 < |k| <= bound.  pi(r_im) has
-    positive entries, so a multiple whose coordinates are bounded by
-    bound in absolute value is one of these."""
-    return frozenset(tuple(k * c for c in rim_bar)
-                     for k in range(-bound, bound + 1) if k)
-
-
-_CHAINS: dict = {}
-
-
-def _entries(dtype: DynkinType, window: Optional[int]) -> dict:
-    """The scan entries of dtype, its parent's with position j dropped for
-    its lowest contracted node j (every node below j is kept in the parent).
-    _CHAINS keeps the masks and entries from the empty subset to the last
-    subset built; a build keeps the longest common prefix of that chain and
-    its own, then drops.  Callers must not mutate them."""
-    diagram = dtype.diagram
-    chain = _CHAINS.setdefault((diagram, window), [(0, _scan(diagram, window)[0])])
-    mask = 0
-    for depth, j in enumerate(sorted((diagram.index[n] for n in dtype.contracted),
-                                     reverse=True), 1):
-        mask |= 1 << j
-        if depth < len(chain) and chain[depth][0] != mask:
-            del chain[depth:]
-        if depth == len(chain):
-            chain.append((mask, _drop_coordinate(chain[-1][1], j)))
-    return chain[len(dtype.contracted)][1]
-
-
 def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> RestrictedRootSet:
-    """All nonzero restrictions of roots, annotated and deduplicated.
+    """All nonzero restrictions of roots, annotated and deduplicated: the
+    scan projected onto the kept coordinates in one pass.
 
     Finite types need no window.  For affine types, real roots are scanned
     at levels |k| <= k_max and the imaginary multiples k * pi(r_im) with
-    0 < |k| <= k_max are included, added to a copy of the scan entries.
+    0 < |k| <= k_max are included.
     """
     window = _window(dtype.diagram, k_max)
-    entries = _entries(dtype, window)
-    if window is not None:
-        entries = dict(entries)
-        rim_bar = imaginary_restriction(dtype)
-        rim = imaginary_root(dtype.diagram)
-        for k in range(1, window + 1):
-            for m in (k, -k):
-                entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
+    entries = _scan(dtype.diagram, window)
+    if dtype.contracted:
+        entries = _project(entries, dtype._take_kept, len(dtype.kept))
     return RestrictedRootSet(dtype, entries, window)
 
 
 def restricted_root_sweep(diagram: Diagram,
                           k_max: Optional[int] = None) -> Iterator[RestrictedRootSet]:
-    """restricted_roots of every proper subset, in proper_subsets order; each
-    parent is on the chain of the subset before, so each costs one drop."""
-    for J in proper_subsets(diagram):
-        yield restricted_roots(DynkinType(diagram, J), k_max)
+    """restricted_roots of every proper subset, in proper_subsets order.
+
+    chain[d] holds the entries of the subset made of the d highest
+    contracted positions of the last subset built.  The parent of mask,
+    mask & (mask - 1), is the part of mask - 1 above mask's lowest position
+    j, so it is chain[popcount - 1], and each subset costs one drop of
+    position j.  The chain lives as long as the sweep.
+    """
+    window = _window(diagram, k_max)
+    n = len(diagram.nodes)
+    chain = [_scan(diagram, window)]
+    for mask, J in enumerate(proper_subsets(diagram)):
+        if mask:
+            depth, j = mask.bit_count(), (mask & -mask).bit_length() - 1
+            del chain[depth:]
+            take = _taker((*range(j), *range(j + 1, n - depth + 1)))
+            chain.append(_project(chain[-1], take, n - depth))
+        yield RestrictedRootSet(DynkinType(diagram, J), chain[-1], window)
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +262,7 @@ def finite_restricted_values(dtype: DynkinType) -> frozenset:
     """Coefficient tuples of the finite restricted-root set (cached)."""
     if dtype.affine:
         raise DiagramError("finite_restricted_values requires a finite type")
-    return frozenset(_entries(dtype, None))
+    return restricted_roots(dtype).values()
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from cdvwall.dynkin import Diagram
 from cdvwall.linalg import Vec, dot, is_colinear, primitive, vec_neg
 from cdvwall.restriction import (
     DynkinType,
+    RestrictedRootSet,
     finite_companion_values,
     imaginary_restriction,
     restricted_roots,
@@ -127,18 +128,23 @@ def _on_imaginary_line(v: Vec, rim_bar: Vec) -> bool:
     return k != 0 and v == tuple(k * c for c in rim_bar)
 
 
-def real_restricted_two_ways(dtype: DynkinType, k_max: int = 3) -> TwoWayReport:
+def real_restricted_two_ways(dtype: DynkinType | RestrictedRootSet,
+                             k_max: int = 3) -> TwoWayReport:
     """Real restricted roots built two ways over the same level window.
 
-    set_direct holds the elements of restricted_roots off the imaginary
-    line, the windowed restrictions of real affine roots.  set_translated
-    translates the finite restricted roots by multiples of pi(r_im),
-    dropping the two vectors +-pi(r_max) exactly when node 0 is contracted.
-    The two must coincide.
+    dtype is a type, whose set is built at k_max, or a built set, whose
+    type and window are read instead.  set_direct holds the elements of
+    that set off the imaginary line, the windowed restrictions of real
+    affine roots.  set_translated translates the finite restricted roots
+    by multiples of pi(r_im), dropping the two vectors +-pi(r_max) exactly
+    when node 0 is contracted.  The two must coincide.
     """
+    if isinstance(dtype, RestrictedRootSet):
+        rr, dtype, k_max = dtype, dtype.dynkin_type, dtype.window
+    else:
+        rr = restricted_roots(dtype, k_max)
     rim_bar = imaginary_restriction(dtype)
-    direct = {e.coeffs for e in restricted_roots(dtype, k_max).elements
-              if not _on_imaginary_line(e.coeffs, rim_bar)}
+    direct = {e.coeffs for e in rr.elements if not _on_imaginary_line(e.coeffs, rim_bar)}
 
     zero_contracted = 0 in dtype.contracted
     # with node 0 contracted, pi(r_max) = pi(r_im - alpha_0) = pi(r_im)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from math import gcd
 
 import pytest
@@ -225,11 +227,9 @@ def test_sweep_equals_direct_builds(family, rank, affine, k_max):
         assert restricted_roots(DynkinType(diagram, J), k_max).to_json() == want, J
 
 
-def test_builds_in_any_order_equal_the_definition(monkeypatch):
-    # the parent chain serves subsets in any order: every subset of D5~ at
-    # k = 2, of finite E6 and of D5~ at k = 1, in one seeded shuffle, so
-    # each chain is entered at random and the three interleave
-    monkeypatch.setattr(restriction, "_CHAINS", {})
+def test_builds_in_any_order_equal_the_definition():
+    # a single build holds no state between calls: every subset of D5~ at
+    # k = 2, of finite E6 and of D5~ at k = 1, in one seeded shuffle
     d5a, e6 = build_diagram("D", 5, affine=True), build_diagram("E", 6)
     cases = [(diagram, J, k_max) for diagram, k_max in ((d5a, 2), (e6, None), (d5a, 1))
              for J in proper_subsets(diagram)]
@@ -239,36 +239,80 @@ def test_builds_in_any_order_equal_the_definition(monkeypatch):
         assert restricted_roots(DynkinType(diagram, J), k_max).to_json() == want, (J, k_max)
 
 
+def test_two_threads_build_every_subset_in_opposite_orders():
+    # no build shares mutable state with another: two threads build every
+    # subset of D5~ at k = 2, one in proper_subsets order and one in
+    # reverse, switching as often as the interpreter allows
+    diagram = build_diagram("D", 5, affine=True)
+    subsets = list(proper_subsets(diagram))
+    built = {}
+
+    def build(order, key):
+        built[key] = {J: restricted_roots(DynkinType(diagram, J), 2).to_json() for J in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(order, key))
+                   for key, order in (("up", subsets), ("down", subsets[::-1]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == ["down", "up"]
+    for J in subsets:
+        want = _set_by_definition(diagram, J, 2)
+        assert built["up"][J] == built["down"][J] == want, J
+
+
 def _count_drops(monkeypatch) -> list:
-    """Empty the parent chains and record the position of every dropped
-    coordinate from here on."""
-    monkeypatch.setattr(restriction, "_CHAINS", {})
-    drops = []
-    drop = restriction._drop_coordinate
-    monkeypatch.setattr(restriction, "_drop_coordinate",
-                        lambda entries, j: drops.append(j) or drop(entries, j))
-    return drops
+    """Record the width of every projection pass from here on."""
+    passes = []
+    project = restriction._project
+    monkeypatch.setattr(restriction, "_project",
+                        lambda entries, take, width: passes.append(width)
+                        or project(entries, take, width))
+    return passes
 
 
 @pytest.mark.parametrize("family,rank,affine,k_max", [("E", 7, True, 3), ("E", 8, False, None)])
 def test_a_sweep_drops_one_coordinate_per_subset(monkeypatch, family, rank, affine, k_max):
     drops = _count_drops(monkeypatch)
     diagram = build_diagram(family, rank, affine)
+    n = len(diagram.nodes)
     for _ in restricted_root_sweep(diagram, k_max):
         pass
-    assert len(drops) == 2 ** len(diagram.nodes) - 2
+    assert len(drops) == 2 ** n - 2
+    # each drop leaves the kept coordinates of its subset
+    assert drops == [n - bin(mask).count("1") for mask in range(1, 2 ** n - 1)]
 
 
-def test_a_two_way_sweep_drops_within_both_chains(monkeypatch):
-    # criterion 3's loop on E6~: at most one drop per affine subset and one
-    # per subset of the finite companion
+@pytest.mark.parametrize("family,rank,affine,k_max", [("E", 7, True, 3), ("D", 5, False, None)])
+def test_a_single_build_projects_once(monkeypatch, family, rank, affine, k_max):
+    # one pass over the scan per build, none for the empty subset, whose
+    # entries are the scan itself
+    passes = _count_drops(monkeypatch)
+    diagram = build_diagram(family, rank, affine)
+    for J in proper_subsets(diagram):
+        passes.clear()
+        dt = DynkinType(diagram, J)
+        restricted_roots(dt, k_max)
+        assert passes == ([len(dt.kept)] if J else []), J
+
+
+def test_a_two_way_sweep_projects_once_per_set(monkeypatch):
+    # criterion 3's loop on E6~: one drop per affine subset in the sweep and
+    # one pass per proper subset of the finite companion
     drops = _count_drops(monkeypatch)
     restriction.finite_restricted_values.cache_clear()
     restriction.finite_companion_values.cache_clear()
     diagram = build_diagram("E", 6, affine=True)
-    for J in proper_subsets(diagram):
-        assert real_restricted_two_ways(DynkinType(diagram, J), 3).equal, J
-    assert len(drops) <= (2 ** 7 - 2) + (2 ** 6 - 2)
+    for rr in restricted_root_sweep(diagram, 3):
+        assert real_restricted_two_ways(rr).equal, rr.dynkin_type
+    assert len(drops) == (2 ** 7 - 2) + (2 ** 6 - 2)
 
 
 @pytest.mark.parametrize("family,rank", [("E", 6), ("D", 5)])
@@ -338,10 +382,17 @@ def test_gcd_report_lists_planted_violations_in_record_order(monkeypatch):
     assert scan_ordered > 0
 
 
+def _drop(entries: dict, j: int) -> dict:
+    """_project dropping position j, as a sweep does."""
+    width = len(next(iter(entries)))
+    return restriction._project(
+        entries, restriction._taker(tuple(i for i in range(width) if i != j)), width - 1)
+
+
 def test_dropping_a_coordinate_keeps_the_first_witness():
     parent = {(1, 2): "first", (0, 0): "zero", (-1, 2): "second", (3, 0): "x"}
-    assert restriction._drop_coordinate(parent, 0) == {(2,): "first"}
-    assert list(restriction._drop_coordinate(parent, 1)) == [(1,), (-1,), (3,)]
+    assert _drop(parent, 0) == {(2,): "first"}
+    assert list(_drop(parent, 1)) == [(1,), (-1,), (3,)]
 
 
 def _drop_by_loop(entries: dict, j: int) -> dict:
@@ -367,7 +418,7 @@ def test_dropping_a_coordinate_matches_a_loop(case):
     # same keys in the same order, the first witness of each, no zero vector;
     # width 2 gives children of one coordinate
     entries, j = case
-    child = restriction._drop_coordinate(entries, j)
+    child = _drop(entries, j)
     assert list(child.items()) == list(_drop_by_loop(entries, j).items())
     assert all(any(c) for c in child)
 
@@ -377,6 +428,22 @@ def test_sweep_checks_its_window():
         next(restricted_root_sweep(build_diagram("D", 4), 2))
     with pytest.raises(ValueError):
         next(restricted_root_sweep(build_diagram("D", 4, affine=True), -1))
+
+
+def test_a_window_reads_at_most_one_imaginary_root_more():
+    # a real root r + k * r_im with |k| <= window reads at most
+    # (window + 1) * r_im at every node, since |r_i| <= r_im_i, so the
+    # imaginary line that annotates a set's records stops at window + 1;
+    # the bound is attained
+    diagrams = [build_diagram(family, rank, affine=True)
+                for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8)))
+                for rank in ranks]
+    for diagram in diagrams:
+        rim = imaginary_root(diagram)
+        for window in range(5):
+            excess = {abs(c) - (window + 1) * h
+                      for root in expanded_window(diagram, window) for c, h in zip(root, rim)}
+            assert max(excess) == 0, (diagram.family, diagram.rank, window)
 
 
 def test_imaginary_restriction_never_zero():
