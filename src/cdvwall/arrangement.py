@@ -10,16 +10,17 @@ w . alpha_i, which makes containment tests pure sign checks.
 Two ways move through the chamber graph.  `ChamberGraph.bfs` is a
 breadth-first search that enumerates the chambers within a number of
 crossings.  A straight-segment walk crosses the walls a segment meets, in
-order, and expands only the facets it crosses; it locates points
-(`locate_by_walk`) and builds galleries through two given walls
-(`gallery_through_wall`).
+order, and expands only the facets it crosses.  Where several walls meet
+the segment at one point, it crosses them one at a time, first facet in
+order first, so every segment is walked once, with no restart.  The walk
+locates points (`locate_by_walk`) and builds galleries through two given
+walls (`gallery_through_wall`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import count
 from math import gcd
 from typing import Iterable
 
@@ -50,10 +51,6 @@ class SignCrossing(Exception):
 
 class GeometryError(RuntimeError):
     """An algebraic label disagrees with the chamber geometry."""
-
-
-class SimultaneousCrossing(GeometryError):
-    """A walked segment meets two facet hyperplanes of a chamber at one point."""
 
 
 class Hyperplane(Frozen):
@@ -360,36 +357,35 @@ def _crossings(graph: ChamberGraph, chamber: Chamber, start: Vec, end: Vec):
     per crossing and returns once the current chamber holds `end` strictly
     inside.  Both ends are integer vectors, and the crossing parameters
     v0 / (v0 - v1) are compared by cross-multiplication, so every quantity
-    is an integer.  The segment lies in one sign class, where the arrangement
-    is locally finite, so it crosses finitely many walls, each at most once.
+    is an integer.
 
-    Raises SimultaneousCrossing when the segment leaves a chamber through
-    two facets at one point, and GeometryError when `end` lies on a wall or
-    the walk would leave the sign class.
+    The walk leaves a chamber through the facet met first, the first in
+    facet order when several are met at one point; the other walls through
+    that point are then crossed from the chambers that follow, at the same
+    parameter.  A facet is crossed only when `start` is on the chamber's
+    side of it and `end` on the other, so every wall crossed separates the
+    two ends and none is crossed twice.  The segment lies in one sign class,
+    where the arrangement is locally finite, so the walk is finite, and the
+    chambers it passes form a minimal gallery between its ends.
+
+    Raises GeometryError when `end` lies on a wall or the walk would leave
+    the sign class.
     """
-    t_num, t_den = 0, 1          # the current crossing parameter t_num / t_den
     while True:
         coords_start, coords_end = chamber.coords_in(start), chamber.coords_in(end)
         if all(c > 0 for c in coords_end):
             return
-        best, tied = None, False
+        best = None
         for k, (v0, v1) in enumerate(zip(coords_start, coords_end)):
             if v0 <= 0 or v1 >= 0:
                 continue
             # the open segment leaves facet k's side at t_k = v0 / (v0 - v1) < 1
             den = v0 - v1
-            if v0 * t_den <= t_num * den:
-                continue
             if best is None or v0 * best[1] < best[0] * den:
-                best, tied = (v0, den, k), False
-            elif v0 * best[1] == best[0] * den:
-                tied = True
+                best = (v0, den, k)
         if best is None:
             raise GeometryError("point lies on a wall of the current chamber")
-        if tied:
-            raise SimultaneousCrossing("degenerate segment: simultaneous wall crossings")
-        t_num, t_den, k = best
-        edge = graph.edge(chamber, k)
+        edge = graph.edge(chamber, best[2])
         if edge is None:
             raise GeometryError("walk attempted to leave the sign class")
         chamber = graph.chambers[edge[0]]
@@ -401,8 +397,9 @@ def locate_by_walk(graph: ChamberGraph, point: tuple) -> Chamber:
     from the base chamber's interior point to the integer point; exact
     integer arithmetic throughout.
 
-    Raises GeometryError on degenerate segments (hitting a wall crossing
-    tie or a point on a hyperplane); callers should skip such samples.
+    A segment through the meet of several walls is walked like any other.
+    Raises GeometryError when the point lies on a wall or on the other side
+    of the imaginary wall; callers should skip such samples.
     """
     chamber = graph.chambers[graph.base_key]
     level = dot(point, imaginary_restriction(graph.dtype))
@@ -461,22 +458,13 @@ def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     Requires rbar to be a positive restricted root not colinear to the
     restricted simple root alpha_bar at `node` nor to the restricted
     imaginary root.  After crossing into `first`, the chamber across the
-    facet at `node`, the gallery walks a straight segment from a point p of
-    `first` to `through_wall_end_point` and stops right after crossing the
-    wall of rbar.  Both ends lie below alpha_bar and on the positive
-    imaginary side, and a segment crosses each wall at most once, so the
-    walls are distinct and the gallery is minimal between its ends
-    (Abramenko-Brown, Buildings, 2008, ch. 1); it need not be the shortest
-    gallery through the two walls.
-
-    p is sum_i j**i * ray_i over the rays of `first`, for j = 1, 2, ... (j = 1
-    gives its interior point), moving on when the walk meets two walls at
-    one point.  Every p is interior, and a tie puts p on one of finitely
-    many hyperplanes (each spanned by the end point and the meet of two
-    walls near the segments).
-    The pairing of p with such a hyperplane's normal is a nonzero polynomial
-    in j of degree below the rank, so this moment curve meets each of them
-    fewer than rank times, and some j walks without a tie.
+    facet at `node`, the gallery walks one straight segment from the
+    interior point of `first` to `through_wall_end_point` and stops right
+    after crossing the wall of rbar.  Both ends lie below alpha_bar and on
+    the positive imaginary side, and the walk crosses only walls separating
+    its ends, each once, so the walls are distinct and the gallery is
+    minimal between its ends (Abramenko-Brown, Buildings, 2008, ch. 1); it
+    need not be the shortest gallery through the two walls.
     """
     dtype = graph.dtype
     if node not in dtype.kept:
@@ -497,15 +485,10 @@ def gallery_through_wall(graph: ChamberGraph, node: int, rbar: Vec) -> Gallery:
     first_key, first_wall = graph.edge(base, facet_index_of_node(base, node))
     first = graph.chambers[first_key]
     prim_r = primitive(rbar)
-    for j in count(1):
-        start = tuple(sum(j ** i * c for i, c in enumerate(column)) for column in zip(*first.rays))
-        chambers, walls = [base, first], [first_wall]
-        try:
-            for chamber, wall in _crossings(graph, first, start, end):
-                chambers.append(chamber)
-                walls.append(wall)
-                if wall.normal == prim_r:
-                    return Gallery(tuple(chambers), tuple(walls))
-        except SimultaneousCrossing:
-            continue
-        raise GeometryError("the walk ended without crossing the target wall")
+    chambers, walls = [base, first], [first_wall]
+    for chamber, wall in _crossings(graph, first, first.interior, end):
+        chambers.append(chamber)
+        walls.append(wall)
+        if wall.normal == prim_r:
+            return Gallery(tuple(chambers), tuple(walls))
+    raise GeometryError("the walk ended without crossing the target wall")

@@ -223,12 +223,11 @@ def oracle_chamber_probe(dtype: DynkinType, sample_count: int, box: int = 1,
     Points land on the unit level, on the positive side of the imaginary
     wall; each is the integer point of `_sample_points`, the least positive
     integer multiple of a rational sample, which lies in the same chambers
-    and on the same sides of every linear wall.  Points on a hyperplane or
-    producing a degenerate segment are skipped.  A sample mismatch, an
-    ambiguous sign-vector match, or a located chamber that fails the
-    containment check (by the adjugate of its ray matrix, computed once per
-    chamber) all count as mismatches, each recorded as (integer point,
-    reason).
+    and on the same sides of every linear wall.  Points on a hyperplane are
+    skipped.  A sample mismatch, an ambiguous sign-vector match, or a
+    located chamber that fails the containment check (by the adjugate of
+    its ray matrix, computed once per chamber) all count as mismatches,
+    each recorded as (integer point, reason).
     """
     if not dtype.affine:
         raise ValueError("the chamber probe runs on affine types")

@@ -35,6 +35,9 @@ A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
 D4_PAIR = DynkinType(build_diagram("D", 4, affine=True), frozenset({3, 4}))
 A3_ONE = DynkinType(build_diagram("A", 3, affine=True), frozenset({2}))
 E6_EMPTY = DynkinType(build_diagram("E", 6, affine=True), frozenset())
+D5_PAIR = DynkinType(build_diagram("D", 5, affine=True), frozenset({1, 4}))
+E6_TRIPLE = DynkinType(build_diagram("E", 6, affine=True), frozenset({1, 3, 5}))
+E7_PAIR = DynkinType(build_diagram("E", 7, affine=True), frozenset({2, 5}))
 
 TYPES = [A2_EMPTY, D4_PAIR, A3_ONE]
 
@@ -235,7 +238,9 @@ def test_walk_is_invariant_under_positive_scaling(dtype, sign):
             # the graph holds the positive side of the imaginary wall only
             assert outcome == "point is not on the graph's side of the imaginary wall"
         elif isinstance(outcome, str):
-            continue   # a degenerate walk
+            # a walk through a meet of walls goes on; only an end on a wall stops it
+            assert outcome == "point lies on a wall of the current chamber"
+            continue
         else:
             located += 1
             assert all(c > 0 for c in graph.chambers[outcome].coords_in(point))
@@ -375,14 +380,16 @@ def test_gallery_through_wall_on_a_shared_graph(dtype):
     assert built >= 15
 
 
-def test_e7_through_wall_rows_are_minimal_galleries_or_cone_skips():
-    """Every E7~ {2,5} row at node 0 is decided by the geometry: a gallery
-    through both walls, minimal between its ends, or a skip by the cone rule."""
-    dtype = DynkinType(build_diagram("E", 7, affine=True), frozenset({2, 5}))
+@pytest.mark.parametrize("dtype,nodes", [(E7_PAIR, (0,)), (D5_PAIR, None), (E6_TRIPLE, None)],
+                         ids=["E7~-node-0", "D5~", "E6~"])
+def test_through_wall_rows_are_minimal_galleries_or_cone_skips(dtype, nodes):
+    """Every row at the given nodes (every kept node when None) is decided by
+    the geometry: a gallery through both walls, minimal between its ends, or
+    a skip by the cone rule."""
     rim = imaginary_restriction(dtype)
     graph = ChamberGraph(dtype)
     built = skipped = 0
-    for node, alpha, rbar in _positive_rows(dtype, nodes=(0,)):
+    for node, alpha, rbar in _positive_rows(dtype, nodes):
         if _in_nonneg_cone(rim, rbar, alpha):
             with pytest.raises(GeometryError, match="cone"):
                 gallery_through_wall(graph, node, rbar)
@@ -397,12 +404,33 @@ def test_e7_through_wall_rows_are_minimal_galleries_or_cone_skips():
     assert built >= 70 and skipped >= 1
 
 
+@pytest.mark.parametrize("dtype", [D5_PAIR, E6_TRIPLE], ids=["D5~", "E6~"])
+def test_every_gallery_row_walks_once(monkeypatch, dtype):
+    """A walk meeting several walls at one point crosses them in turn, so each
+    built row makes exactly one segment walk."""
+    walks = []
+    crossings = arrangement._crossings
+
+    def counted(*args):
+        walks.append(args)
+        return crossings(*args)
+
+    monkeypatch.setattr(arrangement, "_crossings", counted)
+    graph = ChamberGraph(dtype)
+    built = 0
+    for node, _, rbar in _positive_rows(dtype):
+        try:
+            gallery_through_wall(graph, node, rbar)
+        except GeometryError as err:
+            assert "cone" in str(err)
+            continue
+        built += 1
+    assert len(walks) == built >= 80
+
+
 @pytest.mark.parametrize("dtype", [A2_EMPTY, A3_ONE, D4_PAIR,
                                    DynkinType(build_diagram("D", 4, affine=True), frozenset()),
-                                   DynkinType(build_diagram("D", 5, affine=True), frozenset({1, 4})),
-                                   DynkinType(build_diagram("E", 6, affine=True),
-                                              frozenset({1, 3, 5})),
-                                   E6_EMPTY])
+                                   D5_PAIR, E6_TRIPLE, E6_EMPTY])
 def test_through_wall_end_point_exists_exactly_off_the_cone(dtype):
     rim = imaginary_restriction(dtype)
     for _, alpha, rbar in _positive_rows(dtype):

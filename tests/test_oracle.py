@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -179,6 +180,39 @@ def test_containment_is_the_solve_verdict(family, rank, contracted):
         for c in (chamber, *neighbours[key]):
             assert _inside(_cone_rows(c), point) == _solve_contains(c, point)
     assert walked > 300 and len(neighbours) > 5
+
+
+def _crossing_parameters(start, end, normals) -> list:
+    """The parameters t in (0, 1) at which the segment from start to end
+    crosses the walls of the normals, one per wall it crosses."""
+    ts = []
+    for normal in normals:
+        v0, v1 = sum(map(mul, start, normal)), sum(map(mul, end, normal))
+        if v0 * v1 < 0:
+            ts.append(Fraction(v0, v0 - v1))
+    return ts
+
+
+@pytest.mark.parametrize("family,rank,contracted,point,on_wall", [
+    ("A", 2, (), (-5, 4, 4), False), ("A", 2, (), (-2, -2, 7), False),
+    ("D", 4, (3, 4), (-1, -1, 3), False),
+    ("A", 2, (), (-3, 2, 2), True), ("A", 2, (), (-1, -1, 3), True),
+    ("D", 4, (3, 4), (-2, -2, 3), True)])
+def test_walk_through_a_codimension_two_face(family, rank, contracted, point, on_wall):
+    """The segment from the base chamber's interior point meets two walls at
+    one point before its end.  The walk crosses them in turn and ends in the
+    chamber holding the point, or, for a point on a wall, reports the wall."""
+    dt = DynkinType(build_diagram(family, rank, affine=True), frozenset(contracted))
+    normals = sorted({primitive(r) for r in oracle_affine_restricted_roots(dt, 8)})
+    graph = ChamberGraph(dt)
+    ts = _crossing_parameters(graph.chambers[graph.base_key].interior, point, normals)
+    assert len(set(ts)) < len(ts)
+    assert (0 in sign_vector(point, normals)) == on_wall
+    if on_wall:
+        with pytest.raises(GeometryError, match="point lies on a wall of the current chamber"):
+            locate_by_walk(graph, point)
+    else:
+        assert _inside(_cone_rows(locate_by_walk(graph, point)), point)
 
 
 def _per_normal_signs(point, normals):
