@@ -340,32 +340,6 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     return tuple(gens)
 
 
-class OrbitPartition(NamedTuple):
-    dtype: DynkinType
-    config: SymmetryConfig
-    orbits: tuple[tuple[CurveClass, ...], ...]     # sorted members per orbit
-    edges: tuple[tuple[CurveClass, CurveClass, Certificate], ...]
-
-    def to_json(self) -> dict:
-        """The document with its orbits and certificates as generators, so
-        the JSON writer builds each entry only as it writes it."""
-        return {
-            "type": self.dtype.to_json(),
-            "config": self.config.to_json(),
-            "orbits": (
-                {
-                    "representative": o[0].to_json(),
-                    "members": [m.to_json() for m in o],
-                }
-                for o in self.orbits
-            ),
-            "certificates": (
-                {"from": a.to_json(), "to": b.to_json(), **cert.to_json()}
-                for a, b, cert in self.edges
-            ),
-        }
-
-
 def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveClass]:
     """All nonzero classes in the window that map into the cone, in
     lexicographic (chi, beta) order, generated one at a time.
@@ -384,44 +358,113 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
             yield CurveClass(chi, beta)
 
 
+def _find(parent: list[int], i: int) -> int:
+    """The root of i in a union-find forest; the path to it is compressed."""
+    root = i
+    while parent[root] != root:
+        root = parent[root]
+    while parent[i] != root:
+        parent[i], i = root, parent[i]
+    return root
+
+
+class OrbitPartition:
+    """The orbits of the configured generators on a window of classes, and
+    one certificate per generator step, found in one union-find pass.
+
+    certificates() yields each step (from, to, Certificate) as the pass
+    makes it, generator by generator and each in class order.  The steps
+    are read once and before the orbits: reading them a second time, or
+    after the orbits, raises RuntimeError.  orbits finishes what is left of
+    the pass and groups the classes by root; no step is kept."""
+
+    def __init__(self, dtype: DynkinType, config: SymmetryConfig,
+                 classes: tuple[CurveClass, ...], gens: tuple[ClassGenerator, ...]):
+        self.dtype = dtype
+        self.config = config
+        self._classes = classes
+        self._parent = list(range(len(classes)))
+        self._steps = self._closure(gens)
+        self._read = False
+        self._orbits: Optional[tuple[tuple[CurveClass, ...], ...]] = None
+
+    def _closure(self, gens: tuple[ClassGenerator, ...]):
+        """The pass, over class indices.  A generator meets each class once,
+        and the generators of one rule differ in params, so no step
+        repeats."""
+        classes, parent = self._classes, self._parent
+        index = {cc: i for i, cc in enumerate(classes)}
+        for gen in gens:
+            act, rule, level = gen.act, gen.rule, gen.level
+            for i, cc in enumerate(classes):
+                hit = act(cc)
+                if hit is None:
+                    continue
+                img, params = hit
+                j = index.get(img)
+                if j is None or j == i:
+                    continue
+                ri, rj = _find(parent, i), _find(parent, j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+                yield cc, img, Certificate(rule, level, params)
+
+    def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
+        """The steps of the pass, once; checked when iteration starts, and
+        again after each step in case the orbits were read meanwhile."""
+        if self._read or self._orbits is not None:
+            raise RuntimeError("the certificates are read once, before the orbits")
+        self._read = True
+        for step in self._steps:
+            yield step
+            if self._orbits is not None:
+                raise RuntimeError("the certificates are read once, before the orbits")
+
+    @property
+    def orbits(self) -> tuple[tuple[CurveClass, ...], ...]:
+        """Sorted members per orbit, the orbits in order of their first
+        members: the classes come sorted, so grouping them by root in that
+        order gives both."""
+        if self._orbits is None:
+            for _ in self._steps:
+                pass
+            grouped: dict = {}
+            for i, cc in enumerate(self._classes):
+                grouped.setdefault(_find(self._parent, i), []).append(cc)
+            self._orbits = tuple(map(tuple, grouped.values()))
+        return self._orbits
+
+    def to_json(self) -> dict:
+        """The document with its orbits and certificates as generators, so
+        the JSON writer builds each entry only as it writes it.  Keys are
+        written sorted, so the certificates are written, and the pass ends,
+        before the orbits are read."""
+
+        def orbits():
+            for o in self.orbits:
+                yield {
+                    "representative": o[0].to_json(),
+                    "members": [m.to_json() for m in o],
+                }
+
+        return {
+            "type": self.dtype.to_json(),
+            "config": self.config.to_json(),
+            "orbits": orbits(),
+            "certificates": (
+                {"from": a.to_json(), "to": b.to_json(), **cert.to_json()}
+                for a, b, cert in self.certificates()
+            ),
+        }
+
+
 def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition:
-    """Union-find closure of the configured generators on the window, over
-    class indices.  Classes come in sorted order, so grouping them by root
-    in that order gives each orbit's members sorted and the orbits in order
-    of their first members.  A generator meets each class once, and the
-    generators of one rule differ in params, so no edge repeats."""
-    classes = tuple(window_classes(dtype, config))
-    index = {cc: i for i, cc in enumerate(classes)}
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    edges = []
-    for gen in symmetry_generators(dtype, config):
-        act, rule, level = gen.act, gen.rule, gen.level
-        for i, cc in enumerate(classes):
-            hit = act(cc)
-            if hit is None:
-                continue
-            img, params = hit
-            j = index.get(img)
-            if j is None or j == i:
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-            edges.append((cc, img, Certificate(rule, level, params)))
-    grouped: dict = {}
-    for i, cc in enumerate(classes):
-        grouped.setdefault(find(i), []).append(cc)
-    orbits = tuple(map(tuple, grouped.values()))
-    return OrbitPartition(dtype, config, orbits, tuple(edges))
+    """The orbit partition of the window under the configured generators.
+    The classes and generators are built here, so a bad type or config
+    raises before any output; the union-find pass runs only as the
+    partition's certificates or orbits are read."""
+    return OrbitPartition(dtype, config, tuple(window_classes(dtype, config)),
+                          symmetry_generators(dtype, config))
 
 
 class TransportResult(NamedTuple):

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from cdvwall import bps
 from cdvwall.bps import (
     ClassError,
+    ClassGenerator,
     CurveClass,
     SymmetryConfig,
     affine_companion,
@@ -19,6 +21,7 @@ from cdvwall.bps import (
     vector_to_class,
     window_classes,
 )
+from cdvwall.cli import write_json
 from cdvwall.dynkin import build_diagram, imaginary_root
 from cdvwall.groupoid import mutation_data
 from cdvwall.linalg import is_colinear
@@ -141,7 +144,7 @@ def test_orbit_partition_classifies_each_class_once(monkeypatch):
     monkeypatch.setattr(bps, "classify_value", counted)
     cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
                          chi_max=2, beta_max=1)
-    orbit_partition(D4, cfg)
+    list(orbit_partition(D4, cfg).certificates())
     assert seen and len(seen) == len(set(seen))
 
 
@@ -224,13 +227,21 @@ def test_twist_orbits_are_arithmetic_progressions():
     assert chis == [0, 1, 2, 3, 4, 5]
 
 
-def test_orbit_partition_without_generators_is_discrete():
+def test_numeric_twists_alone_join_their_ends_and_leave_singletons():
+    # neither rigidified nor any non-flop node: the numeric twists are the
+    # only generators
     cfg = SymmetryConfig(chi_max=1, beta_max=1)
     part = orbit_partition(A3J2, cfg)
-    numeric_edges = [e for e in part.edges]
-    # only the coprime numeric twists act; classes they cannot reach stay alone
-    singles = [o for o in part.orbits if len(o) == 1]
-    assert len(part.orbits) >= len(singles) >= 1
+    certs = list(part.certificates())
+    assert certs
+    for _, _, cert in certs:
+        assert cert.rule == "symmetry:numeric-line-bundle-twist"
+        assert len(cert.params) == 1 and cert.params[0][0] == "node"
+        assert cert.params[0][1] in A3J2.kept
+    orbit_of = {cc: o for o in part.orbits for cc in o}
+    for a, b, _ in certs:
+        assert orbit_of[a] is orbit_of[b]
+    assert any(len(o) == 1 for o in part.orbits)
 
 
 def test_orbit_verdict_constancy_small():
@@ -248,10 +259,11 @@ def test_orbits_are_the_components_of_distinct_edges(family, rank, contracted):
     cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset(dtype.kept),
                          chi_max=2, beta_max=1)
     part = orbit_partition(dtype, cfg)
-    tags = [(a, b, cert.rule, cert.params) for a, b, cert in part.edges]
+    certs = list(part.certificates())
+    tags = [(a, b, cert.rule, cert.params) for a, b, cert in certs]
     assert tags and len(tags) == len(set(tags))
     adjacent = {cc: [] for cc in window_classes(dtype, cfg)}
-    for a, b, _ in part.edges:
+    for a, b, _ in certs:
         adjacent[a].append(b)
         adjacent[b].append(a)
     components, seen = [], set()
@@ -272,12 +284,77 @@ def test_orbits_are_the_components_of_distinct_edges(family, rank, contracted):
     assert any(len(o) > 1 for o in part.orbits)
 
 
+def test_orbit_certificates_stream_from_the_closure(monkeypatch):
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset(D4.kept),
+                         chi_max=2, beta_max=1)
+    calls = []
+    generators = bps.symmetry_generators
+
+    def counted(dtype, config):
+        def wrap(gen):
+            def act(cc):
+                calls.append(cc)
+                return gen.act(cc)
+            return ClassGenerator(gen.name, gen.rule, gen.level, act)
+        return tuple(map(wrap, generators(dtype, config)))
+
+    monkeypatch.setattr(bps, "symmetry_generators", counted)
+    n_gens = len(generators(D4, cfg))
+    n_classes = sum(1 for _ in window_classes(D4, cfg))
+    part = orbit_partition(D4, cfg)
+    assert not calls
+    certs = part.certificates()
+    next(certs)
+    assert 0 < len(calls) < n_gens * n_classes
+    rest = list(certs)
+    assert len(calls) == n_gens * n_classes
+    assert rest
+
+    first = orbit_partition(D4, cfg)
+    assert first.orbits == part.orbits
+    with pytest.raises(RuntimeError):
+        next(first.certificates())
+    with pytest.raises(RuntimeError):
+        next(part.certificates())
+
+
+def test_orbit_certificates_are_read_once_and_before_the_orbits():
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1}),
+                         chi_max=2, beta_max=1)
+    part = orbit_partition(D4, cfg)
+    certs = part.certificates()
+    next(certs)
+    with pytest.raises(RuntimeError):
+        next(part.certificates())
+    assert part.orbits
+    with pytest.raises(RuntimeError):
+        next(certs)
+
+
+def test_writing_the_orbits_holds_no_certificate_list():
+    # the closure streams its steps into the writer; held as a list, the
+    # steps of this window would lift the traced peak to about 3 MB
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
+                         chi_max=4, beta_max=2)
+    small = cfg._replace(chi_max=1, beta_max=1)
+    write_json(orbit_partition(D4, small).to_json(), lambda text: None)   # module caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_json(orbit_partition(D4, cfg).to_json(), lambda text: None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_300_000, peak
+
+
 def test_certificates_name_their_rule():
     cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1}),
                          chi_max=2, beta_max=1)
     part = orbit_partition(D4, cfg)
-    assert part.edges
-    for _, _, cert in part.edges:
+    certs = list(part.certificates())
+    assert certs
+    for _, _, cert in certs:
         assert cert.rule.startswith("symmetry:")
         if cert.rule == "symmetry:motivic-duality":
             assert "n" in dict(cert.params)
