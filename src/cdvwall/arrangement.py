@@ -9,17 +9,18 @@ w . alpha_i, which makes containment tests pure sign checks.
 
 Two ways move through the chamber graph.  `ChamberGraph.bfs` is a
 breadth-first search that enumerates the chambers within a number of
-crossings.  A straight-segment walk crosses the walls a segment meets, in
-order, and expands only the facets it crosses.  Where several walls meet
-the segment at one point, it crosses them one at a time, first facet in
-order first, so every segment is walked once, with no restart.  The walk
-locates points (`locate_by_walk`) and builds galleries through two given
-walls (`gallery_through_wall`).
+crossings; it expands each chamber once and lists each wall between them
+once, by chamber index.  A straight-segment walk crosses the walls a
+segment meets, in order, and expands only the facets it crosses, memoised
+per graph (`ChamberGraph.edge`).  Where several walls meet the segment at
+one point, it crosses them one at a time, first facet in order first, so
+every segment is walked once, with no restart.  The walk locates points
+(`locate_by_walk`) and builds galleries through two given walls
+(`gallery_through_wall`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from math import gcd
 from typing import Iterable
@@ -285,53 +286,50 @@ class ChamberGraph:
         self.base_key = base.key()
         self._adj: dict = {}
 
+    def _cross(self, chamber: Chamber, k: int):
+        """The crossing of facet k, (key, wall), with the chamber across
+        kept in `chambers`, or None at the imaginary wall."""
+        try:
+            c2, wall = cross_wall(chamber, k, self.chambers)
+        except SignCrossing:
+            return None
+        key = c2.key()
+        self.chambers.setdefault(key, c2)
+        return key, wall
+
     def edge(self, chamber: Chamber, k: int):
-        """The edge across facet k, (key, wall), or None at the imaginary
-        wall; crossed and facet-checked once per graph."""
+        """The crossing of facet k, memoised for the walks: (key, wall), or
+        None at the imaginary wall."""
         edges = self._adj.setdefault(chamber.key(), {})
         if k not in edges:
-            try:
-                c2, wall = cross_wall(chamber, k, self.chambers)
-            except SignCrossing:
-                edges[k] = None
-            else:
-                self.chambers.setdefault(c2.key(), c2)
-                edges[k] = (c2.key(), wall)
+            edges[k] = self._cross(chamber, k)
         return edges[k]
-
-    def neighbors(self, chamber: Chamber) -> dict:
-        """Every edge of a chamber, keyed by facet index in facet order."""
-        return {k: self.edge(chamber, k) for k in range(len(chamber.rays))}
 
     def bfs(self, max_len: int) -> tuple[list, list]:
         """Chambers within max_len crossings of the base, in the order a
-        breadth-first search finds them, plus the labelled edges of every
-        chamber nearer than max_len, in the order it expands them."""
+        breadth-first search finds them, and the walls of every chamber
+        nearer than max_len as (i, j, wall) over that order, i < j.  Each
+        chamber is expanded once, in found order, so each wall is recorded
+        once, when its earlier end is expanded; the walks' memo is unused."""
         if max_len < 0:
             raise ValueError(f"max_len must be >= 0, got {max_len}")
-        dist, edges = {self.base_key: 0}, []
-        queue = deque([self.base_key])
-        while queue:
-            key = queue.popleft()
-            if dist[key] == max_len:   # all within max_len found; expand none at it
+        found, depth, edges = [self.chambers[self.base_key]], [0], []
+        index = {self.base_key: 0}
+        for i, chamber in enumerate(found):   # the list is the queue
+            if depth[i] == max_len:   # all within max_len found; expand none at it
                 break
-            for edge in self.neighbors(self.chambers[key]).values():
-                if edge is None:
+            for k in range(len(chamber.rays)):
+                crossed = self._cross(chamber, k)
+                if crossed is None:
                     continue
-                nkey, wall = edge
-                edges.append((key, nkey, wall))
-                if nkey not in dist:
-                    dist[nkey] = dist[key] + 1
-                    queue.append(nkey)
-        return [self.chambers[k] for k in dist], edges
-
-
-def distinct_edges(chambers: list, edges: list) -> list:
-    """The BFS edges as (i, j, wall) over chamber indices with i < j, each
-    once, in first-seen order."""
-    index = {c.key(): i for i, c in enumerate(chambers)}
-    return list(dict.fromkeys((min(index[a], index[b]), max(index[a], index[b]), wall)
-                              for a, b, wall in edges))
+                nkey, wall = crossed
+                j = index.setdefault(nkey, len(found))
+                if j == len(found):
+                    found.append(self.chambers[nkey])
+                    depth.append(depth[i] + 1)
+                if i < j:   # else recorded when chamber j was expanded
+                    edges.append((i, j, wall))
+        return found, edges
 
 
 def arrangement_hyperplanes(dtype: DynkinType, k_max: int) -> tuple:

@@ -20,7 +20,6 @@ from . import __version__
 from .arrangement import (
     ChamberGraph,
     GeometryError,
-    distinct_edges,
     gallery_through_wall,
     path_to_gallery,
 )
@@ -464,13 +463,11 @@ def cmd_chambers(cfg: JobConfig) -> int:
     if cfg.fmt == "dot":
         _emit(cfg, chamber_graph_dot(chambers, edges))
         return 0
-    dedup = sorted(distinct_edges(chambers, edges), key=lambda e: (e[0], e[1], e[2].normal))
+    edges.sort(key=lambda e: (e[0], e[1]))
     results = {
         "count": len(chambers),
-        "chambers": [c.to_json() for c in chambers],
-        "adjacency": [
-            {"a": i, "b": j, "wall": w.to_json()} for i, j, w in dedup
-        ],
+        "chambers": (c.to_json() for c in chambers),
+        "adjacency": ({"a": i, "b": j, "wall": w.to_json()} for i, j, w in edges),
     }
     _emit_json(cfg, "chambers", results)
     return 0
@@ -483,25 +480,27 @@ def cmd_gallery(cfg: JobConfig) -> int:
     )
     rim = imaginary_restriction(dtype)
     graph = ChamberGraph(dtype)
-    rows = []
-    for node in dtype.kept:
-        alpha = restrict(dtype, dtype.diagram.simple_root(node))
-        for rbar in positives:
-            if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
-                continue
-            try:
-                gallery = gallery_through_wall(graph, node, rbar)
-            except GeometryError as err:
-                rows.append({"node": node, "rbar": list(rbar), "skipped": str(err)})
-                continue
-            rows.append({
-                "node": node,
-                "rbar": list(rbar),
-                "length": gallery.length,
-                "walls": [w.to_json() for w in gallery.walls],
-                "labels": [c.label_str() for c in gallery.chambers],
-            })
-    _emit_json(cfg, "gallery", rows)
+
+    def rows():
+        for node in dtype.kept:
+            alpha = restrict(dtype, dtype.diagram.simple_root(node))
+            for rbar in positives:
+                if is_colinear(rbar, alpha) or is_colinear(rbar, rim):
+                    continue
+                try:
+                    gallery = gallery_through_wall(graph, node, rbar)
+                except GeometryError as err:
+                    yield {"node": node, "rbar": list(rbar), "skipped": str(err)}
+                    continue
+                yield {
+                    "node": node,
+                    "rbar": list(rbar),
+                    "length": gallery.length,
+                    "walls": [w.to_json() for w in gallery.walls],
+                    "labels": [c.label_str() for c in gallery.chambers],
+                }
+
+    _emit_json(cfg, "gallery", rows())
     return 0
 
 

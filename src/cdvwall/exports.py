@@ -3,7 +3,7 @@ components, and rank-two level slices."""
 
 from __future__ import annotations
 
-from .arrangement import arrangement_hyperplanes, distinct_edges
+from .arrangement import arrangement_hyperplanes
 from .groupoid import GroupoidError, mutation_data
 from .restriction import DynkinType
 
@@ -14,11 +14,12 @@ def _wall_label(wall) -> str:
 
 
 def chamber_graph_dot(chambers, edges) -> str:
-    """DOT text for a chamber adjacency graph with wall labels."""
+    """DOT text for a chamber adjacency graph with wall labels; edges are
+    (i, j, wall) over the chamber list."""
     lines = ["graph chambers {", "  node [shape=box];"]
     for i, chamber in enumerate(chambers):
         lines.append(f'  c{i} [label="{chamber.label_str()}"];')
-    for i, j, wall in distinct_edges(chambers, edges):
+    for i, j, wall in edges:
         lines.append(f'  c{i} -- c{j} [label="{_wall_label(wall)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,6 +41,12 @@ def from_word(diagram: Diagram, word) -> WeylElement:
     return identity(diagram).times_word(word)
 
 
+def neighbors(graph: ChamberGraph, chamber: Chamber) -> dict:
+    """Every edge of a chamber, keyed by facet index in facet order, through
+    the graph's memoised crossings (`ChamberGraph.edge`)."""
+    return {k: graph.edge(chamber, k) for k in range(len(chamber.rays))}
+
+
 def gallery_from_parents(graph: ChamberGraph, parent: dict, key) -> Gallery:
     """The gallery that search parent links, key -> (parent key, wall) and
     None at the start, trace back from key."""
@@ -65,7 +71,7 @@ def minimal_gallery(graph: ChamberGraph, source: Chamber, target: Chamber) -> Ga
         if not queue:
             break
         key = queue.popleft()
-        for edge in graph.neighbors(graph.chambers[key]).values():
+        for edge in neighbors(graph, graph.chambers[key]).values():
             if edge is not None and edge[0] not in parent:
                 parent[edge[0]] = (key, edge[1])
                 queue.append(edge[0])

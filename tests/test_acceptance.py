@@ -28,6 +28,7 @@ from cdvwall.restriction import (
 )
 from reference import (
     minimal_gallery,
+    neighbors,
     real_restricted_two_ways,
     separating_hyperplanes,
     verdict_constant_on_orbits,
@@ -111,7 +112,7 @@ def test_criterion_5_groupoid_geometry_agreement(name, dtype):
     edge_map = {}
     for c in chambers:
         edge_map[c.key()] = {}
-        for k, edge in graph.neighbors(c).items():
+        for k, edge in neighbors(graph, c).items():
             assert edge is not None, "sign crossing inside a groupoid component"
             edge_map[c.key()][c.kept_of_subset[k]] = edge[0]
 

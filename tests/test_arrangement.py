@@ -1,6 +1,6 @@
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -14,9 +14,9 @@ from cdvwall.arrangement import (
     ChamberGraph,
     Gallery,
     GeometryError,
+    SignCrossing,
     arrangement_hyperplanes,
     cross_wall,
-    distinct_edges,
     fundamental_chamber,
     gallery_through_wall,
     locate_by_walk,
@@ -28,7 +28,13 @@ from cdvwall.dynkin import DiagramError, build_diagram
 from cdvwall.linalg import dot, is_colinear, mat_vec, primitive
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
 from cdvwall.weyl import identity
-from reference import gallery_from_parents, linear_walls, minimal_gallery, separating_hyperplanes
+from reference import (
+    gallery_from_parents,
+    linear_walls,
+    minimal_gallery,
+    neighbors,
+    separating_hyperplanes,
+)
 from test_linalg import leibniz_det
 
 A2_EMPTY = DynkinType(build_diagram("A", 2, affine=True), frozenset())
@@ -84,7 +90,7 @@ def test_crossing_a_wall_twice_returns(dtype, radius):
     graph = ChamberGraph(dtype)
     chambers, _ = graph.bfs(radius)
     facets = [(c, k) for c in chambers
-              for k, edge in graph.neighbors(c).items() if edge is not None]
+              for k, edge in neighbors(graph, c).items() if edge is not None]
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(facets))
@@ -139,26 +145,55 @@ def test_rank_two_fan_is_a_path():
 
 def test_bfs_expands_each_chamber_once_in_found_order(monkeypatch):
     # the chambers within 2 crossings are the ones a radius-3 search
-    # expands, each once, in the order it finds them
+    # expands, each once, in the order it finds them, crossing every facet
+    # of each once
     inner = [c.key() for c in ChamberGraph(A2_EMPTY).bfs(2)[0]]
-    expanded = []
-    neighbors = ChamberGraph.neighbors
+    crossed = []
+    cross = arrangement.cross_wall
 
-    def counted(self, chamber):
-        expanded.append(chamber.key())
-        return neighbors(self, chamber)
+    def counted(chamber, k, known=None):
+        crossed.append((chamber.key(), k))
+        return cross(chamber, k, known)
 
-    monkeypatch.setattr(ChamberGraph, "neighbors", counted)
-    ChamberGraph(A2_EMPTY).bfs(3)
+    monkeypatch.setattr(arrangement, "cross_wall", counted)
+    graph = ChamberGraph(A2_EMPTY)
+    graph.bfs(3)
+    expanded = list(dict.fromkeys(key for key, _ in crossed))
     assert expanded == inner
+    assert crossed == [(key, k) for key in inner
+                       for k in range(len(graph.chambers[key].rays))]
 
 
 def test_bfs_of_a_finite_type_stops_when_the_queue_empties():
     # the Weyl chambers of A3 are the 24 elements of S4, each with 3 walls
     dt = DynkinType(build_diagram("A", 3), frozenset())
     chambers, edges = ChamberGraph(dt).bfs(100)
-    assert len(chambers) == 24 and len(edges) == 24 * 3
-    assert len(distinct_edges(chambers, edges)) == 24 * 3 // 2
+    assert len(chambers) == 24 and len(edges) == 24 * 3 // 2
+    assert Counter(i for a, b, _ in edges for i in (a, b)) == {i: 3 for i in range(24)}
+
+
+@pytest.mark.parametrize("dtype,max_len", [
+    (DynkinType(build_diagram("A", 3), frozenset()), 100),
+    (D4_PAIR, 3),
+    (E6_TRIPLE, 2),
+], ids=["A3", "D4~{3,4}", "E6~{1,3,5}"])
+def test_bfs_records_each_wall_once(dtype, max_len):
+    # every facet of every chamber nearer than max_len, crossed on its own,
+    # gives the walls between the found chambers, each once with i < j
+    chambers, edges = ChamberGraph(dtype).bfs(max_len)
+    nearer, _ = ChamberGraph(dtype).bfs(max_len - 1)
+    index = {c.key(): i for i, c in enumerate(chambers)}
+    expected = set()
+    for chamber in nearer:
+        for k in range(len(chamber.rays)):
+            try:
+                across, wall = cross_wall(chamber, k)
+            except SignCrossing:
+                continue
+            i, j = sorted((index[chamber.key()], index[across.key()]))
+            expected.add((i, j, wall))
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == expected
 
 
 @pytest.mark.parametrize("dtype", TYPES)
@@ -166,11 +201,13 @@ def test_interior_adjacency_degree(dtype):
     chambers, edges = ChamberGraph(dtype).bfs(3)
     graph = ChamberGraph(dtype)
     inner, _ = graph.bfs(2)
+    index = {c.key(): i for i, c in enumerate(chambers)}
     neighbor_count = {}
     for a, b, _ in edges:
         neighbor_count.setdefault(a, set()).add(b)
+        neighbor_count.setdefault(b, set()).add(a)
     for c in inner:
-        assert len(neighbor_count[c.key()]) == len(dtype.kept)
+        assert len(neighbor_count[index[c.key()]]) == len(dtype.kept)
 
 
 @pytest.mark.parametrize("dtype", TYPES)
@@ -320,11 +357,11 @@ def _region_search_gallery(dtype, node, rbar) -> Gallery:
     graph = ChamberGraph(dtype)
     alpha = restrict(dtype, dtype.diagram.simple_root(node))
     base = graph.chambers[graph.base_key]
-    first_key, first_wall = graph.neighbors(base)[base.kept_of_subset.index(node)]
+    first_key, first_wall = neighbors(graph, base)[base.kept_of_subset.index(node)]
     parent, queue = {first_key: None}, deque([first_key])
     while queue:
         key = queue.popleft()
-        for edge in graph.neighbors(graph.chambers[key]).values():
+        for edge in neighbors(graph, graph.chambers[key]).values():
             if edge is None:
                 continue
             if edge[1].normal == primitive(rbar):
@@ -577,9 +614,8 @@ def _same_facet_rays(c1, k, c2, k2):
 @pytest.mark.parametrize("dtype,max_len", [(D4_PAIR, 3), (E6_EMPTY, 2)])
 def test_facet_ray_sets_agree_with_two_way_containment(dtype, max_len):
     chambers, edges = ChamberGraph(dtype).bfs(max_len)
-    by_key = {c.key(): c for c in chambers}
     for a, b, wall in edges:
-        c1, c2 = by_key[a], by_key[b]
+        c1, c2 = chambers[a], chambers[b]
         k, k2 = _facet_in(c1, wall), _facet_in(c2, wall)
         assert _same_facet_rays(c1, k, c2, k2)
         assert _contains_facet(c1, k, c2) and _contains_facet(c2, k2, c1)

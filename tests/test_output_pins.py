@@ -1,8 +1,8 @@
-"""Byte-identity pins: the sha256 of stdout for small wall-crossing commands.
+"""Byte-identity pins: the sha256 of stdout for 22 small commands.
 
-The `chambers` and `mutate` digests were recorded before the Weyl core
-started carrying inverses and stepping by simple reflections.  The three
-`gallery` digests (D4~ {3,4}, A3~ {2}, D5~ {1,4}) were re-recorded when
+The first two `chambers` digests and the `mutate` digest were recorded
+before the Weyl core started carrying inverses and stepping by simple
+reflections.  The three `gallery` digests (D4~ {3,4}, A3~ {2}, D5~ {1,4}) were re-recorded when
 through-wall galleries became straight walks instead of a shortest search
 over the region between the two walls: a walked row is minimal between its
 ends but may be longer than the shortest row, and rows of equal length may
@@ -15,15 +15,18 @@ its ends, and the D4~ {3,4} and A3~ {2} outputs did not change.  The `gv-map` an
 consumers of the induced root maps on a finite type.  The three SVG
 digests pin the slice writer's box-edge points and their decimal rounding;
 E8~ {1,2,3,4,5,6} has normals up to (2,3), including (2,2) walls with odd
-offsets.  The last three digests pin the verdict tables: a finite
+offsets.  The next three digests pin the verdict tables: a finite
 `vanishing-table` plain and weighted-homogeneous, and a rigidified
 `orbits` with every node non-flop, whose twist, duality and
-mutation edges all appear in its certificates.  The last five digests
+mutation edges all appear in its certificates.  The five after them
 pin restricted-root and root listings (whose sign fields are read off the
 coefficients' sign, not carried as a set), the oracle self-test (which
 walks points through the chamber graph) and the dihedral check (whose
 coefficient bound and level window are constants); they were recorded
 before those were simplified, so the simplification cannot move a byte.
+The last three pin a finite `chambers` (every chamber of D4, as JSON and
+as DOT) and the E7~ {2,5} `gallery`; they were recorded before the chamber
+search kept one edge per wall and the two commands wrote as they went.
 Any change to chamber,
 gallery, mutation, transport, orbit, verdict or slice output, including
 its order or formatting, fails here.
@@ -82,6 +85,12 @@ PINS = [
      "74dfe325fc784e90df52d1bdd8d2ca05e48352c79500903ec2249c60a31ba5f0"),
     (["dihedral-check", "--n", "3"],
      "c245d8938efc94f8c79f95cb20620e23045de76ab332fc88a6f7bacc97d37f78"),
+    (["chambers", "--family", "D", "--rank", "4", "--maxlen", "100"],
+     "8c979017e62b3765777382288c54344bf26c43c96e5edfd2d37bccba7ead03cf"),
+    (["chambers", "--family", "D", "--rank", "4", "--maxlen", "100", "--format", "dot"],
+     "1d0a0e971fde1a7e1ebd6b168c98f0b3b421e89cf4960903b94f9d3e87cc8a6b"),
+    (["gallery", "--family", "E", "--rank", "7", "--affine", "--contracted", "2,5"],
+     "b9db3d9074a63e902bcf40646b4a3cb6e77b0cca38ee3646b8aa77d4a4c0b0ab"),
 ]
 
 
