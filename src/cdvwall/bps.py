@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .dynkin import Frozen, build_diagram
@@ -127,7 +127,11 @@ def _finite_rim(aff: DynkinType) -> Vec:
 def class_to_vector(aff: DynkinType, cc: CurveClass) -> Vec:
     """beta + chi * pi(r_im) in the affine kept coordinates: chi at node 0,
     then beta_i + chi * pi(r_im)_i at the kept finite nodes."""
-    rim_fin = _finite_rim(aff)
+    return _to_vector(_finite_rim(aff), cc)
+
+
+def _to_vector(rim_fin: Vec, cc: CurveClass) -> Vec:
+    """class_to_vector with pi(r_im) at the kept finite nodes given."""
     if len(cc.beta) != len(rim_fin):
         raise ClassError("beta length does not match the kept finite nodes")
     chi = cc.chi
@@ -136,8 +140,13 @@ def class_to_vector(aff: DynkinType, cc: CurveClass) -> Vec:
 
 def vector_to_class(aff: DynkinType, delta: Vec) -> CurveClass:
     """The class of a dimension vector: chi is its node 0 coordinate."""
+    return _to_class(_finite_rim(aff), delta)
+
+
+def _to_class(rim_fin: Vec, delta: Vec) -> CurveClass:
+    """vector_to_class with pi(r_im) at the kept finite nodes given."""
     chi = delta[0]
-    return CurveClass(chi, tuple(d - chi * r for d, r in zip(delta[1:], _finite_rim(aff))))
+    return CurveClass(chi, tuple(d - chi * r for d, r in zip(delta[1:], rim_fin)))
 
 
 def vanishing_verdict(dtype: DynkinType, delta: Vec,
@@ -218,29 +227,18 @@ def finite_verdicts(dtype: DynkinType,
 
 
 class ClassGenerator(Frozen):
-    """A partial self-map on classes with its certificate data.  act gives
-    the image and its certificate parameters, or None off the domain; it
-    takes no part in comparison."""
+    """A partial self-map on classes with its certificate data.  act(cc, i)
+    gives the image and its certificate parameters, or None off the
+    domain; i is the class's index in its window, which a generator may
+    use to remember what it decided about the class, or None.  act takes
+    no part in comparison."""
 
     def __init__(self, name: str, rule: str, level: str,
-                 act: Callable[[CurveClass], Optional[tuple[CurveClass, tuple]]]):
+                 act: Callable[..., Optional[tuple[CurveClass, tuple]]]):
         self.__dict__.update(name=name, rule=rule, level=level, act=act)
 
     def _key(self) -> tuple:
         return (self.name, self.rule, self.level)
-
-
-def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
-    """The smallest n >= 0 for which (n*d - chi, -beta) maps into the
-    non-negative dimension vectors, d the beta multiplicity."""
-    d = cc.d_beta
-    if d == 0:
-        raise ClassError("duality needs beta nonzero")
-    t_min = 0
-    for b, r in zip(cc.beta, _finite_rim(affine_companion(dtype))):
-        # need (n*d - chi) * rim_i - beta_i >= 0
-        t_min = max(t_min, -(-b // r))
-    return max(0, -(-(t_min + cc.chi) // d))
 
 
 def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
@@ -257,18 +255,21 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     twists hold at the numeric level for coprime pairs only, and the engine
     refuses to chain them through non-coprime intermediates.  Mutation
     generators exist at the nodes whose contraction does not flop, and act
-    on dimension vectors through the induced lattice map.
+    on dimension vectors through the induced lattice map.  What the twists
+    and the mutations share about a class is decided once per window index.
     """
     if dtype.affine:
         raise ClassError("symmetry generators are configured on a finite type")
     if not config.non_flop_nodes <= set(dtype.kept):
         raise ClassError("non-flop nodes must be kept finite nodes")
+    size = window_size(dtype, config)
     aff = affine_companion(dtype)
+    rim_fin = _finite_rim(aff)
     rim_bar = imaginary_restriction(aff)
     gens: list[ClassGenerator] = []
 
     if config.rigidified:
-        def twist(cc: CurveClass):
+        def twist(cc: CurveClass, i=None):
             d = cc.d_beta
             if d == 0:
                 return None
@@ -276,25 +277,27 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
 
         gens.append(ClassGenerator("motivic-twist", RULE_TWIST_MOTIVIC, "motivic", twist))
 
-        def dual(cc: CurveClass):
+        def dual(cc: CurveClass, i=None):
             d = cc.d_beta
             if d == 0:
                 return None
-            n = minimal_duality_shift(dtype, cc)
+            # the smallest n >= 0 for which (n*d - chi, -beta) maps into the
+            # cone: (n*d - chi) * pi(r_im)_i - beta_i >= 0 at every node
+            t_min = max(0, *(-(-b // r) for b, r in zip(cc.beta, rim_fin)))
+            n = max(0, -(-(t_min + cc.chi) // d))
             out = CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta))
             return out, (("n", n), ("d", d))
 
         gens.append(ClassGenerator("motivic-duality", RULE_DUAL_MOTIVIC, "motivic", dual))
 
-    @lru_cache(maxsize=None)
-    def twistable(cc: CurveClass) -> bool:
-        """Whether the class is effective and coprime: shared by the numeric
-        twists, so each class is tested once whatever the number of nodes."""
+    def coprime_effective(cc: CurveClass) -> bool:
         return cc.is_effective() and cc.d_pair == 1
 
+    twistable = _by_index(size, coprime_effective)
+
     for idx, node in enumerate(dtype.kept):
-        def numeric_twist(cc: CurveClass, _idx=idx, _node=node):
-            if not twistable(cc):
+        def numeric_twist(cc: CurveClass, i=None, _idx=idx, _node=node):
+            if not twistable(cc, i):
                 return None
             return CurveClass(cc.chi + cc.beta[_idx], cc.beta), (("node", _node),)
 
@@ -303,41 +306,58 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
 
     level = "motivic" if config.rigidified else "numeric"
 
-    @lru_cache(maxsize=None)
-    def movable(cc: CurveClass) -> Optional[Vec]:
-        """The class's dimension vector if it is nonzero, off the imaginary
-        line, and a real restricted root (motivic) or indivisible (numeric);
-        else None.  Shared by the mutation generators, so each class is
-        classified once whatever the number of non-flop nodes."""
-        delta = class_to_vector(aff, cc)
+    def moves(cc: CurveClass) -> bool:
+        """Whether the class's dimension vector is nonzero, off the imaginary
+        line, and a real restricted root (motivic) or indivisible
+        (numeric)."""
+        delta = _to_vector(rim_fin, cc)
         if not any(delta) or is_colinear(delta, rim_bar):
-            return None
+            return False
         if level == "motivic":
-            if classify_value(aff, delta) != "real":
-                return None
-        elif vec_gcd(delta) != 1:
-            return None
-        return delta
+            return classify_value(aff, delta) == "real"
+        return vec_gcd(delta) == 1
+
+    movable = _by_index(size if config.non_flop_nodes else 0, moves)
 
     for node in sorted(config.non_flop_nodes):
         apply_map = mutation_vector_map(dtype, node)
-        alpha_bar = class_to_vector(aff, CurveClass(0, tuple(
+        alpha_bar = _to_vector(rim_fin, CurveClass(0, tuple(
             1 if n == node else 0 for n in dtype.kept)))
 
-        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _apply=apply_map):
-            delta = movable(cc)
-            if delta is None or is_colinear(delta, _alpha):
+        def mutation(cc: CurveClass, i=None, _node=node, _alpha=alpha_bar, _apply=apply_map):
+            if not movable(cc, i):
+                return None
+            delta = _to_vector(rim_fin, cc)
+            if is_colinear(delta, _alpha):
                 return None
             image = _apply(delta)
             if any(c < 0 for c in image):
                 return None
-            return vector_to_class(aff, image), (("node", _node),)
+            return _to_class(rim_fin, image), (("node", _node),)
 
         gens.append(ClassGenerator(
             f"mutation-{node}", RULE_MUT_MOTIVIC if config.rigidified else RULE_MUT_NUMERIC,
             level, mutation))
 
     return tuple(gens)
+
+
+def _by_index(size: int, test: Callable[[CurveClass], bool]) -> Callable:
+    """test(cc, i), remembered per window index i in a bytearray (0 not yet
+    decided, 1 no, 2 yes), so that the generators that share it decide a
+    class once whatever their number.  A call with i None is not
+    remembered."""
+    decided = bytearray(size)
+
+    def remembered(cc: CurveClass, i: Optional[int]) -> bool:
+        if i is None:
+            return test(cc)
+        known = decided[i]
+        if not known:
+            known = decided[i] = 2 if test(cc) else 1
+        return known == 2
+
+    return remembered
 
 
 def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveClass]:
@@ -358,7 +378,76 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
             yield CurveClass(chi, beta)
 
 
-def _find(parent: list[int], i: int) -> int:
+# the largest C int, 32 bits wide on every platform CPython runs on
+INDEX_MAX = 2 ** 31 - 1
+
+
+def _ints(n: int) -> memoryview:
+    """n C ints, all 0, in a bytearray.  The array module would do as well,
+    but loading it adds about 0.1 MB to the peak RSS of every command."""
+    return memoryview(bytearray(4 * n)).cast("i")
+
+
+def window_size(dtype: DynkinType, config: SymmetryConfig) -> int:
+    """The number of classes window_classes yields, counted from its boxes:
+    beta_i takes beta_max + 1 + min(beta_max, chi * pi(r_im)_i) values, and
+    from the first chi at which every floor is -beta_max each box is the
+    full cube.  Raises ClassError above INDEX_MAX, before anything per
+    class is built."""
+    rim_fin = _finite_rim(affine_companion(dtype))
+    b_max = config.beta_max
+    cube = (2 * b_max + 1) ** len(rim_fin)
+    size = -1   # the zero class
+    for chi in range(config.chi_max + 1):
+        box = prod(b_max + 1 + min(b_max, chi * r) for r in rim_fin)
+        if box == cube:
+            size += box * (config.chi_max + 1 - chi)
+            break
+        size += box
+    if size > INDEX_MAX:
+        raise ClassError(f"the window holds {size} classes, more than the "
+                         f"{INDEX_MAX} that a class index can number")
+    return size
+
+
+class ClassWindow:
+    """The classes of window_classes numbered in its order.  At each chi the
+    betas run over one product box, the last coordinate fastest, so a
+    class's index is a per-chi base plus sum beta_i * stride_i.  index is
+    None for a class outside the box, so outside the window or the cone,
+    and for the zero class."""
+
+    def __init__(self, dtype: DynkinType, config: SymmetryConfig):
+        window_size(dtype, config)   # raises before a row is built
+        rim_fin = _finite_rim(affine_companion(dtype))
+        b_max = self._beta_max = config.beta_max
+        rows, start = [], -1   # the zero class, first at chi = 0, has no index
+        for chi in range(config.chi_max + 1):
+            floors = tuple(max(-b_max, -chi * r) for r in rim_fin)
+            strides, box = [], 1
+            for lo in reversed(floors):
+                strides.append(box)
+                box *= b_max + 1 - lo
+            strides.reverse()
+            base = start - sum(lo * s for lo, s in zip(floors, strides))
+            rows.append((base, floors, tuple(strides)))
+            start += box
+        self._rows = rows
+
+    def index(self, cc: CurveClass) -> Optional[int]:
+        chi, beta = cc
+        if not 0 <= chi < len(self._rows):
+            return None
+        i, floors, strides = self._rows[chi]
+        b_max = self._beta_max
+        for b, lo, s in zip(beta, floors, strides):
+            if not lo <= b <= b_max:
+                return None
+            i += b * s
+        return i if i >= 0 else None
+
+
+def _find(parent: memoryview, i: int) -> int:
     """The root of i in a union-find forest; the path to it is compressed."""
     root = i
     while parent[root] != root:
@@ -376,32 +465,37 @@ class OrbitPartition:
     makes it, generator by generator and each in class order.  The steps
     are read once and before the orbits: reading them a second time, or
     after the orbits, raises RuntimeError.  orbits finishes what is left of
-    the pass and groups the classes by root; no step is kept."""
+    the pass and groups the classes by root; no step is kept.  Besides the
+    classes, the pass holds per class one C int, its parent's index, and
+    the generators' memo bytes."""
 
-    def __init__(self, dtype: DynkinType, config: SymmetryConfig,
+    def __init__(self, dtype: DynkinType, config: SymmetryConfig, window: ClassWindow,
                  classes: tuple[CurveClass, ...], gens: tuple[ClassGenerator, ...]):
         self.dtype = dtype
         self.config = config
         self._classes = classes
-        self._parent = list(range(len(classes)))
-        self._steps = self._closure(gens)
+        self._parent = parent = _ints(len(classes))
+        for i in range(len(classes)):
+            parent[i] = i
+        self._steps = self._closure(window.index, gens)
         self._read = False
-        self._orbits: Optional[tuple[tuple[CurveClass, ...], ...]] = None
+        self._grouped = False
+        self._kept: Optional[tuple[tuple[CurveClass, ...], ...]] = None
 
-    def _closure(self, gens: tuple[ClassGenerator, ...]):
+    def _closure(self, index: Callable[[CurveClass], Optional[int]],
+                 gens: tuple[ClassGenerator, ...]):
         """The pass, over class indices.  A generator meets each class once,
         and the generators of one rule differ in params, so no step
-        repeats."""
+        repeats.  A root is the smallest index of its tree."""
         classes, parent = self._classes, self._parent
-        index = {cc: i for i, cc in enumerate(classes)}
         for gen in gens:
             act, rule, level = gen.act, gen.rule, gen.level
             for i, cc in enumerate(classes):
-                hit = act(cc)
+                hit = act(cc, i)
                 if hit is None:
                     continue
                 img, params = hit
-                j = index.get(img)
+                j = index(img)
                 if j is None or j == i:
                     continue
                 ri, rj = _find(parent, i), _find(parent, j)
@@ -412,36 +506,57 @@ class OrbitPartition:
     def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
         """The steps of the pass, once; checked when iteration starts, and
         again after each step in case the orbits were read meanwhile."""
-        if self._read or self._orbits is not None:
+        if self._read or self._grouped:
             raise RuntimeError("the certificates are read once, before the orbits")
         self._read = True
         for step in self._steps:
             yield step
-            if self._orbits is not None:
+            if self._grouped:
                 raise RuntimeError("the certificates are read once, before the orbits")
+
+    def _orbits(self) -> Iterator[tuple[CurveClass, ...]]:
+        """Sorted members per orbit, the orbits in order of their first
+        members, once the pass is finished.  Each root is its orbit's
+        smallest index and a parent is smaller than its child, so one
+        ascending pass sets every parent to its root; a descending pass
+        then links each member in right after its root, which leaves every
+        orbit's members linked in index order, and the classes come
+        sorted.  A link of 0 ends a list, since index 0 is a root."""
+        for _ in self._steps:
+            pass
+        self._grouped = True
+        classes, parent = self._classes, self._parent
+        n = len(classes)
+        for i in range(n):
+            parent[i] = parent[parent[i]]
+        following = _ints(n)
+        for i in range(n - 1, -1, -1):
+            root = parent[i]
+            if root != i:
+                following[i], following[root] = following[root], i
+        for root in range(n):
+            if parent[root] == root:
+                members, i = [classes[root]], following[root]
+                while i:
+                    members.append(classes[i])
+                    i = following[i]
+                yield tuple(members)
 
     @property
     def orbits(self) -> tuple[tuple[CurveClass, ...], ...]:
-        """Sorted members per orbit, the orbits in order of their first
-        members: the classes come sorted, so grouping them by root in that
-        order gives both."""
-        if self._orbits is None:
-            for _ in self._steps:
-                pass
-            grouped: dict = {}
-            for i, cc in enumerate(self._classes):
-                grouped.setdefault(_find(self._parent, i), []).append(cc)
-            self._orbits = tuple(map(tuple, grouped.values()))
-        return self._orbits
+        """The orbits, grouped on the first read and kept."""
+        if self._kept is None:
+            self._kept = tuple(self._orbits())
+        return self._kept
 
     def to_json(self) -> dict:
         """The document with its orbits and certificates as generators, so
-        the JSON writer builds each entry only as it writes it.  Keys are
-        written sorted, so the certificates are written, and the pass ends,
-        before the orbits are read."""
+        the JSON writer builds each entry only as it writes it, and no
+        orbit is kept.  Keys are written sorted, so the certificates are
+        written, and the pass ends, before the orbits are grouped."""
 
         def orbits():
-            for o in self.orbits:
+            for o in self._orbits():
                 yield {
                     "representative": o[0].to_json(),
                     "members": [m.to_json() for m in o],
@@ -462,9 +577,15 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
     """The orbit partition of the window under the configured generators.
     The classes and generators are built here, so a bad type or config
     raises before any output; the union-find pass runs only as the
-    partition's certificates or orbits are read."""
-    return OrbitPartition(dtype, config, tuple(window_classes(dtype, config)),
-                          symmetry_generators(dtype, config))
+    partition's certificates or orbits are read.  The window is numbered
+    first, so a window too large to index raises before any class is
+    built.  The classes of one beta share its tuple, so a beta is held
+    once, not once per chi."""
+    window = ClassWindow(dtype, config)
+    betas: dict = {}
+    classes = tuple(CurveClass(chi, betas.setdefault(beta, beta))
+                    for chi, beta in window_classes(dtype, config))
+    return OrbitPartition(dtype, config, window, classes, symmetry_generators(dtype, config))
 
 
 class TransportResult(NamedTuple):

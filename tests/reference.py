@@ -8,7 +8,13 @@ from collections import deque
 from typing import NamedTuple
 
 from cdvwall.arrangement import Chamber, ChamberGraph, Gallery, GeometryError, Hyperplane
-from cdvwall.bps import OrbitPartition, geometric_verdict
+from cdvwall.bps import (
+    CurveClass,
+    OrbitPartition,
+    affine_companion,
+    class_to_vector,
+    geometric_verdict,
+)
 from cdvwall.dynkin import Diagram
 from cdvwall.linalg import Vec, dot, is_colinear, primitive, vec_neg
 from cdvwall.restriction import (
@@ -167,6 +173,20 @@ def real_restricted_two_ways(dtype: DynkinType | RestrictedRootSet,
     return TwoWayReport(
         frozenset(direct), frozenset(translated), direct == translated, zero_contracted
     )
+
+
+def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
+    """The smallest n >= 0 for which (n*d - chi, -beta) maps into the
+    non-negative dimension vectors, d the beta multiplicity, found by
+    trying n = 0, 1, 2, ... in turn."""
+    d = cc.d_beta
+    if d == 0:
+        raise ValueError("duality needs beta nonzero")
+    aff = affine_companion(dtype)
+    n = 0
+    while min(class_to_vector(aff, CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta)))) < 0:
+        n += 1
+    return n
 
 
 def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):

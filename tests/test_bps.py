@@ -7,19 +7,20 @@ from cdvwall import bps
 from cdvwall.bps import (
     ClassError,
     ClassGenerator,
+    ClassWindow,
     CurveClass,
     SymmetryConfig,
     affine_companion,
     class_to_vector,
     geometric_verdict,
     gv_transport,
-    minimal_duality_shift,
     mutation_vector_map,
     orbit_partition,
     symmetry_generators,
     vanishing_verdict,
     vector_to_class,
     window_classes,
+    window_size,
 )
 from cdvwall.cli import write_json
 from cdvwall.dynkin import build_diagram, imaginary_root
@@ -32,7 +33,7 @@ from cdvwall.restriction import (
     imaginary_restriction,
     proper_subsets,
 )
-from reference import verdict_constant_on_orbits
+from reference import minimal_duality_shift, verdict_constant_on_orbits
 
 D4 = DynkinType(build_diagram("D", 4), frozenset())
 D4_AFF = affine_companion(D4)
@@ -132,6 +133,36 @@ def test_window_is_the_cone_part_of_the_box(family, rank, contracted, chi_max, b
     assert got == want
     aff = affine_companion(dtype)
     assert all(min(class_to_vector(aff, cc)) >= 0 for cc in got)
+
+
+@pytest.mark.parametrize("family, rank, contracted", [
+    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3}), ("E", 6, set())],
+    ids=["A3-2", "D4", "D5-1,3", "E6"])
+@pytest.mark.parametrize("chi_max, beta_max", [(0, 0), (0, 2), (3, 0), (1, 2), (4, 1)])
+def test_window_index_is_the_position_in_window_classes(family, rank, contracted,
+                                                         chi_max, beta_max):
+    dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
+    cfg = SymmetryConfig(chi_max=chi_max, beta_max=beta_max)
+    classes = list(window_classes(dtype, cfg))
+    window = ClassWindow(dtype, cfg)
+    assert window_size(dtype, cfg) == len(classes)
+    position = {cc: i for i, cc in enumerate(classes)}
+    assert [window.index(cc) for cc in classes] == list(range(len(classes)))
+    # every +-1 neighbour of a class or of the zero class, in chi or in one
+    # beta coordinate: a window class at its position, anything off the
+    # box or the cone (or the zero class itself) at None
+    zero = CurveClass(0, (0,) * len(dtype.kept))
+    assert window.index(zero) is None
+    outside = 0
+    for cc in [zero, *classes]:
+        coords = (cc.chi, *cc.beta)
+        for axis, step in itertools.product(range(len(coords)), (-1, 1)):
+            moved = list(coords)
+            moved[axis] += step
+            near = CurveClass(moved[0], tuple(moved[1:]))
+            assert window.index(near) == position.get(near), (cc, near)
+            outside += near not in position
+    assert outside
 
 
 def test_orbit_partition_classifies_each_class_once(monkeypatch):
@@ -292,9 +323,9 @@ def test_orbit_certificates_stream_from_the_closure(monkeypatch):
 
     def counted(dtype, config):
         def wrap(gen):
-            def act(cc):
+            def act(cc, i=None):
                 calls.append(cc)
-                return gen.act(cc)
+                return gen.act(cc, i)
             return ClassGenerator(gen.name, gen.rule, gen.level, act)
         return tuple(map(wrap, generators(dtype, config)))
 
@@ -331,21 +362,38 @@ def test_orbit_certificates_are_read_once_and_before_the_orbits():
         next(certs)
 
 
-def test_writing_the_orbits_holds_no_certificate_list():
-    # the closure streams its steps into the writer; held as a list, the
-    # steps of this window would lift the traced peak to about 3 MB
+def _orbits_write_peak(chi_max: int, beta_max: int) -> int:
+    """The traced peak, above its start, of writing the D4 rigidified orbits
+    document, every node non-flop, to a writer that discards it; a small
+    window is written first, so the module caches are full."""
     cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
-                         chi_max=4, beta_max=2)
+                         chi_max=chi_max, beta_max=beta_max)
     small = cfg._replace(chi_max=1, beta_max=1)
-    write_json(orbit_partition(D4, small).to_json(), lambda text: None)   # module caches
+    write_json(orbit_partition(D4, small).to_json(), lambda text: None)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         write_json(orbit_partition(D4, cfg).to_json(), lambda text: None)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 2_300_000, peak
+
+
+def test_writing_the_orbits_holds_no_certificate_list():
+    # the closure streams its steps into the writer; held as a list, the
+    # steps of this window would lift the traced peak to about 3 MB.  The
+    # peak reads 1.08-1.37 MB, lower when earlier tests have filled the
+    # interpreter's free lists, so the bound leaves 0.13 MB
+    assert (peak := _orbits_write_peak(4, 2)) < 1_500_000, peak
+
+
+def test_the_orbit_pass_holds_the_classes_and_an_index_apiece():
+    # at the benchmark's window (12,121 classes) the pass holds the class
+    # tuple, an index array and two bytearrays of memos.  The peak reads
+    # 2.14-2.39 MB.  A {class: index} dict beside them reads 2.86-3.10 MB,
+    # per-class lru_caches in place of the memo bytes 4.4 MB, and the pass
+    # that kept both and grouped the orbits in a dict of lists 5.9-6.3 MB
+    assert (peak := _orbits_write_peak(6, 3)) < 2_600_000, peak
 
 
 def test_certificates_name_their_rule():

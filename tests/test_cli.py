@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdvwall import cli
+from cdvwall import bps, cli
 from cdvwall.bps import ClassError, Verdict
 from cdvwall.cli import FORMATS, JobConfig, build_parser, config_from_args, main, write_json
 from cdvwall.dynkin import build_diagram
@@ -370,6 +370,23 @@ def test_usage_error_names_the_field(capsys):
          "--window", "chi=bad"], capsys)
     assert code == 2
     assert "--window" in err or "window" in err
+
+
+def test_a_window_too_large_to_index_exits_2_before_building_a_class(monkeypatch, capsys):
+    # D4 keeps pi(r_im) = (1, 2, 1, 1) at its finite nodes, and the window
+    # has (B + 1 + min(B, chi * r_i)) values of each beta_i at each chi
+    def built(*args):
+        raise AssertionError("a window class was built")
+
+    monkeypatch.setattr(bps, "window_classes", built)
+    big = 100_000
+    want = sum((big + 1 + min(big, chi)) ** 3 * (big + 1 + min(big, 2 * chi))
+               for chi in range(big + 1)) - 1
+    code, out, err = run_cli(["orbits", "--family", "D", "--rank", "4", "--non-flop", "1",
+                              "--window", f"chi={big},beta={big}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f" {want} classes" in err, err
+    assert want > 2 ** 31 - 1
 
 
 def test_unsupported_rank_is_a_usage_error(capsys):
