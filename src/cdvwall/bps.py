@@ -11,8 +11,9 @@ mean "not forced to vanish", never "nonzero".
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import lru_cache, partial
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .dynkin import Frozen, build_diagram
@@ -262,31 +263,39 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
         raise ClassError("symmetry generators are configured on a finite type")
     if not config.non_flop_nodes <= set(dtype.kept):
         raise ClassError("non-flop nodes must be kept finite nodes")
-    size = window_size(dtype, config)
+    size = ClassWindow(dtype, config).size
     aff = affine_companion(dtype)
     rim_fin = _finite_rim(aff)
     rim_bar = imaginary_restriction(aff)
     gens: list[ClassGenerator] = []
 
     if config.rigidified:
+        # each runs once per window class, so the class is unpacked once
+        # and d_beta is taken as gcd(*beta), with no property call
         def twist(cc: CurveClass, i=None):
-            d = cc.d_beta
+            chi, beta = cc
+            d = gcd(*beta)
             if d == 0:
                 return None
-            return CurveClass(cc.chi + d, cc.beta), (("d", d),)
+            return CurveClass(chi + d, beta), (("d", d),)
 
         gens.append(ClassGenerator("motivic-twist", RULE_TWIST_MOTIVIC, "motivic", twist))
 
         def dual(cc: CurveClass, i=None):
-            d = cc.d_beta
+            chi, beta = cc
+            d = gcd(*beta)
             if d == 0:
                 return None
             # the smallest n >= 0 for which (n*d - chi, -beta) maps into the
-            # cone: (n*d - chi) * pi(r_im)_i - beta_i >= 0 at every node
-            t_min = max(0, *(-(-b // r) for b, r in zip(cc.beta, rim_fin)))
-            n = max(0, -(-(t_min + cc.chi) // d))
-            out = CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta))
-            return out, (("n", n), ("d", d))
+            # cone: (n*d - chi) * pi(r_im)_i - beta_i >= 0 at every node,
+            # so t = n*d - chi is at least 0 and every ceil(beta_i / r_i)
+            t_min = 0
+            for b, r in zip(beta, rim_fin):
+                t = -(-b // r)
+                if t > t_min:
+                    t_min = t
+            n = max(0, -(-(t_min + chi) // d))
+            return CurveClass(n * d - chi, tuple([-b for b in beta])), (("n", n), ("d", d))
 
         gens.append(ClassGenerator("motivic-duality", RULE_DUAL_MOTIVIC, "motivic", dual))
 
@@ -388,40 +397,26 @@ def _ints(n: int) -> memoryview:
     return memoryview(bytearray(4 * n)).cast("i")
 
 
-def window_size(dtype: DynkinType, config: SymmetryConfig) -> int:
-    """The number of classes window_classes yields, counted from its boxes:
+class ClassWindow:
+    """The classes of window_classes numbered in its order, and size, their
+    number.  At each chi the betas run over one product box, the last
+    coordinate fastest, so a class's index is a per-chi base plus sum
+    beta_i * stride_i.  index is None for a class outside the box, so
+    outside the window or the cone, and for the zero class; at is its
+    inverse, and classes() builds the window again in index order.  A row
+    holds its chi's base and one (floor, stride) pair per coordinate.
+
     beta_i takes beta_max + 1 + min(beta_max, chi * pi(r_im)_i) values, and
     from the first chi at which every floor is -beta_max each box is the
-    full cube.  Raises ClassError above INDEX_MAX, before anything per
-    class is built."""
-    rim_fin = _finite_rim(affine_companion(dtype))
-    b_max = config.beta_max
-    cube = (2 * b_max + 1) ** len(rim_fin)
-    size = -1   # the zero class
-    for chi in range(config.chi_max + 1):
-        box = prod(b_max + 1 + min(b_max, chi * r) for r in rim_fin)
-        if box == cube:
-            size += box * (config.chi_max + 1 - chi)
-            break
-        size += box
-    if size > INDEX_MAX:
-        raise ClassError(f"the window holds {size} classes, more than the "
-                         f"{INDEX_MAX} that a class index can number")
-    return size
-
-
-class ClassWindow:
-    """The classes of window_classes numbered in its order.  At each chi the
-    betas run over one product box, the last coordinate fastest, so a
-    class's index is a per-chi base plus sum beta_i * stride_i.  index is
-    None for a class outside the box, so outside the window or the cone,
-    and for the zero class."""
+    full cube, so a window too large to index is counted without a row
+    apiece: it raises ClassError above INDEX_MAX, before anything per class
+    is built."""
 
     def __init__(self, dtype: DynkinType, config: SymmetryConfig):
-        window_size(dtype, config)   # raises before a row is built
         rim_fin = _finite_rim(affine_companion(dtype))
         b_max = self._beta_max = config.beta_max
-        rows, start = [], -1   # the zero class, first at chi = 0, has no index
+        cube = (2 * b_max + 1) ** len(rim_fin)
+        rows, starts, start = [], [], -1   # the zero class, first at chi = 0, has no index
         for chi in range(config.chi_max + 1):
             floors = tuple(max(-b_max, -chi * r) for r in rim_fin)
             strides, box = [], 1
@@ -429,22 +424,60 @@ class ClassWindow:
                 strides.append(box)
                 box *= b_max + 1 - lo
             strides.reverse()
-            base = start - sum(lo * s for lo, s in zip(floors, strides))
-            rows.append((base, floors, tuple(strides)))
+            if box == cube and start + box * (config.chi_max + 1 - chi) > INDEX_MAX:
+                start += box * (config.chi_max + 1 - chi)   # every later box is the cube
+                break
+            if start <= INDEX_MAX:   # past it the rest is only counted
+                rows.append((start - sum(lo * s for lo, s in zip(floors, strides)),
+                             tuple(zip(floors, strides))))
+                starts.append(start)
             start += box
-        self._rows = rows
+        if start > INDEX_MAX:
+            raise ClassError(f"the window holds {start} classes, more than the "
+                             f"{INDEX_MAX} that a class index can number")
+        self.size = start
+        self._rows, self._starts = rows, starts
 
     def index(self, cc: CurveClass) -> Optional[int]:
         chi, beta = cc
         if not 0 <= chi < len(self._rows):
             return None
-        i, floors, strides = self._rows[chi]
+        i, digits = self._rows[chi]
         b_max = self._beta_max
-        for b, lo, s in zip(beta, floors, strides):
+        for b, (lo, s) in zip(beta, digits):
             if not lo <= b <= b_max:
                 return None
             i += b * s
         return i if i >= 0 else None
+
+    def at(self, i: int) -> CurveClass:
+        """The class of index i: its chi by bisection on the rows' first
+        indices, then each beta_i by division with the strides."""
+        if not 0 <= i < self.size:
+            raise IndexError(f"class index {i} is outside a window of {self.size}")
+        chi = bisect_right(self._starts, i) - 1
+        rest = i - self._starts[chi]
+        beta = []
+        for lo, s in self._rows[chi][1]:
+            beta.append(lo + rest // s)
+            rest %= s
+        return tuple.__new__(CurveClass, (chi, tuple(beta)))
+
+    def classes(self) -> Iterator[CurveClass]:
+        """Every class in index order, one at a time.  Each is built at C
+        level, by tuple.__new__ as CurveClass(chi, beta) builds it, so a
+        sweep costs no Python call per class."""
+        b_max = self._beta_max
+
+        def box(chi: int, digits: tuple) -> Iterator[CurveClass]:
+            betas = itertools.product(*(range(lo, b_max + 1) for lo, _ in digits))
+            if chi == 0:
+                betas = itertools.islice(betas, 1, None)   # the zero class
+            return map(tuple.__new__, itertools.repeat(CurveClass),
+                       zip(itertools.repeat(chi), betas))
+
+        return itertools.chain.from_iterable(
+            box(chi, digits) for chi, (_, digits) in enumerate(self._rows))
 
 
 def _find(parent: memoryview, i: int) -> int:
@@ -464,33 +497,33 @@ class OrbitPartition:
     certificates() yields each step (from, to, Certificate) as the pass
     makes it, generator by generator and each in class order.  The steps
     are read once and before the orbits: reading them a second time, or
-    after the orbits, raises RuntimeError.  orbits finishes what is left of
-    the pass and groups the classes by root; no step is kept.  Besides the
-    classes, the pass holds per class one C int, its parent's index, and
-    the generators' memo bytes."""
+    after the orbits, raises RuntimeError.  orbits() finishes what is left
+    of the pass and yields the orbits one at a time; no step and no orbit
+    is kept.  The pass holds no class: it builds the window's classes
+    again for each generator, and per class it holds one C int, its
+    parent's index, and the generators' memo bytes."""
 
     def __init__(self, dtype: DynkinType, config: SymmetryConfig, window: ClassWindow,
-                 classes: tuple[CurveClass, ...], gens: tuple[ClassGenerator, ...]):
+                 gens: tuple[ClassGenerator, ...]):
         self.dtype = dtype
         self.config = config
-        self._classes = classes
-        self._parent = parent = _ints(len(classes))
-        for i in range(len(classes)):
+        self._window = window
+        self._parent = parent = _ints(window.size)
+        for i in range(window.size):
             parent[i] = i
-        self._steps = self._closure(window.index, gens)
+        self._steps = self._closure(gens)
         self._read = False
         self._grouped = False
-        self._kept: Optional[tuple[tuple[CurveClass, ...], ...]] = None
 
-    def _closure(self, index: Callable[[CurveClass], Optional[int]],
-                 gens: tuple[ClassGenerator, ...]):
+    def _closure(self, gens: tuple[ClassGenerator, ...]):
         """The pass, over class indices.  A generator meets each class once,
         and the generators of one rule differ in params, so no step
         repeats.  A root is the smallest index of its tree."""
-        classes, parent = self._classes, self._parent
+        window, parent = self._window, self._parent
+        index, new_certificate = window.index, tuple.__new__   # as Certificate() builds one
         for gen in gens:
             act, rule, level = gen.act, gen.rule, gen.level
-            for i, cc in enumerate(classes):
+            for i, cc in enumerate(window.classes()):
                 hit = act(cc, i)
                 if hit is None:
                     continue
@@ -501,7 +534,7 @@ class OrbitPartition:
                 ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
-                yield cc, img, Certificate(rule, level, params)
+                yield cc, img, new_certificate(Certificate, (rule, level, params))
 
     def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
         """The steps of the pass, once; checked when iteration starts, and
@@ -514,19 +547,20 @@ class OrbitPartition:
             if self._grouped:
                 raise RuntimeError("the certificates are read once, before the orbits")
 
-    def _orbits(self) -> Iterator[tuple[CurveClass, ...]]:
+    def orbits(self) -> Iterator[tuple[CurveClass, ...]]:
         """Sorted members per orbit, the orbits in order of their first
-        members, once the pass is finished.  Each root is its orbit's
-        smallest index and a parent is smaller than its child, so one
-        ascending pass sets every parent to its root; a descending pass
-        then links each member in right after its root, which leaves every
-        orbit's members linked in index order, and the classes come
-        sorted.  A link of 0 ends a list, since index 0 is a root."""
+        members, once the pass is finished; each orbit is built as it is
+        yielded and not kept.  Each root is its orbit's smallest index and
+        a parent is smaller than its child, so one ascending pass sets
+        every parent to its root; a descending pass then links each member
+        in right after its root, which leaves every orbit's members linked
+        in index order, and the classes come sorted.  A link of 0 ends a
+        list, since index 0 is a root."""
         for _ in self._steps:
             pass
         self._grouped = True
-        classes, parent = self._classes, self._parent
-        n = len(classes)
+        at, parent = self._window.at, self._parent
+        n = self._window.size
         for i in range(n):
             parent[i] = parent[parent[i]]
         following = _ints(n)
@@ -536,18 +570,11 @@ class OrbitPartition:
                 following[i], following[root] = following[root], i
         for root in range(n):
             if parent[root] == root:
-                members, i = [classes[root]], following[root]
+                members, i = [at(root)], following[root]
                 while i:
-                    members.append(classes[i])
+                    members.append(at(i))
                     i = following[i]
                 yield tuple(members)
-
-    @property
-    def orbits(self) -> tuple[tuple[CurveClass, ...], ...]:
-        """The orbits, grouped on the first read and kept."""
-        if self._kept is None:
-            self._kept = tuple(self._orbits())
-        return self._kept
 
     def to_json(self) -> dict:
         """The document with its orbits and certificates as generators, so
@@ -556,36 +583,29 @@ class OrbitPartition:
         written, and the pass ends, before the orbits are grouped."""
 
         def orbits():
-            for o in self._orbits():
-                yield {
-                    "representative": o[0].to_json(),
-                    "members": [m.to_json() for m in o],
-                }
+            for o in self.orbits():
+                members = [m.to_json() for m in o]
+                yield {"representative": members[0], "members": members}
 
         return {
             "type": self.dtype.to_json(),
             "config": self.config.to_json(),
             "orbits": orbits(),
             "certificates": (
-                {"from": a.to_json(), "to": b.to_json(), **cert.to_json()}
-                for a, b, cert in self.certificates()
+                {"from": a.to_json(), "to": b.to_json(), "paper_ref": rule, "level": level,
+                 "params": dict(params)}
+                for a, b, (rule, level, params) in self.certificates()
             ),
         }
 
 
 def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition:
     """The orbit partition of the window under the configured generators.
-    The classes and generators are built here, so a bad type or config
-    raises before any output; the union-find pass runs only as the
-    partition's certificates or orbits are read.  The window is numbered
-    first, so a window too large to index raises before any class is
-    built.  The classes of one beta share its tuple, so a beta is held
-    once, not once per chi."""
+    The window and generators are built here, so a bad type or config, or
+    a window too large to index, raises before any output; the union-find
+    pass runs only as the partition's certificates or orbits are read."""
     window = ClassWindow(dtype, config)
-    betas: dict = {}
-    classes = tuple(CurveClass(chi, betas.setdefault(beta, beta))
-                    for chi, beta in window_classes(dtype, config))
-    return OrbitPartition(dtype, config, window, classes, symmetry_generators(dtype, config))
+    return OrbitPartition(dtype, config, window, symmetry_generators(dtype, config))
 
 
 class TransportResult(NamedTuple):

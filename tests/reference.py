@@ -195,7 +195,7 @@ def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
     Returns (ok, offenders) where offenders lists the mixed orbits.
     """
     offenders = []
-    for orbit in partition.orbits:
+    for orbit in partition.orbits():
         flags = {geometric_verdict(dtype, cc).forced_zero for cc in orbit}
         if len(flags) > 1:
             offenders.append(orbit)

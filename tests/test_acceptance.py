@@ -218,9 +218,10 @@ def test_criterion_7_verdict_symmetry_constancy():
         assert cert.rule.startswith("symmetry:")
         if cert.rule == "symmetry:motivic-duality":
             assert "n" in dict(cert.params)
-    n_classes = sum(len(o) for o in partition.orbits)
+    orbits = tuple(partition.orbits())
+    n_classes = sum(len(o) for o in orbits)
     elapsed = time.time() - start
-    print(f"criterion 7 PASS: forced-zero constant on {len(partition.orbits)} orbits "
+    print(f"criterion 7 PASS: forced-zero constant on {len(orbits)} orbits "
           f"({n_classes} classes, {len(certs)} certificates) [{elapsed:.1f}s]")
 
 

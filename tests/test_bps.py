@@ -1,5 +1,6 @@
 import itertools
-import tracemalloc
+import subprocess
+import sys
 
 import pytest
 
@@ -20,9 +21,7 @@ from cdvwall.bps import (
     vanishing_verdict,
     vector_to_class,
     window_classes,
-    window_size,
 )
-from cdvwall.cli import write_json
 from cdvwall.dynkin import build_diagram, imaginary_root
 from cdvwall.groupoid import mutation_data
 from cdvwall.linalg import is_colinear
@@ -145,7 +144,7 @@ def test_window_index_is_the_position_in_window_classes(family, rank, contracted
     cfg = SymmetryConfig(chi_max=chi_max, beta_max=beta_max)
     classes = list(window_classes(dtype, cfg))
     window = ClassWindow(dtype, cfg)
-    assert window_size(dtype, cfg) == len(classes)
+    assert window.size == len(classes)
     position = {cc: i for i, cc in enumerate(classes)}
     assert [window.index(cc) for cc in classes] == list(range(len(classes)))
     # every +-1 neighbour of a class or of the zero class, in chi or in one
@@ -163,6 +162,25 @@ def test_window_index_is_the_position_in_window_classes(family, rank, contracted
             assert window.index(near) == position.get(near), (cc, near)
             outside += near not in position
     assert outside
+
+
+@pytest.mark.parametrize("family, rank, contracted", [
+    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3}), ("E", 6, set())],
+    ids=["A3-2", "D4", "D5-1,3", "E6"])
+@pytest.mark.parametrize("chi_max, beta_max", [(0, 0), (0, 2), (3, 0), (1, 2), (4, 1)])
+def test_window_at_and_classes_invert_the_index(family, rank, contracted, chi_max, beta_max):
+    dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
+    cfg = SymmetryConfig(chi_max=chi_max, beta_max=beta_max)
+    classes = list(window_classes(dtype, cfg))
+    window = ClassWindow(dtype, cfg)
+    at = [window.at(i) for i in range(window.size)]
+    assert at == classes
+    assert list(window.classes()) == classes
+    assert all(type(cc) is CurveClass for cc in at + list(window.classes()))
+    assert [window.index(cc) for cc in at] == list(range(window.size))
+    for i in (-1, window.size):
+        with pytest.raises(IndexError):
+            window.at(i)
 
 
 def test_orbit_partition_classifies_each_class_once(monkeypatch):
@@ -269,10 +287,10 @@ def test_numeric_twists_alone_join_their_ends_and_leave_singletons():
         assert cert.rule == "symmetry:numeric-line-bundle-twist"
         assert len(cert.params) == 1 and cert.params[0][0] == "node"
         assert cert.params[0][1] in A3J2.kept
-    orbit_of = {cc: o for o in part.orbits for cc in o}
+    orbit_of = {cc: o for o in part.orbits() for cc in o}
     for a, b, _ in certs:
         assert orbit_of[a] is orbit_of[b]
-    assert any(len(o) == 1 for o in part.orbits)
+    assert any(len(o) == 1 for o in part.orbits())
 
 
 def test_orbit_verdict_constancy_small():
@@ -311,8 +329,8 @@ def test_orbits_are_the_components_of_distinct_edges(family, rank, contracted):
                     seen.add(nxt)
                     queue.append(nxt)
         components.append(tuple(sorted(members)))
-    assert part.orbits == tuple(sorted(components))
-    assert any(len(o) > 1 for o in part.orbits)
+    assert tuple(part.orbits()) == tuple(sorted(components))
+    assert any(len(o) > 1 for o in part.orbits())
 
 
 def test_orbit_certificates_stream_from_the_closure(monkeypatch):
@@ -342,7 +360,7 @@ def test_orbit_certificates_stream_from_the_closure(monkeypatch):
     assert rest
 
     first = orbit_partition(D4, cfg)
-    assert first.orbits == part.orbits
+    assert tuple(first.orbits()) == tuple(part.orbits())
     with pytest.raises(RuntimeError):
         next(first.certificates())
     with pytest.raises(RuntimeError):
@@ -357,43 +375,60 @@ def test_orbit_certificates_are_read_once_and_before_the_orbits():
     next(certs)
     with pytest.raises(RuntimeError):
         next(part.certificates())
-    assert part.orbits
+    assert tuple(part.orbits())
     with pytest.raises(RuntimeError):
         next(certs)
 
 
+# the traced peak, above its start, of writing the D4 rigidified orbits
+# document, every node non-flop, at window chi=argv[1], beta=argv[2], to a
+# writer that discards it; a small window is written first, so the module
+# caches are full
+_ORBITS_WRITE_PEAK = """
+import sys, tracemalloc
+from cdvwall.bps import SymmetryConfig, orbit_partition
+from cdvwall.cli import write_json
+from cdvwall.dynkin import build_diagram
+from cdvwall.restriction import DynkinType
+d4 = DynkinType(build_diagram("D", 4), frozenset())
+cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
+                     chi_max=int(sys.argv[1]), beta_max=int(sys.argv[2]))
+write_json(orbit_partition(d4, cfg._replace(chi_max=1, beta_max=1)).to_json(), lambda text: None)
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+write_json(orbit_partition(d4, cfg).to_json(), lambda text: None)
+print(tracemalloc.get_traced_memory()[1] - start)
+"""
+
+
 def _orbits_write_peak(chi_max: int, beta_max: int) -> int:
-    """The traced peak, above its start, of writing the D4 rigidified orbits
-    document, every node non-flop, to a writer that discards it; a small
-    window is written first, so the module caches are full."""
-    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
-                         chi_max=chi_max, beta_max=beta_max)
-    small = cfg._replace(chi_max=1, beta_max=1)
-    write_json(orbit_partition(D4, small).to_json(), lambda text: None)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        write_json(orbit_partition(D4, cfg).to_json(), lambda text: None)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    """_ORBITS_WRITE_PEAK in a fresh interpreter.  In this one the reading
+    would depend on the tests run before it: an object reused from a free
+    list they filled is not a traced allocation."""
+    proc = subprocess.run([sys.executable, "-c", _ORBITS_WRITE_PEAK, str(chi_max), str(beta_max)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def test_writing_the_orbits_holds_no_certificate_list():
     # the closure streams its steps into the writer; held as a list, the
     # steps of this window would lift the traced peak to about 3 MB.  The
-    # peak reads 1.08-1.37 MB, lower when earlier tests have filled the
-    # interpreter's free lists, so the bound leaves 0.13 MB
-    assert (peak := _orbits_write_peak(4, 2)) < 1_500_000, peak
+    # peak reads 0.23-0.24 MB on Python 3.10-3.13, so the bound leaves
+    # 0.11 MB; writing in blocks of 16,384 parts it read 1.03 MB, and with
+    # the window's class tuple kept 0.53 MB
+    assert (peak := _orbits_write_peak(4, 2)) < 350_000, peak
 
 
-def test_the_orbit_pass_holds_the_classes_and_an_index_apiece():
-    # at the benchmark's window (12,121 classes) the pass holds the class
-    # tuple, an index array and two bytearrays of memos.  The peak reads
-    # 2.14-2.39 MB.  A {class: index} dict beside them reads 2.86-3.10 MB,
-    # per-class lru_caches in place of the memo bytes 4.4 MB, and the pass
-    # that kept both and grouped the orbits in a dict of lists 5.9-6.3 MB
-    assert (peak := _orbits_write_peak(6, 3)) < 2_600_000, peak
+def test_the_orbit_pass_holds_no_class_and_an_index_apiece():
+    # at the benchmark's window (12,121 classes) the pass holds an index
+    # array and two bytearrays of memos, and builds the classes again for
+    # each sweep.  The peak reads 0.34-0.35 MB on Python 3.10-3.13, so the
+    # bound leaves 0.15 MB.  Keeping the class tuple reads 2.06 MB, writing
+    # in blocks of 16,384 parts 1.27 MB, a {class: index} dict beside the
+    # class tuple 2.86-3.10 MB, and the pass that kept both and grouped the
+    # orbits in a dict of lists 5.9-6.3 MB
+    assert (peak := _orbits_write_peak(6, 3)) < 500_000, peak
 
 
 def test_certificates_name_their_rule():

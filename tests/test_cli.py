@@ -3,8 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
-import tracemalloc
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -163,19 +163,80 @@ def test_write_json_writes_rows_while_they_are_produced():
 def test_finite_chambers_hold_one_edge_list_and_stream_the_document():
     # every chamber of E6 {2,5}: the search keeps one edge per wall and no
     # crossing memo, and the chamber and adjacency arrays are written as
-    # they are produced; with directed edges, a memo and built lists the
-    # traced peak was about 4.7 MB, and it is about 3.0 MB without them
-    args = ["chambers", "--family", "E", "--rank", "6", "--contracted", "2,5"]
-    with open(os.devnull, "w") as null, redirect_stdout(null):
-        assert main([*args, "--maxlen", "1"]) == 0   # module caches
-        tracemalloc.start()
-        try:
+    # they are produced.  Measured in a fresh interpreter, since objects
+    # reused from free lists that earlier tests filled are not traced
+    # allocations.  With directed edges, a memo and built lists the traced
+    # peak was about 4.7 MB, and with blocks of 16,384 parts 3.05 MB; it
+    # reads 1.57-1.80 MB on Python 3.10-3.13, so the bound leaves 0.30 MB
+    code = textwrap.dedent("""\
+        import os, tracemalloc
+        from contextlib import redirect_stdout
+        from cdvwall.cli import main
+        args = ["chambers", "--family", "E", "--rank", "6", "--contracted", "2,5"]
+        with open(os.devnull, "w") as null, redirect_stdout(null):
+            assert main([*args, "--maxlen", "1"]) == 0   # module caches
+            tracemalloc.start()
             start = tracemalloc.get_traced_memory()[0]
             assert main([*args, "--maxlen", "100"]) == 0
             peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-    assert peak < 3_900_000, peak
+        print(peak)
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (peak := int(proc.stdout)) < 2_100_000, peak
+
+
+class _WriteSizes:
+    """A stdout that keeps the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+    def flush(self):
+        pass
+
+
+def test_no_write_holds_a_document_sized_block():
+    # blocks of BLOCK_PARTS parts or lines: 20,000 rows of about 300 bytes
+    # of JSON, or 40 of CSV, go out in writes of at most about 12 KB
+    rows = [{"class": {"chi": i % 7, "beta": [i % 3, 1, -1, 2]}, "verdict": "candidate",
+             "paper_ref": "vanishing:nonroot-curve-class", "mult": 1, "kind": "real",
+             "base": [1, 0, 0, 1], "global": False} for i in range(20_000)]
+    for emit in (lambda: cli._emit_json(JobConfig(), "rows", iter(rows)),
+                 lambda: cli._emit_csv(JobConfig(), ["chi", "beta", "verdict", "paper_ref", "mult"],
+                                       ([i % 7, "0;1;-1;2", "candidate",
+                                         "vanishing:nonroot-curve-class", 1]
+                                        for i in range(20_000)))):
+        out = _WriteSizes()
+        with redirect_stdout(out):
+            emit()
+        assert sum(out.sizes) > 20_000 * 40
+        assert max(out.sizes) < 64 * 1024, max(out.sizes)
+
+
+def test_orbits_csv_is_written_while_the_orbits_are_grouped(monkeypatch):
+    grouped, written_at = [], []
+    orbits = bps.OrbitPartition.orbits
+
+    def counted(self):
+        for orbit in orbits(self):
+            grouped.append(orbit)
+            yield orbit
+
+    class Out(_WriteSizes):
+        def write(self, text):
+            written_at.append(len(grouped))
+
+    monkeypatch.setattr(bps.OrbitPartition, "orbits", counted)
+    monkeypatch.setattr(cli, "BLOCK_PARTS", 16)
+    with redirect_stdout(Out()):
+        assert main(["orbits", "--family", "D", "--rank", "4", "--rigidified",
+                     "--non-flop", "1,2", "--window", "chi=2,beta=1", "--format", "csv"]) == 0
+    assert len(grouped) > 10 and written_at[0] < len(grouped) // 2, (written_at, len(grouped))
 
 
 def test_write_json_lays_out_each_shape_by_its_own_keys():
@@ -379,6 +440,8 @@ def test_a_window_too_large_to_index_exits_2_before_building_a_class(monkeypatch
         raise AssertionError("a window class was built")
 
     monkeypatch.setattr(bps, "window_classes", built)
+    monkeypatch.setattr(bps.ClassWindow, "classes", built)
+    monkeypatch.setattr(bps.ClassWindow, "at", built)
     big = 100_000
     want = sum((big + 1 + min(big, chi)) ** 3 * (big + 1 + min(big, 2 * chi))
                for chi in range(big + 1)) - 1
