@@ -249,7 +249,8 @@ def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
     return partial(mat_vec, self_mutation_identification(arrow))
 
 
-def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[ClassGenerator, ...]:
+def symmetry_generators(dtype: DynkinType, config: SymmetryConfig,
+                        size: Optional[int] = None) -> tuple[ClassGenerator, ...]:
     """The configured partial self-maps on classes.
 
     Motivic twist and duality require the rigidified flag; the line-bundle
@@ -257,45 +258,42 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     refuses to chain them through non-coprime intermediates.  Mutation
     generators exist at the nodes whose contraction does not flop, and act
     on dimension vectors through the induced lattice map.  What the twists
-    and the mutations share about a class is decided once per window index.
+    and the mutations share about a class is decided once per window index;
+    size is the window's ClassWindow.size, counted here when not given.
     """
     if dtype.affine:
         raise ClassError("symmetry generators are configured on a finite type")
     if not config.non_flop_nodes <= set(dtype.kept):
         raise ClassError("non-flop nodes must be kept finite nodes")
-    size = ClassWindow(dtype, config).size
+    if size is None:
+        size = ClassWindow(dtype, config).size
     aff = affine_companion(dtype)
     rim_fin = _finite_rim(aff)
     rim_bar = imaginary_restriction(aff)
     gens: list[ClassGenerator] = []
 
     if config.rigidified:
-        # each runs once per window class, so the class is unpacked once
-        # and d_beta is taken as gcd(*beta), with no property call
         def twist(cc: CurveClass, i=None):
-            chi, beta = cc
-            d = gcd(*beta)
+            d = cc.d_beta
             if d == 0:
                 return None
-            return CurveClass(chi + d, beta), (("d", d),)
+            return CurveClass(cc.chi + d, cc.beta), (("d", d),)
 
         gens.append(ClassGenerator("motivic-twist", RULE_TWIST_MOTIVIC, "motivic", twist))
 
         def dual(cc: CurveClass, i=None):
-            chi, beta = cc
-            d = gcd(*beta)
+            d = cc.d_beta
             if d == 0:
                 return None
             # the smallest n >= 0 for which (n*d - chi, -beta) maps into the
-            # cone: (n*d - chi) * pi(r_im)_i - beta_i >= 0 at every node,
-            # so t = n*d - chi is at least 0 and every ceil(beta_i / r_i)
-            t_min = 0
-            for b, r in zip(beta, rim_fin):
-                t = -(-b // r)
-                if t > t_min:
-                    t_min = t
-            n = max(0, -(-(t_min + chi) // d))
-            return CurveClass(n * d - chi, tuple([-b for b in beta])), (("n", n), ("d", d))
+            # cone: (n*d - chi) * pi(r_im)_i - beta_i >= 0 at every node
+            t_min = max(0, *(-(-b // r) for b, r in zip(cc.beta, rim_fin)))
+            n = max(0, -(-(t_min + cc.chi) // d))
+            # from a list: tuple() over a generator allocates 10 slots and
+            # shrinks them, which lifts the traced peak of writing the D4
+            # orbits at chi=4, beta=2 by about 80 KB
+            out = CurveClass(n * d - cc.chi, tuple([-b for b in cc.beta]))
+            return out, (("n", n), ("d", d))
 
         gens.append(ClassGenerator("motivic-duality", RULE_DUAL_MOTIVIC, "motivic", dual))
 
@@ -375,16 +373,19 @@ def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveC
 
     Node 0 of the dimension vector is chi >= 0, and a kept finite node reads
     beta_i + chi * pi(r_im)_i, so each beta_i starts at the larger of
-    -beta_max and -chi * pi(r_im)_i; no class outside the cone is built."""
-    aff = affine_companion(dtype)
-    rim_fin = _finite_rim(aff)
+    -beta_max and -chi * pi(r_im)_i; no class outside the cone is built.
+    Each class is built at C level, by tuple.__new__ as CurveClass(chi,
+    beta) builds it, so a sweep costs no Python call per class."""
+    rim_fin = _finite_rim(affine_companion(dtype))
     b_max = config.beta_max
-    for chi in range(config.chi_max + 1):
+
+    def box(chi: int) -> Iterator[CurveClass]:
         betas = itertools.product(*(range(max(-b_max, -chi * r), b_max + 1) for r in rim_fin))
         if chi == 0:
             next(betas, None)   # the zero class comes first and has no verdict
-        for beta in betas:
-            yield CurveClass(chi, beta)
+        return map(tuple.__new__, itertools.repeat(CurveClass), zip(itertools.repeat(chi), betas))
+
+    return itertools.chain.from_iterable(map(box, range(config.chi_max + 1)))
 
 
 # the largest C int, 32 bits wide on every platform CPython runs on
@@ -403,8 +404,8 @@ class ClassWindow:
     coordinate fastest, so a class's index is a per-chi base plus sum
     beta_i * stride_i.  index is None for a class outside the box, so
     outside the window or the cone, and for the zero class; at is its
-    inverse, and classes() builds the window again in index order.  A row
-    holds its chi's base and one (floor, stride) pair per coordinate.
+    inverse.  A row holds its chi's base and one (floor, stride) pair per
+    coordinate.
 
     beta_i takes beta_max + 1 + min(beta_max, chi * pi(r_im)_i) values, and
     from the first chi at which every floor is -beta_max each box is the
@@ -463,22 +464,6 @@ class ClassWindow:
             rest %= s
         return tuple.__new__(CurveClass, (chi, tuple(beta)))
 
-    def classes(self) -> Iterator[CurveClass]:
-        """Every class in index order, one at a time.  Each is built at C
-        level, by tuple.__new__ as CurveClass(chi, beta) builds it, so a
-        sweep costs no Python call per class."""
-        b_max = self._beta_max
-
-        def box(chi: int, digits: tuple) -> Iterator[CurveClass]:
-            betas = itertools.product(*(range(lo, b_max + 1) for lo, _ in digits))
-            if chi == 0:
-                betas = itertools.islice(betas, 1, None)   # the zero class
-            return map(tuple.__new__, itertools.repeat(CurveClass),
-                       zip(itertools.repeat(chi), betas))
-
-        return itertools.chain.from_iterable(
-            box(chi, digits) for chi, (_, digits) in enumerate(self._rows))
-
 
 def _find(parent: memoryview, i: int) -> int:
     """The root of i in a union-find forest; the path to it is compressed."""
@@ -519,11 +504,10 @@ class OrbitPartition:
         """The pass, over class indices.  A generator meets each class once,
         and the generators of one rule differ in params, so no step
         repeats.  A root is the smallest index of its tree."""
-        window, parent = self._window, self._parent
-        index, new_certificate = window.index, tuple.__new__   # as Certificate() builds one
+        index, parent = self._window.index, self._parent
         for gen in gens:
             act, rule, level = gen.act, gen.rule, gen.level
-            for i, cc in enumerate(window.classes()):
+            for i, cc in enumerate(window_classes(self.dtype, self.config)):
                 hit = act(cc, i)
                 if hit is None:
                     continue
@@ -534,7 +518,7 @@ class OrbitPartition:
                 ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
-                yield cc, img, new_certificate(Certificate, (rule, level, params))
+                yield cc, img, Certificate(rule, level, params)
 
     def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
         """The steps of the pass, once; checked when iteration starts, and
@@ -592,9 +576,8 @@ class OrbitPartition:
             "config": self.config.to_json(),
             "orbits": orbits(),
             "certificates": (
-                {"from": a.to_json(), "to": b.to_json(), "paper_ref": rule, "level": level,
-                 "params": dict(params)}
-                for a, b, (rule, level, params) in self.certificates()
+                {"from": a.to_json(), "to": b.to_json(), **cert.to_json()}
+                for a, b, cert in self.certificates()
             ),
         }
 
@@ -605,7 +588,8 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
     a window too large to index, raises before any output; the union-find
     pass runs only as the partition's certificates or orbits are read."""
     window = ClassWindow(dtype, config)
-    return OrbitPartition(dtype, config, window, symmetry_generators(dtype, config))
+    return OrbitPartition(dtype, config, window,
+                          symmetry_generators(dtype, config, size=window.size))
 
 
 class TransportResult(NamedTuple):

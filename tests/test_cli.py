@@ -440,7 +440,6 @@ def test_a_window_too_large_to_index_exits_2_before_building_a_class(monkeypatch
         raise AssertionError("a window class was built")
 
     monkeypatch.setattr(bps, "window_classes", built)
-    monkeypatch.setattr(bps.ClassWindow, "classes", built)
     monkeypatch.setattr(bps.ClassWindow, "at", built)
     big = 100_000
     want = sum((big + 1 + min(big, chi)) ** 3 * (big + 1 + min(big, 2 * chi))
