@@ -56,7 +56,7 @@ class CurveClass(NamedTuple):
         return vec_gcd(self.beta)
 
     def is_effective(self) -> bool:
-        return any(b != 0 for b in self.beta) and all(b >= 0 for b in self.beta)
+        return any(self.beta) and min(self.beta) >= 0
 
     def to_json(self) -> dict:
         return {"chi": self.chi, "beta": list(self.beta)}
@@ -228,14 +228,12 @@ def finite_verdicts(dtype: DynkinType,
 
 
 class ClassGenerator(Frozen):
-    """A partial self-map on classes with its certificate data.  act(cc, i)
+    """A partial self-map on classes with its certificate data.  act(cc)
     gives the image and its certificate parameters, or None off the
-    domain; i is the class's index in its window, which a generator may
-    use to remember what it decided about the class, or None.  act takes
-    no part in comparison."""
+    domain.  act takes no part in comparison."""
 
     def __init__(self, name: str, rule: str, level: str,
-                 act: Callable[..., Optional[tuple[CurveClass, tuple]]]):
+                 act: Callable[[CurveClass], Optional[tuple[CurveClass, tuple]]]):
         self.__dict__.update(name=name, rule=rule, level=level, act=act)
 
     def _key(self) -> tuple:
@@ -249,31 +247,29 @@ def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
     return partial(mat_vec, self_mutation_identification(arrow))
 
 
-def symmetry_generators(dtype: DynkinType, config: SymmetryConfig,
-                        size: Optional[int] = None) -> tuple[ClassGenerator, ...]:
+def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[ClassGenerator, ...]:
     """The configured partial self-maps on classes.
 
     Motivic twist and duality require the rigidified flag; the line-bundle
     twists hold at the numeric level for coprime pairs only, and the engine
     refuses to chain them through non-coprime intermediates.  Mutation
     generators exist at the nodes whose contraction does not flop, and act
-    on dimension vectors through the induced lattice map.  What the twists
-    and the mutations share about a class is decided once per window index;
-    size is the window's ClassWindow.size, counted here when not given.
+    on dimension vectors through the induced lattice map.  A class moves
+    when its dimension vector delta = (chi, beta + chi * pi(r_im)) is a
+    real restricted root (motivic) or indivisible off the imaginary line
+    (numeric).  Since delta - chi * pi(r_im) = (0, beta) and gcd(delta) =
+    gcd(chi, beta), both are read off the class: beta is a finite
+    restricted root, or beta is nonzero and the pair coprime.
     """
     if dtype.affine:
         raise ClassError("symmetry generators are configured on a finite type")
     if not config.non_flop_nodes <= set(dtype.kept):
         raise ClassError("non-flop nodes must be kept finite nodes")
-    if size is None:
-        size = ClassWindow(dtype, config).size
-    aff = affine_companion(dtype)
-    rim_fin = _finite_rim(aff)
-    rim_bar = imaginary_restriction(aff)
+    rim_fin = _finite_rim(affine_companion(dtype))
     gens: list[ClassGenerator] = []
 
     if config.rigidified:
-        def twist(cc: CurveClass, i=None):
+        def twist(cc: CurveClass):
             d = cc.d_beta
             if d == 0:
                 return None
@@ -281,7 +277,7 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig,
 
         gens.append(ClassGenerator("motivic-twist", RULE_TWIST_MOTIVIC, "motivic", twist))
 
-        def dual(cc: CurveClass, i=None):
+        def dual(cc: CurveClass):
             d = cc.d_beta
             if d == 0:
                 return None
@@ -297,42 +293,26 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig,
 
         gens.append(ClassGenerator("motivic-duality", RULE_DUAL_MOTIVIC, "motivic", dual))
 
-    def coprime_effective(cc: CurveClass) -> bool:
-        return cc.is_effective() and cc.d_pair == 1
-
-    twistable = _by_index(size, coprime_effective)
-
     for idx, node in enumerate(dtype.kept):
-        def numeric_twist(cc: CurveClass, i=None, _idx=idx, _node=node):
-            if not twistable(cc, i):
+        def numeric_twist(cc: CurveClass, _idx=idx, _node=node):
+            if not (cc.is_effective() and cc.d_pair == 1):
                 return None
             return CurveClass(cc.chi + cc.beta[_idx], cc.beta), (("node", _node),)
 
         gens.append(ClassGenerator(
             f"numeric-twist-{node}", RULE_TWIST_NUMERIC, "numeric", numeric_twist))
 
-    level = "motivic" if config.rigidified else "numeric"
-
-    def moves(cc: CurveClass) -> bool:
-        """Whether the class's dimension vector is nonzero, off the imaginary
-        line, and a real restricted root (motivic) or indivisible
-        (numeric)."""
-        delta = _to_vector(rim_fin, cc)
-        if not any(delta) or is_colinear(delta, rim_bar):
-            return False
-        if level == "motivic":
-            return classify_value(aff, delta) == "real"
-        return vec_gcd(delta) == 1
-
-    movable = _by_index(size if config.non_flop_nodes else 0, moves)
+    rigid = config.rigidified
+    level = "motivic" if rigid else "numeric"
+    values = finite_restricted_values(dtype)
 
     for node in sorted(config.non_flop_nodes):
         apply_map = mutation_vector_map(dtype, node)
         alpha_bar = _to_vector(rim_fin, CurveClass(0, tuple(
             1 if n == node else 0 for n in dtype.kept)))
 
-        def mutation(cc: CurveClass, i=None, _node=node, _alpha=alpha_bar, _apply=apply_map):
-            if not movable(cc, i):
+        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _apply=apply_map):
+            if not (cc.beta in values if rigid else any(cc.beta) and cc.d_pair == 1):
                 return None
             delta = _to_vector(rim_fin, cc)
             if is_colinear(delta, _alpha):
@@ -343,28 +323,10 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig,
             return _to_class(rim_fin, image), (("node", _node),)
 
         gens.append(ClassGenerator(
-            f"mutation-{node}", RULE_MUT_MOTIVIC if config.rigidified else RULE_MUT_NUMERIC,
+            f"mutation-{node}", RULE_MUT_MOTIVIC if rigid else RULE_MUT_NUMERIC,
             level, mutation))
 
     return tuple(gens)
-
-
-def _by_index(size: int, test: Callable[[CurveClass], bool]) -> Callable:
-    """test(cc, i), remembered per window index i in a bytearray (0 not yet
-    decided, 1 no, 2 yes), so that the generators that share it decide a
-    class once whatever their number.  A call with i None is not
-    remembered."""
-    decided = bytearray(size)
-
-    def remembered(cc: CurveClass, i: Optional[int]) -> bool:
-        if i is None:
-            return test(cc)
-        known = decided[i]
-        if not known:
-            known = decided[i] = 2 if test(cc) else 1
-        return known == 2
-
-    return remembered
 
 
 def window_classes(dtype: DynkinType, config: SymmetryConfig) -> Iterator[CurveClass]:
@@ -486,7 +448,7 @@ class OrbitPartition:
     of the pass and yields the orbits one at a time; no step and no orbit
     is kept.  The pass holds no class: it builds the window's classes
     again for each generator, and per class it holds one C int, its
-    parent's index, and the generators' memo bytes."""
+    parent's index."""
 
     def __init__(self, dtype: DynkinType, config: SymmetryConfig, window: ClassWindow,
                  gens: tuple[ClassGenerator, ...]):
@@ -501,14 +463,15 @@ class OrbitPartition:
         self._grouped = False
 
     def _closure(self, gens: tuple[ClassGenerator, ...]):
-        """The pass, over class indices.  A generator meets each class once,
-        and the generators of one rule differ in params, so no step
-        repeats.  A root is the smallest index of its tree."""
+        """The pass, over class indices.  A generator meets each class once
+        and decides on the class alone, and the generators of one rule
+        differ in params, so no step repeats.  A root is the smallest index
+        of its tree."""
         index, parent = self._window.index, self._parent
         for gen in gens:
             act, rule, level = gen.act, gen.rule, gen.level
             for i, cc in enumerate(window_classes(self.dtype, self.config)):
-                hit = act(cc, i)
+                hit = act(cc)
                 if hit is None:
                     continue
                 img, params = hit
@@ -587,9 +550,8 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
     The window and generators are built here, so a bad type or config, or
     a window too large to index, raises before any output; the union-find
     pass runs only as the partition's certificates or orbits are read."""
-    window = ClassWindow(dtype, config)
-    return OrbitPartition(dtype, config, window,
-                          symmetry_generators(dtype, config, size=window.size))
+    return OrbitPartition(dtype, config, ClassWindow(dtype, config),
+                          symmetry_generators(dtype, config))
 
 
 class TransportResult(NamedTuple):

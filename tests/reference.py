@@ -5,21 +5,26 @@ restricted roots, or by counting sign changes), not by the engine path
 it checks."""
 
 from collections import deque
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from cdvwall.arrangement import Chamber, ChamberGraph, Gallery, GeometryError, Hyperplane
 from cdvwall.bps import (
     CurveClass,
     OrbitPartition,
+    SymmetryConfig,
     affine_companion,
     class_to_vector,
     geometric_verdict,
+    mutation_vector_map,
+    vector_to_class,
 )
 from cdvwall.dynkin import Diagram
-from cdvwall.linalg import Vec, dot, is_colinear, primitive, vec_neg
+from cdvwall.linalg import Vec, dot, is_colinear, primitive, vec_gcd, vec_neg
 from cdvwall.restriction import (
     DynkinType,
     RestrictedRootSet,
+    classify_value,
     finite_companion_values,
     imaginary_restriction,
     restricted_roots,
@@ -187,6 +192,68 @@ def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
     while min(class_to_vector(aff, CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta)))) < 0:
         n += 1
     return n
+
+
+def generator_acts(dtype: DynkinType, config: SymmetryConfig) -> dict[str, Callable]:
+    """The act of each generator of symmetry_generators, by name, with every
+    domain decided the long way.  A mutation moves a class whose dimension
+    vector delta = class_to_vector(aff, cc) is nonzero, off the imaginary
+    line and a real restricted root by classify_value (motivic), or
+    indivisible (numeric).  A numeric twist moves a class with beta nonzero
+    and non-negative entry by entry and (chi, beta) coprime.  The duality
+    shift is minimal_duality_shift's."""
+    aff = affine_companion(dtype)
+    rim_bar = imaginary_restriction(aff)
+    rigidified = config.rigidified
+
+    @lru_cache(maxsize=None)
+    def moves(cc: CurveClass) -> bool:
+        delta = class_to_vector(aff, cc)
+        if not any(delta) or is_colinear(delta, rim_bar):
+            return False
+        if rigidified:
+            return classify_value(aff, delta) == "real"
+        return vec_gcd(delta) == 1
+
+    acts = {}
+    if rigidified:
+        def twist(cc):
+            d = vec_gcd(cc.beta)
+            return None if d == 0 else (CurveClass(cc.chi + d, cc.beta), (("d", d),))
+
+        def dual(cc):
+            d = vec_gcd(cc.beta)
+            if d == 0:
+                return None
+            n = minimal_duality_shift(dtype, cc)
+            return CurveClass(n * d - cc.chi, tuple(-b for b in cc.beta)), (("n", n), ("d", d))
+
+        acts["motivic-twist"], acts["motivic-duality"] = twist, dual
+
+    for idx, node in enumerate(dtype.kept):
+        def numeric_twist(cc, idx=idx, node=node):
+            chi, beta = cc
+            if all(b == 0 for b in beta) or any(b < 0 for b in beta) or vec_gcd((chi, *beta)) != 1:
+                return None
+            return CurveClass(chi + beta[idx], beta), (("node", node),)
+
+        acts[f"numeric-twist-{node}"] = numeric_twist
+
+    for node in sorted(config.non_flop_nodes):
+        apply_map = mutation_vector_map(dtype, node)
+        alpha_bar = class_to_vector(aff, CurveClass(0, tuple(int(n == node) for n in dtype.kept)))
+
+        def mutation(cc, node=node, apply_map=apply_map, alpha_bar=alpha_bar):
+            delta = class_to_vector(aff, cc)
+            if not moves(cc) or is_colinear(delta, alpha_bar):
+                return None
+            image = apply_map(delta)
+            if any(c < 0 for c in image):
+                return None
+            return vector_to_class(aff, image), (("node", node),)
+
+        acts[f"mutation-{node}"] = mutation
+    return acts
 
 
 def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):

@@ -32,7 +32,7 @@ from cdvwall.restriction import (
     imaginary_restriction,
     proper_subsets,
 )
-from reference import minimal_duality_shift, verdict_constant_on_orbits
+from reference import generator_acts, minimal_duality_shift, verdict_constant_on_orbits
 
 D4 = DynkinType(build_diagram("D", 4), frozenset())
 D4_AFF = affine_companion(D4)
@@ -182,7 +182,9 @@ def test_window_at_inverts_the_index(family, rank, contracted, chi_max, beta_max
             window.at(i)
 
 
-def test_orbit_partition_classifies_each_class_once(monkeypatch):
+def test_orbit_partition_classifies_nothing(monkeypatch):
+    # every generator decides on the class itself: a mutation's domain is
+    # read off beta, so no dimension vector is classified
     seen = []
 
     def counted(aff, v):
@@ -190,10 +192,12 @@ def test_orbit_partition_classifies_each_class_once(monkeypatch):
         return classify_value(aff, v)
 
     monkeypatch.setattr(bps, "classify_value", counted)
-    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1, 2, 3, 4}),
-                         chi_max=2, beta_max=1)
-    list(orbit_partition(D4, cfg).certificates())
-    assert seen and len(seen) == len(set(seen))
+    for rigidified in (False, True):
+        cfg = SymmetryConfig(rigidified=rigidified, non_flop_nodes=frozenset({1, 2, 3, 4}),
+                             chi_max=2, beta_max=1)
+        rules = {cert.rule for _, _, cert in orbit_partition(D4, cfg).certificates()}
+        assert (bps.RULE_MUT_MOTIVIC if rigidified else bps.RULE_MUT_NUMERIC) in rules
+    assert not seen
 
 
 def test_motivic_twist_shape():
@@ -338,13 +342,13 @@ def test_orbit_certificates_stream_from_the_closure(monkeypatch):
     calls = []
     generators = bps.symmetry_generators
 
-    def counted(dtype, config, **size):
+    def counted(dtype, config):
         def wrap(gen):
-            def act(cc, i=None):
+            def act(cc):
                 calls.append(cc)
-                return gen.act(cc, i)
+                return gen.act(cc)
             return ClassGenerator(gen.name, gen.rule, gen.level, act)
-        return tuple(map(wrap, generators(dtype, config, **size)))
+        return tuple(map(wrap, generators(dtype, config)))
 
     monkeypatch.setattr(bps, "symmetry_generators", counted)
     n_gens = len(generators(D4, cfg))
@@ -540,3 +544,26 @@ def test_every_generator_step_keeps_the_forced_zero_verdict(family, rank, chi_ma
                     img = hit[0]
                     assert (geometric_verdict(dt, cc).forced_zero
                             == geometric_verdict(dt, img).forced_zero), (subset, gen.name, cc, img)
+
+
+E6_SAMPLE = ((1, 3, 5), (2, 4, 6), (1, 2, 6), (3, 4, 5), (2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_generators_agree_with_the_dimension_vector_domain(family, rank):
+    # each generator decides on the class; the reference decides a
+    # mutation's domain on the class's dimension vector, by classify_value
+    # or its gcd, and a numeric twist's entry by entry
+    diagram = build_diagram(family, rank)
+    subsets = (map(frozenset, E6_SAMPLE) if family == "E" else proper_subsets(diagram))
+    for subset in subsets:
+        dt = DynkinType(diagram, subset)
+        for rigidified in (False, True):
+            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=frozenset(dt.kept),
+                                    chi_max=2, beta_max=2)
+            acts = generator_acts(dt, config)
+            gens = symmetry_generators(dt, config)
+            assert [g.name for g in gens] == list(acts)
+            for cc in window_classes(dt, config):
+                for gen in gens:
+                    assert gen.act(cc) == acts[gen.name](cc), (subset, gen.name, cc)

@@ -1,4 +1,4 @@
-"""Byte-identity pins: the sha256 of stdout for 22 small commands.
+"""Byte-identity pins: the sha256 of stdout for 24 small commands.
 
 The first two `chambers` digests and the `mutate` digest were recorded
 before the Weyl core started carrying inverses and stepping by simple
@@ -27,6 +27,11 @@ before those were simplified, so the simplification cannot move a byte.
 The last three pin a finite `chambers` (every chamber of D4, as JSON and
 as DOT) and the E7~ {2,5} `gallery`; they were recorded before the chamber
 search kept one edge per wall and the two commands wrote as they went.
+The last two pin `orbits` on contracted types, where the finite restricted
+roots are not the roots: D5 {4,5} rigidified (52 motivic mutation steps)
+and E6 {2} numeric (948 numeric mutation steps).  They were recorded
+before the mutation domain was read off beta instead of the dimension
+vector, and iota fixes every non-flop node of both.
 Any change to chamber,
 gallery, mutation, transport, orbit, verdict or slice output, including
 its order or formatting, fails here.
@@ -91,6 +96,12 @@ PINS = [
      "1d0a0e971fde1a7e1ebd6b168c98f0b3b421e89cf4960903b94f9d3e87cc8a6b"),
     (["gallery", "--family", "E", "--rank", "7", "--affine", "--contracted", "2,5"],
      "b9db3d9074a63e902bcf40646b4a3cb6e77b0cca38ee3646b8aa77d4a4c0b0ab"),
+    (["orbits", "--family", "D", "--rank", "5", "--contracted", "4,5", "--rigidified",
+      "--non-flop", "1,2,3", "--window", "chi=2,beta=1"],
+     "d401fb4121a4692f216ede5afb685985c40537150f5b518f70a052d38fbf1c82"),
+    (["orbits", "--family", "E", "--rank", "6", "--contracted", "2", "--non-flop", "4,5,6",
+      "--window", "chi=2,beta=1"],
+     "0a6afd9ba10696dc059287ccb471e0870b71844af8481bc1a64fd7ed1a4554b6"),
 ]
 
 
