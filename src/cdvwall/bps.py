@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .dynkin import Frozen, build_diagram
-from .groupoid import compose, induced_root_map, self_mutation_identification, step_relabelling
-from .linalg import Vec, is_colinear, mat_vec, vec_gcd
+from .groupoid import GroupoidError, compose, induced_root_map, self_mutation_identification
+from .linalg import Mat, Vec, is_colinear, mat_vec, vec_gcd
 from .restriction import (
     DynkinType,
     classify_value,
@@ -240,11 +240,15 @@ class ClassGenerator(Frozen):
         return (self.name, self.rule, self.level)
 
 
-def mutation_vector_map(dtype: DynkinType, node: int) -> Callable[[Vec], Vec]:
-    """The self-map on dimension vectors induced by one mutation at a kept
-    finite node, through the canonical relabelling of the mutated subset."""
-    arrow = compose(affine_companion(dtype), (node,))
-    return partial(mat_vec, self_mutation_identification(arrow))
+@lru_cache(maxsize=None)
+def mutation_map(dtype: DynkinType, node: int) -> Mat:
+    """The automorphism of dimension vectors of one mutation at a kept finite
+    node, self_mutation_identification's on the affine companion; raises
+    ClassError where the mutated subset is another contraction."""
+    try:
+        return self_mutation_identification(compose(affine_companion(dtype), (node,)))
+    except GroupoidError as err:
+        raise ClassError(str(err)) from None
 
 
 def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[ClassGenerator, ...]:
@@ -254,12 +258,14 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     twists hold at the numeric level for coprime pairs only, and the engine
     refuses to chain them through non-coprime intermediates.  Mutation
     generators exist at the nodes whose contraction does not flop, and act
-    on dimension vectors through the induced lattice map.  A class moves
-    when its dimension vector delta = (chi, beta + chi * pi(r_im)) is a
-    real restricted root (motivic) or indivisible off the imaginary line
-    (numeric).  Since delta - chi * pi(r_im) = (0, beta) and gcd(delta) =
-    gcd(chi, beta), both are read off the class: beta is a finite
-    restricted root, or beta is nonzero and the pair coprime.
+    on dimension vectors through mutation_map, which gv_transport shares;
+    a non-flop node whose mutated subset is another contraction raises
+    ClassError.  A class moves when its dimension vector delta = (chi,
+    beta + chi * pi(r_im)) is a real restricted root (motivic) or
+    indivisible off the imaginary line (numeric).  Since delta - chi *
+    pi(r_im) = (0, beta) and gcd(delta) = gcd(chi, beta), both are read off
+    the class: beta is a finite restricted root, or beta is nonzero and the
+    pair coprime.
     """
     if dtype.affine:
         raise ClassError("symmetry generators are configured on a finite type")
@@ -307,17 +313,17 @@ def symmetry_generators(dtype: DynkinType, config: SymmetryConfig) -> tuple[Clas
     values = finite_restricted_values(dtype)
 
     for node in sorted(config.non_flop_nodes):
-        apply_map = mutation_vector_map(dtype, node)
+        matrix = mutation_map(dtype, node)
         alpha_bar = _to_vector(rim_fin, CurveClass(0, tuple(
             1 if n == node else 0 for n in dtype.kept)))
 
-        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _apply=apply_map):
+        def mutation(cc: CurveClass, _node=node, _alpha=alpha_bar, _matrix=matrix):
             if not (cc.beta in values if rigid else any(cc.beta) and cc.d_pair == 1):
                 return None
             delta = _to_vector(rim_fin, cc)
             if is_colinear(delta, _alpha):
                 return None
-            image = _apply(delta)
+            image = mat_vec(_matrix, delta)
             if any(c < 0 for c in image):
                 return None
             return _to_class(rim_fin, image), (("node", _node),)
@@ -577,13 +583,18 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
     """Transport an effective class through the mutation at one node.
 
     Rejects classes colinear to the node's curve class, whose transport is
-    not covered.  The image is the inverse induced lattice map applied to
-    the class's dimension vector; effectiveness of the image is asserted.
+    not covered.  Through a flop the image is the inverse induced lattice
+    map applied to the class's dimension vector, read in the flopped
+    space's coordinates.  Otherwise it is mutation_map's image read in the
+    source's own, and a node whose mutated subset is another contraction
+    raises ClassError.  Effectiveness of the image is asserted.
     """
     if dtype.affine:
         raise ClassError("gv transport takes a finite type")
     if node not in dtype.kept:
         raise ClassError(f"node {node} is not a kept finite node")
+    # first, so that every row at a refused node is skipped for that reason
+    matrix = None if flop else mutation_map(dtype, node)
     if not all(b >= 0 for b in beta) or all(b == 0 for b in beta):
         raise ClassError("beta must be a nonzero effective class")
     unit = tuple(1 if n == node else 0 for n in dtype.kept)
@@ -595,25 +606,19 @@ def gv_transport(dtype: DynkinType, beta: Vec, node: int, flop: bool) -> Transpo
             "to vanish and the transport relation is vacuous"
         )
     aff = affine_companion(dtype)
-    arrow = compose(aff, (node,))
     delta = class_to_vector(aff, CurveClass(1, beta))
-    image = mat_vec(induced_root_map(arrow).inverse, delta)
-    # the target contracts only nodes of S and the node itself, all finite,
-    # so it keeps node 0
-    target_dtype = DynkinType(aff.diagram, arrow.target_subset)
-    chi, beta_img = vector_to_class(target_dtype, image)
+    if flop:
+        arrow = compose(aff, (node,))
+        # the target contracts only nodes of S and the node itself, all
+        # finite, so it keeps node 0
+        space = DynkinType(aff.diagram, arrow.target_subset)
+        image = mat_vec(induced_root_map(arrow).inverse, delta)
+    else:
+        space, image = aff, mat_vec(matrix, delta)
+    chi, beta_img = vector_to_class(space, image)
     if chi != 1:
         raise ClassError("transport did not preserve the point class")
-
-    if flop:
-        if any(b < 0 for b in beta_img):
-            raise ClassError("transported class is not effective")
-        return TransportResult(beta, node, beta_img, "flopped space",
-                               tuple(sorted(n for n in arrow.target_subset)))
-    relabel = step_relabelling(arrow)
-    back = {relabel[t]: b for t, b in zip(target_dtype.kept[1:], beta_img)}
-    beta_same = tuple(back[n] for n in dtype.kept)
-    if any(b < 0 for b in beta_same):
+    if any(b < 0 for b in beta_img):
         raise ClassError("transported class is not effective")
-    return TransportResult(beta, node, beta_same, "same space",
-                           tuple(sorted(dtype.contracted)))
+    return TransportResult(beta, node, beta_img, "flopped space" if flop else "same space",
+                           tuple(sorted(space.contracted)))

@@ -17,11 +17,11 @@ against the chamber geometry (`cross_wall`, `path_to_gallery`).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .dynkin import Diagram
 from .linalg import Mat, identity_matrix, mat_mul
-from .restriction import DynkinType
+from .restriction import DynkinType, finite_companion_values, finite_restricted_values
 from .weyl import WeylElement, identity, iota_permutation, longest_element
 
 
@@ -102,38 +102,32 @@ def induced_root_map(arrow: GroupoidArrow) -> InducedRootMap:
     return InducedRootMap(matrix, inverse)
 
 
-def step_relabelling(arrow: GroupoidArrow) -> Optional[dict]:
-    """For a single mutation step, the node bijection target_kept -> source_kept
-    sending iota(i) back to i and fixing everything else; None otherwise."""
-    if len(arrow.word) != 1:
-        return None
-    (subset, node), = arrow.word
-    _, iota_node, _ = mutation_data(arrow.source.diagram, subset, node)
-    target_kept = (n for n in arrow.source.diagram.nodes if n not in arrow.target_subset)
-    return {n: (node if n == iota_node else n) for n in target_kept}
-
-
 def self_mutation_identification(arrow: GroupoidArrow) -> Mat:
-    """The integer automorphism of the source lattice carried by an arrow
-    whose target subset is identified with the source by the step
-    relabelling i -> iota(i).
+    """The integer automorphism of the source lattice carried by a single
+    mutation step at i, whose target S' = S + i - iota(i) is identified with
+    the source S by relabelling iota(i) as i and fixing every other kept
+    node: the inverse induced root map with its rows relabelled.
+    Dimension vectors transform through it under the mutation symmetry.
 
-    This is the composite of the inverse induced root map with the
-    relabelling permutation; dimension vectors transform through it under
-    the mutation symmetry.
+    The relabelling is admitted only where it is an isomorphism: it must
+    carry the finite restricted roots of S' onto those of S.  Elsewhere S'
+    is another contraction, and this raises GroupoidError.
     """
     dtype = arrow.source
-    if len(arrow.word) == 0:
+    if not arrow.word:
         return identity_matrix(len(dtype.kept))
-    relabel = step_relabelling(arrow)
-    if relabel is None:
+    if len(arrow.word) != 1:
         raise GroupoidError("identification is only defined for single mutation steps")
-    if frozenset(relabel.values()) != frozenset(dtype.kept):
-        raise GroupoidError("target subset is not identified with the source by the relabelling")
-    source_kept = dtype.kept
-    target_kept = tuple(n for n in dtype.diagram.nodes if n not in arrow.target_subset)
-    minv = induced_root_map(arrow).inverse
-    # rows of the automorphism live on source coordinates; row for node
-    # relabel[t] is the t-row of the inverse map
-    perm_rows = {relabel[t]: minv[target_kept.index(t)] for t in target_kept}
-    return tuple(perm_rows[n] for n in source_kept)
+    (subset, node), = arrow.word
+    _, iota_node, _ = mutation_data(dtype.diagram, subset, node)
+    target = DynkinType(dtype.diagram, arrow.target_subset)
+    # the target's kept positions in source order, iota(i) where i sits
+    order = [target.kept.index(iota_node if n == node else n) for n in dtype.kept]
+    values = finite_companion_values if dtype.affine else finite_restricted_values
+    if frozenset(tuple(v[k] for k in order) for v in values(target)) != values(dtype):
+        raise GroupoidError(
+            f"the mutation at node {node} is not a symmetry: relabelling node {iota_node} "
+            f"as {node} does not carry the restricted roots of the mutated subset "
+            f"{sorted(target.contracted)} onto those of {sorted(dtype.contracted)}")
+    inverse = induced_root_map(arrow).inverse
+    return tuple(inverse[k] for k in order)

@@ -16,11 +16,11 @@ from cdvwall.bps import (
     affine_companion,
     class_to_vector,
     geometric_verdict,
-    mutation_vector_map,
     vector_to_class,
 )
 from cdvwall.dynkin import Diagram
-from cdvwall.linalg import Vec, dot, is_colinear, primitive, vec_gcd, vec_neg
+from cdvwall.groupoid import compose, induced_root_map, mutation_data
+from cdvwall.linalg import Mat, Vec, dot, is_colinear, mat_vec, primitive, vec_gcd, vec_neg
 from cdvwall.restriction import (
     DynkinType,
     RestrictedRootSet,
@@ -194,12 +194,26 @@ def minimal_duality_shift(dtype: DynkinType, cc: CurveClass) -> int:
     return n
 
 
+def unchecked_mutation_map(dtype: DynkinType, node: int) -> Mat:
+    """One mutation's map on the affine companion's dimension vectors with
+    the mutated subset relabelled as the source whether or not that is a
+    symmetry: the row of each source kept node is the inverse induced
+    map's row of the same target node, and i takes iota(i)'s row."""
+    arrow = compose(affine_companion(dtype), (node,))
+    _, iota_node, _ = mutation_data(arrow.source.diagram, arrow.source.contracted, node)
+    target_kept = [n for n in arrow.source.diagram.nodes if n not in arrow.target_subset]
+    rows = dict(zip(target_kept, induced_root_map(arrow).inverse))
+    return tuple(rows[iota_node if n == node else n] for n in arrow.source.kept)
+
+
 def generator_acts(dtype: DynkinType, config: SymmetryConfig) -> dict[str, Callable]:
     """The act of each generator of symmetry_generators, by name, with every
-    domain decided the long way.  A mutation moves a class whose dimension
-    vector delta = class_to_vector(aff, cc) is nonzero, off the imaginary
-    line and a real restricted root by classify_value (motivic), or
-    indivisible (numeric).  A numeric twist moves a class with beta nonzero
+    domain decided the long way and every mutation through
+    unchecked_mutation_map, so a non-flop node the engine refuses gets an
+    act here too.  A mutation moves a class whose dimension vector
+    delta = class_to_vector(aff, cc) is nonzero, off the imaginary line and
+    a real restricted root by classify_value (motivic), or indivisible
+    (numeric).  A numeric twist moves a class with beta nonzero
     and non-negative entry by entry and (chi, beta) coprime.  The duality
     shift is minimal_duality_shift's."""
     aff = affine_companion(dtype)
@@ -240,14 +254,14 @@ def generator_acts(dtype: DynkinType, config: SymmetryConfig) -> dict[str, Calla
         acts[f"numeric-twist-{node}"] = numeric_twist
 
     for node in sorted(config.non_flop_nodes):
-        apply_map = mutation_vector_map(dtype, node)
+        matrix = unchecked_mutation_map(dtype, node)
         alpha_bar = class_to_vector(aff, CurveClass(0, tuple(int(n == node) for n in dtype.kept)))
 
-        def mutation(cc, node=node, apply_map=apply_map, alpha_bar=alpha_bar):
+        def mutation(cc, node=node, matrix=matrix, alpha_bar=alpha_bar):
             delta = class_to_vector(aff, cc)
             if not moves(cc) or is_colinear(delta, alpha_bar):
                 return None
-            image = apply_map(delta)
+            image = mat_vec(matrix, delta)
             if any(c < 0 for c in image):
                 return None
             return vector_to_class(aff, image), (("node", node),)

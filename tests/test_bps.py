@@ -15,7 +15,7 @@ from cdvwall.bps import (
     class_to_vector,
     geometric_verdict,
     gv_transport,
-    mutation_vector_map,
+    mutation_map,
     orbit_partition,
     symmetry_generators,
     vanishing_verdict,
@@ -24,7 +24,7 @@ from cdvwall.bps import (
 )
 from cdvwall.dynkin import build_diagram, imaginary_root
 from cdvwall.groupoid import mutation_data
-from cdvwall.linalg import is_colinear
+from cdvwall.linalg import is_colinear, mat_vec
 from cdvwall.restriction import (
     DynkinType,
     classify_value,
@@ -32,11 +32,28 @@ from cdvwall.restriction import (
     imaginary_restriction,
     proper_subsets,
 )
-from reference import generator_acts, minimal_duality_shift, verdict_constant_on_orbits
+from reference import (
+    generator_acts,
+    minimal_duality_shift,
+    unchecked_mutation_map,
+    verdict_constant_on_orbits,
+)
 
 D4 = DynkinType(build_diagram("D", 4), frozenset())
 D4_AFF = affine_companion(D4)
 A3J2 = DynkinType(build_diagram("A", 3), frozenset({2}))
+
+
+def admitted_nodes(dtype: DynkinType) -> frozenset:
+    """The kept nodes whose mutation the engine identifies with the source."""
+    def admitted(node):
+        try:
+            mutation_map(dtype, node)
+        except ClassError:
+            return False
+        return True
+
+    return frozenset(filter(admitted, dtype.kept))
 
 
 def test_imaginary_vector_is_a_candidate():
@@ -308,7 +325,7 @@ def test_orbit_verdict_constancy_small():
     ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3})], ids=["A3-2", "D4", "D5-1,3"])
 def test_orbits_are_the_components_of_distinct_edges(family, rank, contracted):
     dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
-    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset(dtype.kept),
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=admitted_nodes(dtype),
                          chi_max=2, beta_max=1)
     part = orbit_partition(dtype, cfg)
     certs = list(part.certificates())
@@ -489,32 +506,33 @@ def test_transport_flop_tags_the_target_type():
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("D", 4), ("D", 5), ("E", 6)])
-def test_transport_agrees_with_the_mutation_generator_where_delta_is_fixed(family, rank):
-    # two engine paths to the image of (1, beta) under one mutation: the
-    # transport's step relabelling and the mutation generator's dimension
-    # vector map.  They agree exactly when iota(node) and node carry the
-    # same coefficient of the imaginary root; elsewhere they differ (for
-    # D4 {1}, node 2, beta (1, 0, 1): (0, 0, 1) against (-1, 0, 1)).
+def test_transport_agrees_with_the_mutation_generator_at_every_admitted_node(family, rank):
+    # the image of (1, beta) in the same space three ways: gv_transport,
+    # the reference's relabelled generator map, and the flopped image read
+    # in the mutated subset's own coordinates and relabelled by hand,
+    # iota(node) as node.  At a refused node the last two differ (D4 {1},
+    # node 2, beta (1, 0, 1): (-1, 0, 1) against (0, 0, 1)).
     diagram = build_diagram(family, rank)
     for size in range(len(diagram.nodes) - 1):
         for subset in itertools.combinations(diagram.nodes, size):
             dt = DynkinType(diagram, frozenset(subset))
             aff = affine_companion(dt)
-            delta = dict(zip(aff.diagram.nodes, imaginary_root(aff.diagram)))
             positives = sorted(v for v in finite_restricted_values(dt)
                                if all(c >= 0 for c in v))
-            for node in dt.kept:
-                _, iota_node, _ = mutation_data(aff.diagram, aff.contracted, node)
-                if delta[iota_node] != delta[node]:
-                    continue
+            for node in sorted(admitted_nodes(dt)):
+                _, iota_node, target = mutation_data(aff.diagram, aff.contracted, node)
+                target_kept = [n for n in dt.diagram.nodes if n not in target]
                 unit = tuple(1 if n == node else 0 for n in dt.kept)
-                apply_map = mutation_vector_map(dt, node)
+                matrix = unchecked_mutation_map(dt, node)
                 for beta in positives:
                     if is_colinear(beta, unit):
                         continue
-                    image = vector_to_class(
-                        aff, apply_map(class_to_vector(aff, CurveClass(1, beta))))
-                    assert image == CurveClass(1, gv_transport(dt, beta, node, False).image_beta)
+                    same = gv_transport(dt, beta, node, False).image_beta
+                    image = vector_to_class(aff, mat_vec(matrix, class_to_vector(
+                        aff, CurveClass(1, beta))))
+                    flopped = dict(zip(target_kept, gv_transport(dt, beta, node, True).image_beta))
+                    assert image == CurveClass(1, same), (subset, node, beta)
+                    assert same == tuple(flopped[iota_node if n == node else n] for n in dt.kept)
 
 
 @pytest.mark.parametrize("rigidified", [False, True], ids=["numeric", "motivic"])
@@ -523,17 +541,12 @@ def test_transport_agrees_with_the_mutation_generator_where_delta_is_fixed(famil
 def test_every_generator_step_keeps_the_forced_zero_verdict(family, rank, chi_max, beta_max,
                                                             rigidified):
     # criterion 7 checks whole orbits; this checks each generator on its
-    # own, with mutations at the kept nodes that iota fixes.  A mutation at
-    # a node with iota(node) != node can move a candidate class to a
-    # forced-zero one (D5 {1,3}, node 4: (0, (1,0,1)) to (0, (1,2,1))).
+    # own, with a mutation at every kept node the engine admits
     diagram = build_diagram(family, rank)
     for size in range(len(diagram.nodes) - 1):
         for subset in itertools.combinations(diagram.nodes, size):
             dt = DynkinType(diagram, frozenset(subset))
-            aff = affine_companion(dt)
-            fixed = frozenset(n for n in dt.kept
-                              if mutation_data(aff.diagram, aff.contracted, n)[1] == n)
-            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=fixed,
+            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=admitted_nodes(dt),
                                     chi_max=chi_max, beta_max=beta_max)
             classes = tuple(window_classes(dt, config))
             for gen in symmetry_generators(dt, config):
@@ -546,7 +559,42 @@ def test_every_generator_step_keeps_the_forced_zero_verdict(family, rank, chi_ma
                             == geometric_verdict(dt, img).forced_zero), (subset, gen.name, cc, img)
 
 
+def moves_a_verdict(dtype: DynkinType, node: int) -> bool:
+    """Whether the unchecked relabelled mutation at node moves some class
+    of the window chi <= 2, beta <= 2 across verdicts, at either level."""
+    for rigidified in (False, True):
+        config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=frozenset({node}),
+                                chi_max=2, beta_max=2)
+        act = generator_acts(dtype, config)[f"mutation-{node}"]
+        for cc in window_classes(dtype, config):
+            hit = act(cc)
+            if hit and (geometric_verdict(dtype, cc).forced_zero
+                        != geometric_verdict(dtype, hit[0]).forced_zero):
+                return True
+    return False
+
+
 E6_SAMPLE = ((1, 3, 5), (2, 4, 6), (1, 2, 6), (3, 4, 5), (2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("family, rank, count", [
+    ("A", 3, 0), ("A", 4, 0), ("D", 4, 6), ("D", 5, 24), ("E", 6, 6)])
+def test_every_refused_step_moves_a_verdict(family, rank, count):
+    # the refusal is no stricter than it must be: relabelled anyway, each
+    # refused step would join a candidate class to a forced-zero one, so
+    # no refused node could give a symmetry.  In type A the restricted
+    # roots are the runs of consecutive kept nodes, and the relabelling
+    # keeps their order, so A3 and A4 refuse nothing.  The E6 subsets are
+    # a sample.
+    diagram = build_diagram(family, rank)
+    subsets = (map(frozenset, E6_SAMPLE) if family == "E" else proper_subsets(diagram))
+    refused = 0
+    for subset in subsets:
+        dt = DynkinType(diagram, subset)
+        for node in sorted(set(dt.kept) - admitted_nodes(dt)):
+            refused += 1
+            assert moves_a_verdict(dt, node), (subset, node)
+    assert refused == count
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)])
@@ -559,7 +607,7 @@ def test_generators_agree_with_the_dimension_vector_domain(family, rank):
     for subset in subsets:
         dt = DynkinType(diagram, subset)
         for rigidified in (False, True):
-            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=frozenset(dt.kept),
+            config = SymmetryConfig(rigidified=rigidified, non_flop_nodes=admitted_nodes(dt),
                                     chi_max=2, beta_max=2)
             acts = generator_acts(dt, config)
             gens = symmetry_generators(dt, config)

@@ -578,6 +578,41 @@ def test_gv_map_marks_vacuous_rows(capsys):
     assert all("skipped" in r or "image_beta" in r for r in rows)
 
 
+@pytest.mark.parametrize("rank", [4, 5])
+def test_every_non_flop_node_exits_cleanly(rank, capsys):
+    # a node whose mutated subset is another contraction is refused:
+    # orbits exits 2 with one line, gv-map skips each row at the node
+    diagram = build_diagram("D", rank)
+    refused = 0
+    for subset in proper_subsets(diagram):
+        contracted = ["--contracted", ",".join(map(str, sorted(subset)))] if subset else []
+        for node in (n for n in diagram.nodes if n not in subset):
+            flags = ["--family", "D", "--rank", str(rank), *contracted,
+                     "--non-flop", str(node), "--window", "chi=1,beta=1"]
+            code, out, err = run_cli(["orbits", *flags], capsys)
+            assert code in (0, 2), (flags, code)
+            reason = None
+            if code == 2:
+                refused += 1
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+                reason = err[len("error: "):-1]
+            code, out, err = run_cli(["gv-map", *flags], capsys)
+            assert (code, err) == (0, ""), (flags, err)
+            if reason:
+                rows = [r for r in json.loads(out)["results"] if r["node"] == node]
+                assert all(r.get("skipped") == reason for r in rows), (flags, rows)
+    assert refused
+
+
+def test_orbits_exits_2_at_a_refused_node(capsys):
+    # D5 {1,3} at node 4: iota(4) = 3, and the mutated subset {1,4} is
+    # another contraction
+    code, out, err = run_cli(["orbits", "--family", "D", "--rank", "5", "--contracted", "1,3",
+                              "--non-flop", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "mutation at node 4 is not a symmetry" in err, err
+
+
 @pytest.mark.parametrize("args", [
     ["chambers", "--family", "A", "--rank", "2", "--affine", "--maxlen", "-1"],
     ["check-gcd", "--family", "E", "--rank", "6", "--affine", "--kmax", "-1"],

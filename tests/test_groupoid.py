@@ -10,7 +10,6 @@ from cdvwall.groupoid import (
     mutate,
     mutation_data,
     self_mutation_identification,
-    step_relabelling,
 )
 from cdvwall.linalg import identity_matrix, mat_mul, mat_vec
 from cdvwall.restriction import DynkinType, imaginary_restriction, restrict, restricted_roots
@@ -215,7 +214,18 @@ def test_self_identification_rejects_multi_step_words():
 
 
 def test_label_relabelling_map():
-    dt = DynkinType(build_diagram("A", 2, affine=True), frozenset({2}))
-    arrow = compose(dt, (1,))
-    relabel = step_relabelling(arrow)
-    assert relabel == {0: 0, 2: 1}
+    # D4~ {1,2} at node 4: iota(4) = 1, so the target {2,4} keeps 0, 1, 3,
+    # and the row of node 4 is the inverse map's row of node 1
+    dt = DynkinType(build_diagram("D", 4, affine=True), frozenset({1, 2}))
+    arrow = compose(dt, (4,))
+    assert arrow.target_subset == frozenset({2, 4})
+    rows = dict(zip((0, 1, 3), induced_root_map(arrow).inverse))
+    assert self_mutation_identification(arrow) == (rows[0], rows[3], rows[1])
+
+
+def test_self_identification_refuses_another_contraction():
+    # D4~ {1} at node 2: iota(2) = 1, and the target {2} contracts the
+    # centre; its restricted roots have no coordinate 2, those of {1} do
+    dt = DynkinType(build_diagram("D", 4, affine=True), frozenset({1}))
+    with pytest.raises(GroupoidError, match="not a symmetry"):
+        self_mutation_identification(compose(dt, (2,)))

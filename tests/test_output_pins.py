@@ -1,4 +1,4 @@
-"""Byte-identity pins: the sha256 of stdout for 24 small commands.
+"""Byte-identity pins: the sha256 of stdout for 25 small commands.
 
 The first two `chambers` digests and the `mutate` digest were recorded
 before the Weyl core started carrying inverses and stepping by simple
@@ -12,7 +12,12 @@ walk meeting several walls at one point stopped restarting from another
 start point and crossed them in turn, first facet in order first: the 11
 rows whose first walk met such a point changed, each still minimal between
 its ends, and the D4~ {3,4} and A3~ {2} outputs did not change.  The `gv-map` and `orbits` digests pin the two
-consumers of the induced root maps on a finite type.  The three SVG
+consumers of the induced root maps on a finite type.  The `gv-map` at
+D4 {1}, node 2, was re-recorded when a mutation became a symmetry only
+where relabelling iota(i) as i carries the mutated subset's restricted
+roots onto the source's: iota(2) = 1 there, the mutated subset {2}
+contracts the centre, and each row at node 2 is now skipped with that
+reason.  The three SVG
 digests pin the slice writer's box-edge points and their decimal rounding;
 E8~ {1,2,3,4,5,6} has normals up to (2,3), including (2,2) walls with odd
 offsets.  The next three digests pin the verdict tables: a finite
@@ -24,14 +29,18 @@ coefficients' sign, not carried as a set), the oracle self-test (which
 walks points through the chamber graph) and the dihedral check (whose
 coefficient bound and level window are constants); they were recorded
 before those were simplified, so the simplification cannot move a byte.
-The last three pin a finite `chambers` (every chamber of D4, as JSON and
+The next three pin a finite `chambers` (every chamber of D4, as JSON and
 as DOT) and the E7~ {2,5} `gallery`; they were recorded before the chamber
 search kept one edge per wall and the two commands wrote as they went.
-The last two pin `orbits` on contracted types, where the finite restricted
+The two after them pin `orbits` on contracted types, where the finite restricted
 roots are not the roots: D5 {4,5} rigidified (52 motivic mutation steps)
 and E6 {2} numeric (948 numeric mutation steps).  They were recorded
 before the mutation domain was read off beta instead of the dimension
-vector, and iota fixes every non-flop node of both.
+vector, and iota fixes every non-flop node of both.  The last pins the
+`gv-map` at D4 {2,3}, node 1, a step that is a symmetry although
+iota(1) = 3: its 12 rows, 2 of them "same space", were recorded before
+the same-space image came from the one relabelled map that the mutation
+generators use.
 Any change to chamber,
 gallery, mutation, transport, orbit, verdict or slice output, including
 its order or formatting, fails here.
@@ -60,7 +69,7 @@ PINS = [
     (["gallery", "--family", "D", "--rank", "5", "--affine", "--contracted", "1,4"],
      "2cf5cf75edcac27c6dcb24b4145bdd8d294bf39430911e0b02abcf1a447c25fc"),
     (["gv-map", "--family", "D", "--rank", "4", "--contracted", "1", "--non-flop", "2"],
-     "82d87dd1275e42eacdf16df3b72ffdbedaa7c3b27ab81aa72be89a9986a3cf45"),
+     "6a7f94714cf02305e3828a6e907e6ad4c346214465add3dc6c84e1af185a6d85"),
     (["orbits", "--family", "D", "--rank", "4", "--non-flop", "1,2,3,4",
       "--window", "chi=2,beta=1"],
      "413a040829e77a400c02b039334c661ea5c7126e1ae99381351ae9a6a2957eee"),
@@ -102,6 +111,8 @@ PINS = [
     (["orbits", "--family", "E", "--rank", "6", "--contracted", "2", "--non-flop", "4,5,6",
       "--window", "chi=2,beta=1"],
      "0a6afd9ba10696dc059287ccb471e0870b71844af8481bc1a64fd7ed1a4554b6"),
+    (["gv-map", "--family", "D", "--rank", "4", "--contracted", "2,3", "--non-flop", "1"],
+     "650b4bd35681ee8f089b88a718e6ac9915a61b8a3f36163e1e22646f475344f0"),
 ]
 
 
