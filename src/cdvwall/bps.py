@@ -177,25 +177,19 @@ def vanishing_verdict(dtype: DynkinType, delta: Vec,
                    global_scope=weighted_homogeneous)
 
 
-def geometric_verdict(dtype: DynkinType, cc: CurveClass,
-                      weighted_homogeneous: bool = False) -> Verdict:
-    """Verdict for a class (chi, beta) on a finite type.
+@lru_cache(maxsize=None)
+def finite_verdicts(dtype: DynkinType,
+                    weighted_homogeneous: bool) -> Callable[[CurveClass], Verdict]:
+    """The verdict function of one finite type, for a class (chi, beta).
 
     The class must map to a non-negative dimension vector.  beta = 0 is the
     point-class direction and is never forced to vanish; otherwise the
     verdict is forced zero exactly when beta over the pair multiplicity is
     not a finite restricted root.  As on the dimension-vector side, the
     weighted-homogeneous flag extends the verdict to the global invariant.
-    """
-    return finite_verdicts(dtype, weighted_homogeneous)(cc)
-
-
-@lru_cache(maxsize=None)
-def finite_verdicts(dtype: DynkinType,
-                    weighted_homogeneous: bool) -> Callable[[CurveClass], Verdict]:
-    """The verdict function of one finite type.  The type's pi(r_im) and
-    restricted roots are read once here, so a class costs a cone check, a
-    gcd and one set lookup.  Verdicts themselves are not kept."""
+    The type's pi(r_im) and restricted roots are read once here, so a class
+    costs a cone check, a gcd and one set lookup.  Verdicts themselves are
+    not kept."""
     if dtype.affine:
         raise ClassError("geometric verdicts take a finite type")
     aff = affine_companion(dtype)
@@ -447,34 +441,34 @@ class OrbitPartition:
     """The orbits of the configured generators on a window of classes, and
     one certificate per generator step, found in one union-find pass.
 
-    certificates() yields each step (from, to, Certificate) as the pass
-    makes it, generator by generator and each in class order.  The steps
-    are read once and before the orbits: reading them a second time, or
-    after the orbits, raises RuntimeError.  orbits() finishes what is left
-    of the pass and yields the orbits one at a time; no step and no orbit
-    is kept.  The pass holds no class: it builds the window's classes
-    again for each generator, and per class it holds one C int, its
-    parent's index."""
+    certificates() is the pass: it yields each step (from, to, Certificate)
+    as it joins the step's trees, generator by generator and each in class
+    order.  A step depends on its class alone, and joining two joined trees
+    changes nothing, so a second read yields the same steps, and reads may
+    interleave: once any read ends, the forest is the whole pass's.
+    orbits() runs the pass to its end unless one has ended, and yields the
+    orbits one at a time; no step and no orbit is kept.  The pass holds no class: it builds the window's
+    classes again for each generator, and per class it holds one C int,
+    its parent's index."""
 
     def __init__(self, dtype: DynkinType, config: SymmetryConfig, window: ClassWindow,
                  gens: tuple[ClassGenerator, ...]):
         self.dtype = dtype
         self.config = config
         self._window = window
+        self._gens = gens
         self._parent = parent = _ints(window.size)
         for i in range(window.size):
             parent[i] = i
-        self._steps = self._closure(gens)
-        self._read = False
-        self._grouped = False
+        self._closed = False
 
-    def _closure(self, gens: tuple[ClassGenerator, ...]):
+    def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
         """The pass, over class indices.  A generator meets each class once
         and decides on the class alone, and the generators of one rule
-        differ in params, so no step repeats.  A root is the smallest index
-        of its tree."""
+        differ in params, so no step repeats within a read.  A root is the
+        smallest index of its tree."""
         index, parent = self._window.index, self._parent
-        for gen in gens:
+        for gen in self._gens:
             act, rule, level = gen.act, gen.rule, gen.level
             for i, cc in enumerate(window_classes(self.dtype, self.config)):
                 hit = act(cc)
@@ -488,30 +482,20 @@ class OrbitPartition:
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
                 yield cc, img, Certificate(rule, level, params)
-
-    def certificates(self) -> Iterator[tuple[CurveClass, CurveClass, Certificate]]:
-        """The steps of the pass, once; checked when iteration starts, and
-        again after each step in case the orbits were read meanwhile."""
-        if self._read or self._grouped:
-            raise RuntimeError("the certificates are read once, before the orbits")
-        self._read = True
-        for step in self._steps:
-            yield step
-            if self._grouped:
-                raise RuntimeError("the certificates are read once, before the orbits")
+        self._closed = True
 
     def orbits(self) -> Iterator[tuple[CurveClass, ...]]:
         """Sorted members per orbit, the orbits in order of their first
-        members, once the pass is finished; each orbit is built as it is
+        members, once a pass has ended; each orbit is built as it is
         yielded and not kept.  Each root is its orbit's smallest index and
         a parent is smaller than its child, so one ascending pass sets
         every parent to its root; a descending pass then links each member
         in right after its root, which leaves every orbit's members linked
         in index order, and the classes come sorted.  A link of 0 ends a
         list, since index 0 is a root."""
-        for _ in self._steps:
-            pass
-        self._grouped = True
+        if not self._closed:
+            for _ in self.certificates():
+                pass
         at, parent = self._window.at, self._parent
         n = self._window.size
         for i in range(n):
@@ -532,8 +516,9 @@ class OrbitPartition:
     def to_json(self) -> dict:
         """The document with its orbits and certificates as generators, so
         the JSON writer builds each entry only as it writes it, and no
-        orbit is kept.  Keys are written sorted, so the certificates are
-        written, and the pass ends, before the orbits are grouped."""
+        orbit is kept.  Keys are written sorted, so the pass that writes the
+        certificates ends before the orbits are grouped, and they need no
+        second pass."""
 
         def orbits():
             for o in self.orbits():
@@ -555,7 +540,8 @@ def orbit_partition(dtype: DynkinType, config: SymmetryConfig) -> OrbitPartition
     """The orbit partition of the window under the configured generators.
     The window and generators are built here, so a bad type or config, or
     a window too large to index, raises before any output; the union-find
-    pass runs only as the partition's certificates or orbits are read."""
+    pass runs only as the partition's certificates are read, or the first
+    time its orbits are."""
     return OrbitPartition(dtype, config, ClassWindow(dtype, config),
                           symmetry_generators(dtype, config))
 

@@ -26,7 +26,7 @@ from .arrangement import (
 from .bps import (
     ClassError,
     SymmetryConfig,
-    geometric_verdict,
+    finite_verdicts,
     gv_transport,
     orbit_partition,
     window_classes,
@@ -534,8 +534,8 @@ def cmd_mutate(cfg: JobConfig) -> int:
 
 def cmd_vanishing_table(cfg: JobConfig) -> int:
     dtype = _dtype(cfg)
-    rows = ((cc, geometric_verdict(dtype, cc, cfg.weighted_homogeneous))
-            for cc in window_classes(dtype, _symmetry(cfg)))
+    verdict = finite_verdicts(dtype, cfg.weighted_homogeneous)
+    rows = ((cc, verdict(cc)) for cc in window_classes(dtype, _symmetry(cfg)))
     if cfg.fmt == "csv":
         header = ["chi", "beta", "verdict", "paper_ref", "mult"]
         csv_rows = (

@@ -15,7 +15,7 @@ from cdvwall.bps import (
     SymmetryConfig,
     affine_companion,
     class_to_vector,
-    geometric_verdict,
+    finite_verdicts,
     vector_to_class,
 )
 from cdvwall.dynkin import Diagram
@@ -275,9 +275,9 @@ def verdict_constant_on_orbits(dtype: DynkinType, partition: OrbitPartition):
 
     Returns (ok, offenders) where offenders lists the mixed orbits.
     """
-    offenders = []
+    verdict, offenders = finite_verdicts(dtype, False), []
     for orbit in partition.orbits():
-        flags = {geometric_verdict(dtype, cc).forced_zero for cc in orbit}
+        flags = {verdict(cc).forced_zero for cc in orbit}
         if len(flags) > 1:
             offenders.append(orbit)
     return (not offenders), tuple(offenders)

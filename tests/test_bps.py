@@ -13,7 +13,7 @@ from cdvwall.bps import (
     SymmetryConfig,
     affine_companion,
     class_to_vector,
-    geometric_verdict,
+    finite_verdicts,
     gv_transport,
     mutation_map,
     orbit_partition,
@@ -42,6 +42,12 @@ from reference import (
 D4 = DynkinType(build_diagram("D", 4), frozenset())
 D4_AFF = affine_companion(D4)
 A3J2 = DynkinType(build_diagram("A", 3), frozenset({2}))
+
+
+def geometric_verdict(dtype: DynkinType, cc: CurveClass,
+                      weighted_homogeneous: bool = False):
+    """The verdict of one class, by its type's verdict function."""
+    return finite_verdicts(dtype, weighted_homogeneous)(cc)
 
 
 def admitted_nodes(dtype: DynkinType) -> frozenset:
@@ -381,23 +387,24 @@ def test_orbit_certificates_stream_from_the_closure(monkeypatch):
 
     first = orbit_partition(D4, cfg)
     assert tuple(first.orbits()) == tuple(part.orbits())
-    with pytest.raises(RuntimeError):
-        next(first.certificates())
-    with pytest.raises(RuntimeError):
-        next(part.certificates())
 
 
-def test_orbit_certificates_are_read_once_and_before_the_orbits():
-    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset({1}),
-                         chi_max=2, beta_max=1)
+def test_orbit_certificates_read_again_and_around_the_orbits():
+    # the steps depend on no forest, and a join of joined trees changes
+    # nothing, so any order of reads gives a fresh partition's steps and
+    # orbits; orbits() after a partial read finishes a pass of its own
+    cfg = SymmetryConfig(rigidified=True, non_flop_nodes=frozenset(D4.kept),
+                         chi_max=3, beta_max=2)
+    steps = list(orbit_partition(D4, cfg).certificates())
+    orbits = tuple(orbit_partition(D4, cfg).orbits())
+    assert len(steps) > 2 and any(len(o) > 1 for o in orbits)
     part = orbit_partition(D4, cfg)
     certs = part.certificates()
-    next(certs)
-    with pytest.raises(RuntimeError):
-        next(part.certificates())
-    assert tuple(part.orbits())
-    with pytest.raises(RuntimeError):
-        next(certs)
+    head = list(itertools.islice(certs, len(steps) // 2))
+    assert tuple(part.orbits()) == orbits
+    assert head + list(certs) == steps
+    assert list(part.certificates()) == steps
+    assert tuple(part.orbits()) == orbits
 
 
 # the traced peak, above its start, of writing the D4 rigidified orbits
@@ -432,22 +439,23 @@ def _orbits_write_peak(chi_max: int, beta_max: int) -> int:
 
 
 def test_writing_the_orbits_holds_no_certificate_list():
-    # the closure streams its steps into the writer; held as a list, the
+    # the pass streams its steps into the writer; held as a list, the
     # steps of this window would lift the traced peak to about 3 MB.  The
-    # peak reads 0.23-0.24 MB on Python 3.10-3.13, so the bound leaves
-    # 0.11 MB; writing in blocks of 16,384 parts it read 1.03 MB, and with
-    # the window's class tuple kept 0.53 MB
+    # peak reads 141,036 B in three runs on Python 3.11.7 (other versions
+    # unmeasured), so the bound leaves about 0.21 MB; writing in blocks of
+    # 16,384 parts it read 1.03 MB, and with the window's class tuple kept
+    # 0.53 MB
     assert (peak := _orbits_write_peak(4, 2)) < 350_000, peak
 
 
 def test_the_orbit_pass_holds_no_class_and_an_index_apiece():
-    # at the benchmark's window (12,121 classes) the pass holds an index
-    # array and two bytearrays of memos, and builds the classes again for
-    # each sweep.  The peak reads 0.34-0.35 MB on Python 3.10-3.13, so the
-    # bound leaves 0.15 MB.  Keeping the class tuple reads 2.06 MB, writing
-    # in blocks of 16,384 parts 1.27 MB, a {class: index} dict beside the
-    # class tuple 2.86-3.10 MB, and the pass that kept both and grouped the
-    # orbits in a dict of lists 5.9-6.3 MB
+    # at the benchmark's window (12,121 classes) the pass holds one index
+    # array, its parents, and builds the classes again for each sweep.  The
+    # peak reads 268,062 B in three runs on Python 3.11.7 (other versions
+    # unmeasured), so the bound leaves about 0.23 MB.  Keeping the class
+    # tuple reads 2.06 MB, writing in blocks of 16,384 parts 1.27 MB, a
+    # {class: index} dict beside the class tuple 2.86-3.10 MB, and the pass
+    # that kept both and grouped the orbits in a dict of lists 5.9-6.3 MB
     assert (peak := _orbits_write_peak(6, 3)) < 500_000, peak
 
 

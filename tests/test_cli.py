@@ -239,6 +239,31 @@ def test_orbits_csv_is_written_while_the_orbits_are_grouped(monkeypatch):
     assert len(grouped) > 10 and written_at[0] < len(grouped) // 2, (written_at, len(grouped))
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "D", "--rank", "4", "--rigidified", "--non-flop", "1,2,3,4",
+     "--window", "chi=2,beta=1"],
+    ["--family", "E", "--rank", "6", "--contracted", "2", "--non-flop", "4,5,6",
+     "--window", "chi=2,beta=1"],
+], ids=["D4", "E6-2"])
+def test_orbits_csv_lists_the_json_partition(args, capsys):
+    # the JSON document reads its certificates, and so ends the pass, before
+    # its orbits; the CSV rows run the pass through the orbits alone
+    code, out, _ = run_cli(["orbits", *args], capsys)
+    assert code == 0
+
+    def text(cc):
+        return [str(cc["chi"]), ";".join(map(str, cc["beta"]))]
+
+    want = [text(m) + text(orbit["representative"])
+            for orbit in json.loads(out)["results"]["orbits"] for m in orbit["members"]]
+    assert any(row[:2] != row[2:] for row in want)
+    code, out, _ = run_cli(["orbits", *args, "--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "chi,beta,rep_chi,rep_beta"
+    assert [row.split(",") for row in rows] == want
+
+
 def test_write_json_lays_out_each_shape_by_its_own_keys():
     row = {"kind": None, "class": {"chi": 1, "beta": [0, 1]}, "mult": 2, "base": [1, 0]}
     rows = [dict(row, mult=i) for i in range(1000)]
@@ -372,19 +397,24 @@ def test_out_writes_a_file(tmp_path, capsys):
 def test_interrupted_table_leaves_out_as_it_was(error, tmp_path, capsys):
     target = tmp_path / "table.json"
     target.write_text("earlier\n", encoding="utf-8")
-    verdict, decided = cli.geometric_verdict, []
+    verdicts, decided = cli.finite_verdicts, []
 
-    def failing(*args):
-        if len(decided) == 500:
-            # rows are already on their way to the file
-            [part] = tmp_path.glob("table.json.*.part")
-            assert part.stat().st_size > 0
-            raise error("stop")
-        decided.append(1)
-        return verdict(*args)
+    def failing_verdicts(*args):
+        verdict = verdicts(*args)
+
+        def failing(cc):
+            if len(decided) == 500:
+                # rows are already on their way to the file
+                [part] = tmp_path.glob("table.json.*.part")
+                assert part.stat().st_size > 0
+                raise error("stop")
+            decided.append(1)
+            return verdict(cc)
+
+        return failing
 
     with mock.patch.object(cli, "BLOCK_PARTS", 64), \
-            mock.patch.object(cli, "geometric_verdict", failing):
+            mock.patch.object(cli, "finite_verdicts", failing_verdicts):
         try:
             code = main(VANISHING_D4 + ["--out", str(target)])
         except KeyboardInterrupt:
