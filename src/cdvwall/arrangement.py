@@ -37,7 +37,7 @@ from .linalg import (
 )
 from .restriction import (
     DynkinType,
-    finite_companion_values,
+    finite_restricted_values,
     imaginary_restriction,
     is_restricted_root,
     restrict,
@@ -335,14 +335,14 @@ class ChamberGraph:
 def arrangement_hyperplanes(dtype: DynkinType, k_max: int) -> tuple:
     """The walls of the affine arrangement's level slice within a window:
     the hyperplanes {theta(rbar) = k} in finite kept coordinates with
-    |k| <= k_max, for the finite companion's restricted roots rbar.  Needs
+    |k| <= k_max, for the finite restricted roots rbar, the level-0 set.  Needs
     an affine type with node 0 kept."""
     if not dtype.affine:
         raise DiagramError("arrangement_hyperplanes requires an affine type")
     if 0 in dtype.contracted:
         raise DiagramError("slice coordinates need node 0 kept")
     walls = set()
-    for rbar in finite_companion_values(dtype):
+    for rbar in finite_restricted_values(dtype):
         normal = rbar[1:]   # node 0 is the first coordinate
         for k in range(-k_max, k_max + 1):
             walls.add(wall_through(normal, k))

@@ -370,15 +370,17 @@ class ClassWindow:
     coordinate.
 
     beta_i takes beta_max + 1 + min(beta_max, chi * pi(r_im)_i) values, and
-    from the first chi at which every floor is -beta_max each box is the
-    full cube, so a window too large to index is counted without a row
-    apiece: it raises ClassError above INDEX_MAX, before anything per class
-    is built."""
+    from the first chi at which every floor is -beta_max, the top row, each
+    box is the full cube: rows are kept up to the top row, a base above it is
+    the top row's plus a cube per level, and a window too large to index is
+    counted without a row apiece.  It raises ClassError above INDEX_MAX,
+    before anything per class is built."""
 
     def __init__(self, dtype: DynkinType, config: SymmetryConfig):
         rim_fin = _finite_rim(affine_companion(dtype))
         b_max = self._beta_max = config.beta_max
-        cube = (2 * b_max + 1) ** len(rim_fin)
+        self._chi_max = config.chi_max
+        cube = self._cube = (2 * b_max + 1) ** len(rim_fin)
         rows, starts, start = [], [], -1   # the zero class, first at chi = 0, has no index
         for chi in range(config.chi_max + 1):
             floors = tuple(max(-b_max, -chi * r) for r in rim_fin)
@@ -387,25 +389,27 @@ class ClassWindow:
                 strides.append(box)
                 box *= b_max + 1 - lo
             strides.reverse()
-            if box == cube and start + box * (config.chi_max + 1 - chi) > INDEX_MAX:
-                start += box * (config.chi_max + 1 - chi)   # every later box is the cube
-                break
             if start <= INDEX_MAX:   # past it the rest is only counted
                 rows.append((start - sum(lo * s for lo, s in zip(floors, strides)),
                              tuple(zip(floors, strides))))
                 starts.append(start)
+            if box == cube:   # the top row: every later box is the cube
+                start += box * (config.chi_max + 1 - chi)
+                break
             start += box
         if start > INDEX_MAX:
             raise ClassError(f"the window holds {start} classes, more than the "
                              f"{INDEX_MAX} that a class index can number")
         self.size = start
-        self._rows, self._starts = rows, starts
+        self._rows, self._starts, self._top = rows, starts, len(rows) - 1
 
     def index(self, cc: CurveClass) -> Optional[int]:
         chi, beta = cc
-        if not 0 <= chi < len(self._rows):
+        if not 0 <= chi <= self._chi_max:
             return None
-        i, digits = self._rows[chi]
+        above = max(chi - self._top, 0)   # levels above the top row, a cube each
+        i, digits = self._rows[chi - above]
+        i += above * self._cube
         b_max = self._beta_max
         for b, (lo, s) in zip(beta, digits):
             if not lo <= b <= b_max:
@@ -414,14 +418,19 @@ class ClassWindow:
         return i if i >= 0 else None
 
     def at(self, i: int) -> CurveClass:
-        """The class of index i: its chi by bisection on the rows' first
-        indices, then each beta_i by division with the strides."""
+        """The class of index i: its chi by bisection on the rows' first indices,
+        or by division with the cube from the top row on; its betas by the strides."""
         if not 0 <= i < self.size:
             raise IndexError(f"class index {i} is outside a window of {self.size}")
-        chi = bisect_right(self._starts, i) - 1
-        rest = i - self._starts[chi]
+        top, starts = self._top, self._starts
+        if i >= starts[top]:
+            chi, rest = divmod(i - starts[top], self._cube)
+            chi += top
+        else:
+            chi = bisect_right(starts, i) - 1
+            rest = i - starts[chi]
         beta = []
-        for lo, s in self._rows[chi][1]:
+        for lo, s in self._rows[min(chi, top)][1]:
             beta.append(lo + rest // s)
             rest %= s
         return tuple.__new__(CurveClass, (chi, tuple(beta)))

@@ -618,8 +618,9 @@ def cmd_selftest(cfg: JobConfig) -> int:
     ):
         bad_rr = bad_gcd = 0
         for rr in sets:
-            bad_rr += oracle_restricted_roots(rr.dynkin_type) != rr.values()
-            bad_gcd += not oracle_gcd_check(rr.dynkin_type)
+            oracle = oracle_restricted_roots(rr.dynkin_type)
+            bad_rr += oracle != rr.values()
+            bad_gcd += not oracle_gcd_check(oracle)
         failures += bad_rr + bad_gcd
         lines.append(f"[{'ok' if not (bad_rr or bad_gcd) else 'FAIL'}] oracle {label}: "
                      f"{bad_rr} set mismatches, {bad_gcd} gcd failures")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .dynkin import Diagram
 from .linalg import Mat, identity_matrix, mat_mul
-from .restriction import DynkinType, finite_companion_values, finite_restricted_values
+from .restriction import DynkinType, finite_restricted_values
 from .weyl import WeylElement, identity, iota_permutation, longest_element
 
 
@@ -123,8 +123,8 @@ def self_mutation_identification(arrow: GroupoidArrow) -> Mat:
     target = DynkinType(dtype.diagram, arrow.target_subset)
     # the target's kept positions in source order, iota(i) where i sits
     order = [target.kept.index(iota_node if n == node else n) for n in dtype.kept]
-    values = finite_companion_values if dtype.affine else finite_restricted_values
-    if frozenset(tuple(v[k] for k in order) for v in values(target)) != values(dtype):
+    relabelled = frozenset(tuple(v[k] for k in order) for v in finite_restricted_values(target))
+    if relabelled != finite_restricted_values(dtype):
         raise GroupoidError(
             f"the mutation at node {node} is not a symmetry: relabelling node {iota_node} "
             f"as {node} does not carry the restricted roots of the mutated subset "

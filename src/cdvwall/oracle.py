@@ -115,10 +115,9 @@ def oracle_affine_restricted_roots(dtype: DynkinType, k_max: int) -> frozenset:
     return frozenset(out)
 
 
-def oracle_gcd_check(dtype: DynkinType) -> bool:
-    """True when every restricted root of multiplicity d has all d of the
-    fractions (i/d) * r, i = 1..d, in the set."""
-    rr = oracle_restricted_roots(dtype)
+def oracle_gcd_check(rr: frozenset) -> bool:
+    """True when every root of multiplicity d in rr, an oracle_restricted_roots
+    set, has all d of the fractions (i/d) * r, i = 1..d, in the set."""
     for r in rr:
         d = 0
         for c in r:

@@ -8,16 +8,16 @@ A root's coordinates are all >= 0 or all <= 0, and so are those of its
 image, so a restricted root's sign class is the sign of its coefficients.
 Affine sets are infinite, so enumeration takes a level window; membership
 tests are windowless and exact via the translation structure of the real
-restricted roots.  Kept coordinates follow node order, so an
-affine type that keeps node 0 has it first, where pi(r_im) reads 1; the
-values of its finite companion are given in the same coordinates, reading
-0 there.
+restricted roots.  Kept coordinates follow node order, so an affine type
+that keeps node 0 has it first, where pi(r_im) reads 1 and its finite
+restricted roots, its level-0 set, read 0.
 
-Every set of one diagram is built from one scan of its roots, the
-entries of the empty subset.  Restriction composes, so a single build
-projects the scan onto its kept coordinates in one pass, and a sweep over
-all subsets builds each from its parent, the subset without its lowest
-node, by dropping one coordinate.  Neither keeps state outside its call.
+Every set of one diagram is built from one scan of its roots, real and
+imaginary, the entries of the empty subset.  Restriction composes, so a
+single build projects the scan onto its kept coordinates in one pass, and
+a sweep over all subsets builds each from its parent, the subset without
+its lowest node, by dropping one coordinate.  Neither keeps state outside
+its call.
 """
 
 from __future__ import annotations
@@ -131,15 +131,6 @@ class RestrictedRootSet(Frozen):
     records are built only when elements is read."""
 
     def __init__(self, dynkin_type: DynkinType, entries: dict, window: Optional[int]):
-        """entries are the images of the scanned roots; an affine set adds
-        the imaginary multiples k * pi(r_im), 0 < |k| <= window, to a copy."""
-        if window is not None:
-            entries = dict(entries)
-            rim_bar = imaginary_restriction(dynkin_type)
-            rim = imaginary_root(dynkin_type.diagram)
-            for k in range(1, window + 1):
-                for m in (k, -k):
-                    entries.setdefault(tuple(m * c for c in rim_bar), tuple(m * c for c in rim))
         self.__dict__.update(dynkin_type=dynkin_type, entries=entries, window=window)
 
     def _key(self) -> tuple:
@@ -197,12 +188,16 @@ def _scan(diagram: Diagram, window: Optional[int]) -> dict:
     """The scan entries of the empty subset, root -> root (its own witness),
     in scan order.  Every restricted-root set of the diagram is built from
     these by _project.  Finite types scan r, then -r, for each positive
-    root; affine types scan the level window."""
+    root; affine types scan the real roots of the level window, then the
+    imaginary roots k * r_im, 0 < |k| <= window, +k before -k for k = 1,
+    2, ..., so a real root is the witness of any image the two share."""
     if window is None:
         roots = (root for r in enumerate_roots(diagram).positive_roots
                  for root in (r, vec_neg(r)))
     else:
-        roots = expanded_window(diagram, window)
+        rim = imaginary_root(diagram)
+        roots = (*expanded_window(diagram, window),
+                 *(tuple(m * c for c in rim) for k in range(1, window + 1) for m in (k, -k)))
     return {full: full for full in roots}
 
 
@@ -224,9 +219,9 @@ def restricted_roots(dtype: DynkinType, k_max: Optional[int] = None) -> Restrict
     """All nonzero restrictions of roots, annotated and deduplicated: the
     scan projected onto the kept coordinates in one pass.
 
-    Finite types need no window.  For affine types, real roots are scanned
-    at levels |k| <= k_max and the imaginary multiples k * pi(r_im) with
-    0 < |k| <= k_max are included.
+    Finite types need no window.  For affine types, the real roots at
+    levels |k| <= k_max and the imaginary roots k * r_im with 0 < |k| <=
+    k_max are scanned.
     """
     window = _window(dtype.diagram, k_max)
     entries = _scan(dtype.diagram, window)
@@ -259,27 +254,10 @@ def restricted_root_sweep(diagram: Diagram,
 
 @lru_cache(maxsize=None)
 def finite_restricted_values(dtype: DynkinType) -> frozenset:
-    """Coefficient tuples of the finite restricted-root set (cached)."""
-    if dtype.affine:
-        raise DiagramError("finite_restricted_values requires a finite type")
-    return restricted_roots(dtype).values()
-
-
-@lru_cache(maxsize=None)
-def finite_companion_values(dtype: DynkinType) -> frozenset:
-    """The finite restricted-root values of an affine type's companion (the
-    finite part, with the contracted finite nodes), in the type's own kept
-    coordinates: node 0, when kept, is the first coordinate and reads 0 on
-    every value.  Empty when node 0 is the only kept node."""
-    if not dtype.affine:
-        raise DiagramError("finite_companion_values requires an affine type")
-    if dtype.kept == (0,):
-        return frozenset()
-    values = finite_restricted_values(
-        DynkinType(dtype.diagram.finite_part(), dtype.contracted - {0}))
-    if 0 in dtype.contracted:
-        return values
-    return frozenset((0, *v) for v in values)
+    """Coefficient tuples of the finite restricted roots (cached): a finite
+    type's whole set, an affine type's level-0 set, the images of the finite
+    part's roots in the type's own kept coordinates."""
+    return restricted_roots(dtype, 0 if dtype.affine else None).values()
 
 
 def classify_value(dtype: DynkinType, v: Vec) -> Optional[str]:
@@ -299,7 +277,7 @@ def classify_value(dtype: DynkinType, v: Vec) -> Optional[str]:
     k = integer_multiple_of(v, rim_bar)
     if k is not None:
         return "imaginary" if k != 0 else None
-    fin_values = finite_companion_values(dtype)
+    fin_values = finite_restricted_values(dtype)
     if 0 not in dtype.contracted:
         # pi(r_im) reads 1 at node 0, the first coordinate, and finite
         # values read 0, so the translation level is v[0]

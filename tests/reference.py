@@ -1,8 +1,9 @@
 """Independent references the tests check the engine against.  No command
 runs them, so they live with the tests: each is built its own way (from
 the Cartan matrix, by breadth-first search, by translating the finite
-restricted roots, or by counting sign changes), not by the engine path
-it checks."""
+restricted roots, by restricting the real roots before adding the
+imaginary ones, or by counting sign changes), not by the engine path it
+checks."""
 
 from collections import deque
 from functools import lru_cache
@@ -18,14 +19,14 @@ from cdvwall.bps import (
     finite_verdicts,
     vector_to_class,
 )
-from cdvwall.dynkin import Diagram
+from cdvwall.dynkin import Diagram, expanded_window, imaginary_root
 from cdvwall.groupoid import compose, induced_root_map, mutation_data
 from cdvwall.linalg import Mat, Vec, dot, is_colinear, mat_vec, primitive, vec_gcd, vec_neg
 from cdvwall.restriction import (
     DynkinType,
     RestrictedRootSet,
     classify_value,
-    finite_companion_values,
+    finite_restricted_values,
     imaginary_restriction,
     restricted_roots,
 )
@@ -109,7 +110,7 @@ def separating_hyperplanes(dtype: DynkinType, a: Chamber, b: Chamber) -> frozens
 
     check(rim_bar)
     p_rim, q_rim = dot(p, rim_bar), dot(q, rim_bar)
-    for base in finite_companion_values(dtype):
+    for base in finite_restricted_values(dtype):
         if is_colinear(base, rim_bar):
             continue
         pb, qb = dot(p, base), dot(q, base)
@@ -129,6 +130,35 @@ def linear_walls(dtype: DynkinType, k_max: int) -> tuple:
     order of their normals."""
     normals = {primitive(coeffs) for coeffs in restricted_roots(dtype, k_max).values()}
     return tuple(Hyperplane(n) for n in sorted(normals))
+
+
+def entries_with_multiples_added(dtype: DynkinType, k_max: int) -> dict:
+    """An affine set's entries, coeffs -> first witness, in two steps: the
+    real roots of the level window restricted in window order, each image
+    keeping its first preimage, then the imaginary multiples k * pi(r_im),
+    0 < |k| <= k_max, +k before -k, added where no real root put them."""
+    keep = [dtype.diagram.index[n] for n in dtype.kept]
+    entries = {}
+    for root in expanded_window(dtype.diagram, k_max):
+        image = tuple(root[i] for i in keep)
+        if any(image):
+            entries.setdefault(image, root)
+    rim = imaginary_root(dtype.diagram)
+    for k in range(1, k_max + 1):
+        for m in (k, -k):
+            entries.setdefault(tuple(m * rim[i] for i in keep), tuple(m * c for c in rim))
+    return entries
+
+
+def companion_from_finite_part(dtype: DynkinType) -> frozenset:
+    """An affine type's finite restricted roots, from the finite part with
+    the contracted finite nodes, a 0 put in front when node 0 is kept;
+    empty when node 0 is the only kept node."""
+    if dtype.kept == (0,):
+        return frozenset()
+    finite = DynkinType(dtype.diagram.finite_part(), dtype.contracted - {0})
+    values = restricted_roots(finite).values()
+    return values if 0 in dtype.contracted else frozenset((0, *v) for v in values)
 
 
 class TwoWayReport(NamedTuple):
@@ -167,7 +197,7 @@ def real_restricted_two_ways(dtype: DynkinType | RestrictedRootSet,
     # with node 0 contracted, pi(r_max) = pi(r_im - alpha_0) = pi(r_im)
     excluded = {rim_bar, vec_neg(rim_bar)} if zero_contracted else set()
     translated = set()
-    for base in finite_companion_values(dtype):
+    for base in finite_restricted_values(dtype):
         if base in excluded:
             continue
         for k in range(-k_max, k_max + 1):

@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -157,10 +158,17 @@ def test_window_is_the_cone_part_of_the_box(family, rank, contracted, chi_max, b
     assert all(min(class_to_vector(aff, cc)) >= 0 for cc in got)
 
 
-@pytest.mark.parametrize("family, rank, contracted", [
-    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3}), ("E", 6, set())],
-    ids=["A3-2", "D4", "D5-1,3", "E6"])
-@pytest.mark.parametrize("chi_max, beta_max", [(0, 0), (0, 2), (3, 0), (1, 2), (4, 1)])
+_WINDOW_TYPES = {"A3-2": ("A", 3, {2}), "D4": ("D", 4, set()), "D5-1,3": ("D", 5, {1, 3}),
+                 "E6": ("E", 6, set())}
+# (9, 1) and (7, 3) reach levels above the top row, the first whose box is the
+# full cube; E6's cube at beta_max = 3 is 7^6 classes, too many to walk here
+_WINDOW_CASES = [pytest.param(*_WINDOW_TYPES[name], chi_max, beta_max,
+                             id=f"{chi_max}-{beta_max}-{name}")
+                for chi_max, beta_max in [(0, 0), (0, 2), (3, 0), (1, 2), (4, 1), (9, 1), (7, 3)]
+                for name in _WINDOW_TYPES if (chi_max, beta_max, name) != (7, 3, "E6")]
+
+
+@pytest.mark.parametrize("family, rank, contracted, chi_max, beta_max", _WINDOW_CASES)
 def test_window_index_is_the_position_in_window_classes(family, rank, contracted,
                                                          chi_max, beta_max):
     dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
@@ -187,10 +195,7 @@ def test_window_index_is_the_position_in_window_classes(family, rank, contracted
     assert outside
 
 
-@pytest.mark.parametrize("family, rank, contracted", [
-    ("A", 3, {2}), ("D", 4, set()), ("D", 5, {1, 3}), ("E", 6, set())],
-    ids=["A3-2", "D4", "D5-1,3", "E6"])
-@pytest.mark.parametrize("chi_max, beta_max", [(0, 0), (0, 2), (3, 0), (1, 2), (4, 1)])
+@pytest.mark.parametrize("family, rank, contracted, chi_max, beta_max", _WINDOW_CASES)
 def test_window_at_inverts_the_index(family, rank, contracted, chi_max, beta_max):
     dtype = DynkinType(build_diagram(family, rank), frozenset(contracted))
     cfg = SymmetryConfig(chi_max=chi_max, beta_max=beta_max)
@@ -203,6 +208,25 @@ def test_window_at_inverts_the_index(family, rank, contracted, chi_max, beta_max
     for i in (-1, window.size):
         with pytest.raises(IndexError):
             window.at(i)
+
+
+def test_a_window_keeps_no_row_above_its_top():
+    # at beta_max = 0 every floor is 0 from chi = 0 on, so one row numbers
+    # all 10^6 levels; a row per level traced about 400 MB.  The window is
+    # built small first, so the module caches are full
+    ClassWindow(D4, SymmetryConfig(chi_max=1, beta_max=0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        window = ClassWindow(D4, SymmetryConfig(chi_max=10 ** 6, beta_max=0))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert window.size == 10 ** 6
+    assert window.at(10 ** 6 - 1) == CurveClass(10 ** 6, (0, 0, 0, 0))
+    assert window.index(CurveClass(10 ** 6, (0, 0, 0, 0))) == 10 ** 6 - 1
+    assert window.index(CurveClass(10 ** 6 + 1, (0, 0, 0, 0))) is None
 
 
 def test_orbit_partition_classifies_nothing(monkeypatch):

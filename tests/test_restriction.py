@@ -20,7 +20,6 @@ from cdvwall.restriction import (
     DynkinType,
     check_gcd_closure,
     classify_value,
-    finite_companion_values,
     finite_restricted_values,
     gcd_report,
     imaginary_restriction,
@@ -30,7 +29,11 @@ from cdvwall.restriction import (
     restricted_root_sweep,
     restricted_roots,
 )
-from reference import real_restricted_two_ways
+from reference import (
+    companion_from_finite_part,
+    entries_with_multiples_added,
+    real_restricted_two_ways,
+)
 
 
 def d5_type():
@@ -305,14 +308,16 @@ def test_a_single_build_projects_once(monkeypatch, family, rank, affine, k_max):
 
 def test_a_two_way_sweep_projects_once_per_set(monkeypatch):
     # criterion 3's loop on E6~: one drop per affine subset in the sweep and
-    # one pass per proper subset of the finite companion
+    # one pass per level-0 set, built once per affine subset though the
+    # two-way reference and every exact membership test read it
     drops = _count_drops(monkeypatch)
     restriction.finite_restricted_values.cache_clear()
-    restriction.finite_companion_values.cache_clear()
     diagram = build_diagram("E", 6, affine=True)
     for rr in restricted_root_sweep(diagram, 3):
         assert real_restricted_two_ways(rr).equal, rr.dynkin_type
-    assert len(drops) == (2 ** 7 - 2) + (2 ** 6 - 2)
+        assert all(classify_value(rr.dynkin_type, e.coeffs) == e.reality
+                   for e in rr.elements), rr.dynkin_type
+    assert len(drops) == 2 * (2 ** 7 - 2)
 
 
 @pytest.mark.parametrize("family,rank", [("E", 6), ("D", 5)])
@@ -338,12 +343,11 @@ def test_coefficient_readers_build_no_records(monkeypatch):
 
     monkeypatch.setattr(restriction, "RestrictedRoot", refuse)
     restriction.finite_restricted_values.cache_clear()
-    restriction.finite_companion_values.cache_clear()
     diagram = build_diagram("D", 4, affine=True)
     for J in proper_subsets(diagram):
         dt = DynkinType(diagram, J)
         assert restricted_roots(dt).values() and len(restricted_roots(dt)), J
-        finite_companion_values(dt)
+        finite_restricted_values(dt)
     assert finite_restricted_values(DynkinType(build_diagram("E", 6), frozenset({2})))
     # a check-gcd sweep reads the scan entries, affine and finite
     for diagram, k_max in ((build_diagram("E", 7, affine=True), 3), (build_diagram("E", 8), None)):
@@ -475,14 +479,43 @@ def test_two_way_excludes_highest_when_zero_contracted():
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
-def test_finite_companion_values_are_the_level_zero_roots(family, rank):
+def test_affine_finite_values_are_the_level_zero_roots(family, rank):
     # the level-0 window holds the finite roots and no imaginary multiple,
     # projected onto the affine type's own kept coordinates; the subsets
     # cover node 0 kept, node 0 contracted, and node 0 the only kept node
     diagram = build_diagram(family, rank, affine=True)
     for J in proper_subsets(diagram):
         dt = DynkinType(diagram, J)
-        assert finite_companion_values(dt) == oracle_affine_restricted_roots(dt, 0), J
+        assert finite_restricted_values(dt) == oracle_affine_restricted_roots(dt, 0), J
+
+
+@pytest.mark.parametrize("family,rank,windows", [
+    ("A", 1, range(4)), ("A", 4, range(4)), ("D", 4, range(4)), ("D", 5, range(4)),
+    ("E", 6, range(4)), ("E", 7, (3,)),
+], ids=["A1", "A4", "D4", "D5", "E6", "E7"])
+def test_the_one_scan_equals_real_roots_with_multiples_added(family, rank, windows):
+    # the imaginary roots close the scan, so every set carries its multiples
+    # from the scan: the same keys in the same order, with the same
+    # witnesses, as restricting the real roots and adding the multiples to
+    # each set after; a real root that restricts onto the imaginary line, as
+    # with node 0 contracted, stays the witness there.  The level-0 set is
+    # the companion built on the finite part.
+    diagram = build_diagram(family, rank, affine=True)
+    rim = imaginary_root(diagram)
+    real_on_line = 0
+    for k_max in windows:
+        for rr in restricted_root_sweep(diagram, k_max):
+            dt = rr.dynkin_type
+            want = list(entries_with_multiples_added(dt, k_max).items())
+            assert list(rr.entries.items()) == want, (sorted(dt.contracted), k_max)
+            built = restricted_roots(dt, k_max).entries
+            assert list(built.items()) == want, (sorted(dt.contracted), k_max)
+            imaginary = [tuple(m * c for c in rim) for k in range(1, k_max + 1) for m in (k, -k)]
+            real_on_line += any(rr.entries[restrict(dt, r)] != r for r in imaginary)
+    assert real_on_line
+    for J in proper_subsets(diagram):
+        dt = DynkinType(diagram, J)
+        assert finite_restricted_values(dt) == companion_from_finite_part(dt), sorted(J)
 
 
 def test_exact_membership_agrees_with_windowed_enumeration():
